@@ -12,9 +12,9 @@ Related lists are stored as JSON lines, one record per line::
     {"id": "v42", "related": ["v7", "v13", ...]}
 
 Array order is the provider's recommendation order.  Popularity is a CSV
-file with header ``id,weight``.  The canonical on-disk form sorts records
-by id and preserves related arrays verbatim; ``save_dataset`` always emits
-the canonical form.
+file with header ``id,weight``; ids holding commas or quotes are quoted.
+The canonical on-disk form sorts records by id and preserves related
+arrays verbatim; ``save_dataset`` always emits the canonical form.
 """
 
 from __future__ import annotations
@@ -22,9 +22,11 @@ from __future__ import annotations
 import csv
 import io
 import json
+import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
 
+from .csvio import write_csv
 from .errors import (
     DatasetFormatError,
     DuplicateContentError,
@@ -47,8 +49,9 @@ class Catalog:
 
     Args:
         related: mapping from content id to its ordered related ids.
-        popularity: optional mapping from content id to weight >= 0.
-            Ids present here but not in ``related`` also become leaves.
+        popularity: optional mapping from content id to a finite weight
+            >= 0.  Ids present here but not in ``related`` also become
+            leaves.
     """
 
     __slots__ = ("_related", "_popularity")
@@ -82,8 +85,10 @@ class Catalog:
         if popularity is not None:
             for cid, weight in popularity.items():
                 w = float(weight)
-                if w < 0:
-                    raise ParameterError(f"negative popularity weight for {cid!r}: {w}")
+                if not (math.isfinite(w) and w >= 0):
+                    raise ParameterError(
+                        f"popularity weight for {cid!r} must be finite and >= 0, got {w}"
+                    )
                 if cid not in rel:
                     rel[cid] = ()
                 pop[cid] = w
@@ -247,8 +252,10 @@ def load_popularity_file(path: str) -> dict[ContentId, float]:
                 weight = float(raw)
             except ValueError:
                 raise DatasetFormatError(f"invalid weight {raw!r}", line=lineno) from None
-            if weight < 0:
-                raise DatasetFormatError(f"negative weight {raw!r}", line=lineno)
+            if not (math.isfinite(weight) and weight >= 0):
+                raise DatasetFormatError(
+                    f"weight must be finite and >= 0, got {raw!r}", line=lineno
+                )
             popularity[cid] = weight
     return popularity
 
@@ -276,9 +283,8 @@ def dumps_related(catalog: Catalog) -> str:
 def dumps_popularity(catalog: Catalog) -> str:
     """Canonical popularity serialization: ``id,weight`` rows sorted by id."""
     out = io.StringIO()
-    out.write("id,weight\n")
-    for cid in catalog.ids():
-        out.write(f"{cid},{catalog.popularity_of(cid)!r}\n")
+    rows = ((cid, catalog.popularity_of(cid)) for cid in catalog.ids())
+    write_csv(out, ("id", "weight"), rows)
     return out.getvalue()
 
 

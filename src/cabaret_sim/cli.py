@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import argparse
 import sys
+from typing import Any, Iterable, Sequence
 
 from .catalog import Catalog, RelationOracle, load_dataset, save_dataset, top_popular
+from .csvio import write_csv
 from .errors import SimulatorError
 from .experiment import load_config, parse_demand, run_experiment
 from .explore import BfsParams, bfs
@@ -62,8 +64,15 @@ def _load_catalog(args: argparse.Namespace) -> Catalog:
     raise SimulatorError("give --related-file or --synthetic-size")
 
 
-def _out_handle(path: str | None):
-    return open(path, "w", encoding="utf-8", newline="\n") if path else sys.stdout
+def _emit(
+    path: str | None, header: Sequence[str], rows: Iterable[Sequence[Any]]
+) -> None:
+    """Write CSV rows to ``path``, or to stdout when no path is given."""
+    if not path:
+        write_csv(sys.stdout, header, rows)
+        return
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        write_csv(handle, header, rows)
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -76,12 +85,8 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 def _cmd_explore(args: argparse.Namespace) -> int:
     oracle = RelationOracle(_load_catalog(args), args.w_max)
     result = bfs(args.seed_id, BfsParams(args.depth, args.width), oracle)
-    out = _out_handle(args.out)
-    out.write("rank,id,depth\n")
-    for rank, (cid, depth) in enumerate(zip(result.entries, result.depths), start=1):
-        out.write(f"{rank},{cid},{depth}\n")
-    if out is not sys.stdout:
-        out.close()
+    rows = enumerate(zip(result.entries, result.depths), start=1)
+    _emit(args.out, ("rank", "id", "depth"), ((rank, *entry) for rank, entry in rows))
     return 0
 
 
@@ -91,12 +96,12 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
     shown = recommend(
         args.seed_id, args.count, cache, BfsParams(args.depth, args.width), oracle
     )
-    out = _out_handle(args.out)
-    out.write("rank,id,cached\n")
-    for rank, (cid, hit) in enumerate(zip(shown.entries, shown.cached), start=1):
-        out.write(f"{rank},{cid},{'true' if hit else 'false'}\n")
-    if out is not sys.stdout:
-        out.close()
+    rows = enumerate(zip(shown.entries, shown.cached), start=1)
+    _emit(
+        args.out,
+        ("rank", "id", "cached"),
+        ((rank, cid, "true" if hit else "false") for rank, (cid, hit) in rows),
+    )
     if shown.empty:
         print("empty exploration: no recommendations", file=sys.stderr)
     return 0
@@ -119,10 +124,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         result = exact_placement(spec, args.capacity)
     CacheManifest.from_ids(result.chosen, args.capacity).to_file(args.manifest_out)
     if args.trajectory_out:
-        with open(args.trajectory_out, "w", encoding="utf-8", newline="\n") as out:
-            out.write("step,id,objective\n")
-            for step, cid, value in result.trajectory_rows():
-                out.write(f"{step},{cid},{value!r}\n")
+        _emit(args.trajectory_out, ("step", "id", "objective"), result.trajectory_rows())
     final = result.objective_values[-1] if result.objective_values else 0.0
     print(
         f"{result.method} placement: {len(result.chosen)} contents, "
@@ -137,23 +139,15 @@ def _cmd_eval_iv(args: argparse.Namespace) -> int:
     oracle = RelationOracle(catalog, args.w_max)
     seeds = top_popular(catalog, args.top)
     report = eval_iv(seeds, args.width, oracle)
-    out = _out_handle(args.out)
-    out.write("metric,value\n")
-    for name, value in report.summary_rows():
-        out.write(f"{name},{value!r}\n" if isinstance(value, float) else f"{name},{value}\n")
-    if out is not sys.stdout:
-        out.close()
+    _emit(args.out, ("metric", "value"), report.summary_rows())
     if args.per_seed_out:
-        with open(args.per_seed_out, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write("id,overlap\n")
-            for cid, value in report.per_seed:
-                handle.write(f"{cid},{value!r}\n")
+        _emit(args.per_seed_out, ("id", "overlap"), report.per_seed)
     return 0
 
 
 def _cmd_run(args: argparse.Namespace) -> int:
     config = load_config(args.config)
-    result = run_experiment(config, out_dir=args.out, workers=args.workers)
+    result = run_experiment(config, out_dir=args.out)
     print(
         f"{len(result.rows)} cells ok, {len(result.failures)} failed, "
         f"{result.wall_clock:.1f}s -> {args.out}",
@@ -225,7 +219,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run an experiment config")
     p.add_argument("--config", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--workers", type=int, default=None)
     p.set_defaults(func=_cmd_run)
 
     return parser

@@ -211,7 +211,8 @@ def exact_hit_rates(
             rate += m * hit_mass
             for entry, p in zip(entries, probs):
                 next_mass[entry] = next_mass.get(entry, 0.0) + m * p
-        rates.append(rate)
+        # Summation error can push a full-cache rate just past 1.
+        rates.append(min(rate, 1.0))
         mass = next_mass
         if not mass:
             rates.extend(0.0 for _ in range(length - 1 - len(rates)))

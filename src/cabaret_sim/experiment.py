@@ -1,34 +1,12 @@
 """Experiment orchestration: config parsing, scenario sweeps, CSV output.
 
-A configuration is a flat JSON object.  Four keys are sweepable
-(``recommender``, ``cache_capacity``, ``demand``, ``session_length``)
-and may hold either a scalar or a non-empty array; the experiment runs one
+A configuration is a flat JSON object.  :data:`SCHEMA` lists every key
+with its type, default, allowed range and meaning, and drives parsing,
+validation, defaults and the ``config.json`` echo.  Sweep keys
+(``recommender``, ``cache_capacity``, ``demand``, ``session_length``) may
+hold either a scalar or a non-empty array; the experiment runs one
 scenario cell per element of their cross product, in that key order.  All
-other keys are scalars.  Schema (defaults in parentheses):
-
-========================  =====================================================
-``seed``                  master RNG seed, required
-``catalog_kind``          ``"synthetic"`` or ``"files"`` (``synthetic``)
-``catalog_size``          synthetic: number of contents
-``catalog_out_degree``    synthetic: related-list length
-``catalog_overlap``       synthetic: depth-overlap target in [0, 1]
-``catalog_seed``          synthetic: generator seed (derived from ``seed``)
-``catalog_related_file``  files: JSON-lines related lists path
-``catalog_popularity_file``  files: ``id,weight`` CSV path (optional)
-``w_max``                 per-query related-list cap (50)
-``front_page_size``       entry-page size (50)
-``recommender``           sweep: ``baseline`` | ``reordered`` | ``cabaret``
-``bfs_depth``             exploration depth (2)
-``bfs_width``             exploration width (50)
-``list_size``             recommendation-list length N (20)
-``cache_policy``          ``top`` | ``greedy`` | ``exact`` (``top``)
-``cache_capacity``        sweep: cache sizes
-``demand``                sweep: ``uniform`` or ``zipf:<alpha>``
-``session_length``        sweep: requests per session K, >= 2
-``sessions``              Monte-Carlo sessions M per sampled cell (1000)
-``evaluator``             ``auto`` | ``sampled`` | ``exact`` (``auto``)
-``workers``               concurrent cells (1)
-========================  =====================================================
+other keys are scalars.
 
 ``auto`` evaluates two-request cells exactly (closed form over all starting
 contents) and samples longer sessions; ``exact`` propagates the watched-
@@ -43,18 +21,20 @@ byte-identical ``results.csv``.
 
 from __future__ import annotations
 
+import csv
 import hashlib
 import json
+import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 from pathlib import Path
-from typing import Any, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
 from .catalog import Catalog, PopularityRegion, RelationOracle, load_dataset, top_popular
+from .csvio import write_csv
 from .demand import (
     PositionDistribution,
     Recommender,
@@ -79,41 +59,23 @@ RECOMMENDER_KINDS = ("baseline", "reordered", "cabaret")
 CACHE_POLICIES = ("top", "greedy", "exact")
 EVALUATORS = ("auto", "sampled", "exact")
 
-_SCALAR_KEYS = {
-    "seed",
-    "catalog_kind",
-    "catalog_size",
-    "catalog_out_degree",
-    "catalog_overlap",
-    "catalog_seed",
-    "catalog_related_file",
-    "catalog_popularity_file",
-    "w_max",
-    "front_page_size",
-    "bfs_depth",
-    "bfs_width",
-    "list_size",
-    "cache_policy",
-    "sessions",
-    "evaluator",
-    "workers",
-}
-_SWEEP_KEYS = ("recommender", "cache_capacity", "demand", "session_length")
-
 
 def parse_demand(label: str) -> tuple[str, float]:
     """Split a demand label into (kind, alpha); raises on malformed labels."""
     if label == "uniform":
         return "uniform", 0.0
-    if label.startswith("zipf:"):
+    kind, _, alpha_text = label.partition(":")
+    if kind == "zipf":
         try:
-            alpha = float(label.split(":", 1)[1])
+            alpha = float(alpha_text)
         except ValueError:
-            raise ConfigError(f"invalid demand label {label!r}") from None
-        if alpha < 0:
-            raise ConfigError(f"zipf alpha must be >= 0 in {label!r}")
-        return "zipf", alpha
-    raise ConfigError(f"invalid demand label {label!r} (use 'uniform' or 'zipf:<alpha>')")
+            alpha = math.nan
+        if math.isfinite(alpha) and alpha >= 0:
+            return "zipf", alpha
+    raise ConfigError(
+        f"invalid demand {label!r} (use 'uniform' or 'zipf:<alpha>' "
+        "with a finite alpha >= 0)"
+    )
 
 
 def _demand_dist(label: str, list_size: int) -> PositionDistribution:
@@ -121,9 +83,114 @@ def _demand_dist(label: str, list_size: int) -> PositionDistribution:
     return position_probs(kind, alpha, list_size)
 
 
+REQUIRED = object()  # default of a key every config must set
+
+
+@dataclass(frozen=True)
+class ConfigKey:
+    """One row of the config schema.
+
+    ``kind`` is ``int``, ``float`` (which takes ints too) or ``str``; a bool
+    is never a number.  ``low`` and ``high`` bound numbers inclusively,
+    ``choices`` restricts strings and ``check`` validates further.  A key
+    whose default is ``None`` is optional and is left out of the
+    ``config.json`` echo while unset.  ``attr`` names the
+    :class:`ExperimentConfig` field when it differs from the key.
+    """
+
+    name: str
+    kind: type
+    default: Any
+    doc: str
+    low: float | None = None
+    high: float | None = None
+    choices: tuple[str, ...] = ()
+    check: Callable[[Any], Any] | None = None
+    sweep: bool = False
+    attr: str = ""
+
+    @property
+    def field(self) -> str:
+        return self.attr or self.name
+
+    def describe(self) -> str:
+        if self.choices:
+            return "one of " + ", ".join(repr(c) for c in self.choices)
+        if self.kind is str:
+            return "a string"
+        what = "an integer" if self.kind is int else "a finite number"
+        if self.high is not None:
+            return f"{what} in [{self.low}, {self.high}]"
+        return what if self.low is None else f"{what} >= {self.low}"
+
+    def validate(self, value: Any) -> Any:
+        """``value`` itself when it fits this key; raises ConfigError otherwise."""
+        if self.kind is str:
+            ok = isinstance(value, str) and (not self.choices or value in self.choices)
+        else:
+            ok = (
+                isinstance(value, (int, float) if self.kind is float else int)
+                and not isinstance(value, bool)
+                and (self.low is None or value >= self.low)
+                and (self.high is None or value <= self.high)
+                and (isinstance(value, int) or math.isfinite(value))
+            )
+        if not ok:
+            raise ConfigError(f"{self.name} must be {self.describe()}, got {value!r}")
+        if self.check is not None:
+            self.check(value)
+        return value
+
+
+#: The config keys, in canonical order.
+SCHEMA = (
+    ConfigKey("seed", int, REQUIRED, "master RNG seed"),
+    ConfigKey(
+        "catalog_kind", str, "synthetic", "generate the catalog or load it from files",
+        choices=("synthetic", "files"),
+    ),
+    ConfigKey("catalog_size", int, None, "synthetic: number of contents", low=1),
+    ConfigKey("catalog_out_degree", int, None, "synthetic: related-list length", low=1),
+    ConfigKey("catalog_overlap", float, None, "synthetic: depth-overlap target", low=0, high=1),
+    ConfigKey(
+        "catalog_seed", int, None, "synthetic: generator seed (derived from seed when unset)",
+        low=0,
+    ),
+    ConfigKey("catalog_related_file", str, None, "files: JSON-lines related lists path"),
+    ConfigKey("catalog_popularity_file", str, None, "files: id,weight CSV path (optional)"),
+    ConfigKey("w_max", int, 50, "per-query related-list cap", low=1),
+    ConfigKey("front_page_size", int, 50, "entry-page size", low=1),
+    ConfigKey(
+        "recommender", str, REQUIRED, "recommenders to compare",
+        choices=RECOMMENDER_KINDS, sweep=True, attr="recommenders",
+    ),
+    ConfigKey("bfs_depth", int, 2, "exploration depth", low=1),
+    ConfigKey("bfs_width", int, 50, "exploration width", low=1),
+    ConfigKey("list_size", int, 20, "recommendation-list length N", low=1),
+    ConfigKey("cache_policy", str, "top", "cache placement policy", choices=CACHE_POLICIES),
+    ConfigKey(
+        "cache_capacity", int, REQUIRED, "cache sizes", low=1, sweep=True, attr="capacities",
+    ),
+    ConfigKey(
+        "demand", str, REQUIRED, "position bias: 'uniform' or 'zipf:<alpha>'",
+        check=parse_demand, sweep=True, attr="demands",
+    ),
+    ConfigKey(
+        "session_length", int, REQUIRED, "requests per session K", low=2, sweep=True,
+        attr="session_lengths",
+    ),
+    ConfigKey("sessions", int, 1000, "Monte-Carlo sessions M per sampled cell", low=1),
+    ConfigKey("evaluator", str, "auto", "how cells are evaluated", choices=EVALUATORS),
+)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, normalized experiment configuration."""
+    """Validated, normalized experiment configuration, one field per key.
+
+    Build it with :func:`config_from_mapping`, which fills the defaults of
+    :data:`SCHEMA`.
+    """
 
     seed: int
     catalog_kind: str
@@ -131,137 +198,65 @@ class ExperimentConfig:
     capacities: tuple[int, ...]
     demands: tuple[str, ...]
     session_lengths: tuple[int, ...]
-    catalog_size: int | None = None
-    catalog_out_degree: int | None = None
-    catalog_overlap: float | None = None
-    catalog_seed: int | None = None
-    catalog_related_file: str | None = None
-    catalog_popularity_file: str | None = None
-    w_max: int = 50
-    front_page_size: int = 50
-    bfs_depth: int = 2
-    bfs_width: int = 50
-    list_size: int = 20
-    cache_policy: str = "top"
-    sessions: int = 1000
-    evaluator: str = "auto"
-    workers: int = 1
+    catalog_size: int | None
+    catalog_out_degree: int | None
+    catalog_overlap: float | None
+    catalog_seed: int | None
+    catalog_related_file: str | None
+    catalog_popularity_file: str | None
+    w_max: int
+    front_page_size: int
+    bfs_depth: int
+    bfs_width: int
+    list_size: int
+    cache_policy: str
+    sessions: int
+    evaluator: str
 
     def to_mapping(self) -> dict[str, Any]:
-        """The flat JSON form of this config (sweeps as arrays)."""
-        out: dict[str, Any] = {
-            "seed": self.seed,
-            "catalog_kind": self.catalog_kind,
-            "w_max": self.w_max,
-            "front_page_size": self.front_page_size,
-            "recommender": list(self.recommenders),
-            "bfs_depth": self.bfs_depth,
-            "bfs_width": self.bfs_width,
-            "list_size": self.list_size,
-            "cache_policy": self.cache_policy,
-            "cache_capacity": list(self.capacities),
-            "demand": list(self.demands),
-            "session_length": list(self.session_lengths),
-            "sessions": self.sessions,
-            "evaluator": self.evaluator,
-            "workers": self.workers,
-        }
-        for key in (
-            "catalog_size",
-            "catalog_out_degree",
-            "catalog_overlap",
-            "catalog_seed",
-            "catalog_related_file",
-            "catalog_popularity_file",
-        ):
-            value = getattr(self, key)
+        """The flat JSON form of this config (sweeps as arrays, unset keys left out)."""
+        out: dict[str, Any] = {}
+        for key in SCHEMA:
+            value = getattr(self, key.field)
             if value is not None:
-                out[key] = value
+                out[key.name] = list(value) if key.sweep else value
         return out
 
 
-def _as_list(value: Any) -> list[Any]:
-    return list(value) if isinstance(value, list) else [value]
+def _parse_key(key: ConfigKey, raw: Mapping[str, Any]) -> Any:
+    if key.name not in raw:
+        if key.default is REQUIRED:
+            raise ConfigError(f"config must set {key.name!r}")
+        return key.default
+    value = raw[key.name]
+    if value is None and key.default is None:
+        return None
+    if not key.sweep:
+        return key.validate(value)
+    values = value if isinstance(value, list) else [value]
+    if not values:
+        raise ConfigError(f"sweep {key.name!r} must be non-empty")
+    return tuple(key.validate(v) for v in values)
 
 
 def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
     """Validate a flat config mapping and normalize sweeps to tuples."""
-    unknown = set(raw) - _SCALAR_KEYS - set(_SWEEP_KEYS)
+    unknown = set(raw) - {key.name for key in SCHEMA}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    if "seed" not in raw or not isinstance(raw["seed"], int):
-        raise ConfigError("config must set an integer 'seed'")
-    for key in _SWEEP_KEYS:
-        if key not in raw:
-            raise ConfigError(f"config must set {key!r}")
-        if isinstance(raw[key], list) and not raw[key]:
-            raise ConfigError(f"sweep {key!r} must be non-empty")
-
-    recommenders = tuple(_as_list(raw["recommender"]))
-    for r in recommenders:
-        if r not in RECOMMENDER_KINDS:
-            raise ConfigError(f"unknown recommender {r!r}")
-    capacities = tuple(_as_list(raw["cache_capacity"]))
-    if not all(isinstance(c, int) and c >= 1 for c in capacities):
-        raise ConfigError("cache_capacity values must be integers >= 1")
-    demands = tuple(str(d) for d in _as_list(raw["demand"]))
-    for d in demands:
-        parse_demand(d)
-    lengths = tuple(_as_list(raw["session_length"]))
-    if not all(isinstance(k, int) and k >= 2 for k in lengths):
-        raise ConfigError("session_length values must be integers >= 2")
-
-    kind = raw.get("catalog_kind", "synthetic")
-    if kind == "synthetic":
-        for key in ("catalog_size", "catalog_out_degree", "catalog_overlap"):
-            if key not in raw:
-                raise ConfigError(f"synthetic catalog requires {key!r}")
-    elif kind == "files":
-        if "catalog_related_file" not in raw:
-            raise ConfigError("files catalog requires 'catalog_related_file'")
-        for key in ("catalog_related_file", "catalog_popularity_file"):
-            path = raw.get(key)
-            if path is not None and not Path(path).is_file():
-                raise ConfigError(f"{key} does not exist: {path}")
+    values = {key.field: _parse_key(key, raw) for key in SCHEMA}
+    if values["catalog_kind"] == "synthetic":
+        for name in ("catalog_size", "catalog_out_degree", "catalog_overlap"):
+            if values[name] is None:
+                raise ConfigError(f"synthetic catalog requires {name!r}")
     else:
-        raise ConfigError(f"unknown catalog_kind {kind!r}")
-
-    policy = raw.get("cache_policy", "top")
-    if policy not in CACHE_POLICIES:
-        raise ConfigError(f"unknown cache_policy {policy!r}")
-    evaluator = raw.get("evaluator", "auto")
-    if evaluator not in EVALUATORS:
-        raise ConfigError(f"unknown evaluator {evaluator!r}")
-    sessions = raw.get("sessions", 1000)
-    if not isinstance(sessions, int) or sessions < 1:
-        raise ConfigError("sessions must be an integer >= 1")
-    workers = raw.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise ConfigError("workers must be an integer >= 1")
-
-    return ExperimentConfig(
-        seed=raw["seed"],
-        catalog_kind=kind,
-        recommenders=recommenders,
-        capacities=capacities,
-        demands=demands,
-        session_lengths=lengths,
-        catalog_size=raw.get("catalog_size"),
-        catalog_out_degree=raw.get("catalog_out_degree"),
-        catalog_overlap=raw.get("catalog_overlap"),
-        catalog_seed=raw.get("catalog_seed"),
-        catalog_related_file=raw.get("catalog_related_file"),
-        catalog_popularity_file=raw.get("catalog_popularity_file"),
-        w_max=raw.get("w_max", 50),
-        front_page_size=raw.get("front_page_size", 50),
-        bfs_depth=raw.get("bfs_depth", 2),
-        bfs_width=raw.get("bfs_width", 50),
-        list_size=raw.get("list_size", 20),
-        cache_policy=policy,
-        sessions=sessions,
-        evaluator=evaluator,
-        workers=workers,
-    )
+        if values["catalog_related_file"] is None:
+            raise ConfigError("files catalog requires 'catalog_related_file'")
+        for name in ("catalog_related_file", "catalog_popularity_file"):
+            path = values[name]
+            if path is not None and not Path(path).is_file():
+                raise ConfigError(f"{name} does not exist: {path}")
+    return ExperimentConfig(**values)
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -346,8 +341,14 @@ class _Runner:
         self.catalog = build_catalog(config)
         self.oracle = RelationOracle(self.catalog, config.w_max)
         self.params = BfsParams(config.bfs_depth, config.bfs_width)
-        self.front_page: PopularityRegion = top_popular(
-            self.catalog, config.front_page_size
+        # One popularity ranking serves the front page and every top placement.
+        ranked = config.front_page_size
+        if config.cache_policy == "top":
+            ranked = max(ranked, *config.capacities)
+        self.ranking = top_popular(self.catalog, ranked).ids
+        self.front_page = PopularityRegion(
+            self.ranking[: config.front_page_size],
+            truncated=config.front_page_size > len(self.catalog),
         )
         self._exploration: dict[str, tuple[str, ...]] = {}
         self._specs: dict[str, ObjectiveSpec] = {}
@@ -361,23 +362,6 @@ class _Runner:
             self._exploration[content] = entries
         return entries
 
-    def objective_spec(self, demand: str) -> ObjectiveSpec:
-        spec = self._specs.get(demand)
-        if spec is None:
-            dist = _demand_dist(demand, self.config.list_size)
-            table = {
-                v: frozenset(self.exploration(v)) for v in self.front_page.ids
-            }
-            spec = ObjectiveSpec(
-                self.front_page.ids,
-                [1.0] * len(self.front_page.ids),
-                self.config.list_size,
-                dist.probs,
-                table,
-            )
-            self._specs[demand] = spec
-        return spec
-
     def _placement_key(self, capacity: int, demand: str) -> tuple[int, str]:
         # Top placement ignores demand; share it across demand values.
         return (capacity, demand if self.config.cache_policy != "top" else "")
@@ -388,11 +372,18 @@ class _Runner:
         if manifest is None:
             policy = self.config.cache_policy
             if policy == "top":
-                chosen = top_popular(self.catalog, capacity).ids
-            elif policy == "greedy":
-                chosen = greedy_placement(self.objective_spec(demand), capacity).chosen
+                chosen = self.ranking[:capacity]
             else:
-                chosen = exact_placement(self.objective_spec(demand), capacity).chosen
+                spec = self._specs.get(demand)
+                if spec is None:
+                    n = self.config.list_size
+                    spec = ObjectiveSpec.build(
+                        self.front_page.ids, n, _demand_dist(demand, n),
+                        self.params, self.oracle,
+                    )
+                    self._specs[demand] = spec
+                solve = greedy_placement if policy == "greedy" else exact_placement
+                chosen = solve(spec, capacity).chosen
             manifest = CacheManifest.from_ids(chosen, capacity)
             self._placements[key] = manifest
         return manifest
@@ -425,10 +416,10 @@ class _Runner:
         exact = config.evaluator == "exact" or (
             config.evaluator == "auto" and cell.session_length == 2
         )
+        se = None
         if exact:
             rates = exact_hit_rates(self.front_page, rec, dist, cell.session_length)
             report = ChrReport.from_exact(rates, cell.session_length)
-            se = None
         else:
             rng = np.random.Generator(np.random.PCG64(derive_cell_seed(config.seed, cell)))
             sessions = [
@@ -439,15 +430,13 @@ class _Runner:
                 for _ in range(config.sessions)
             ]
             report = chr_sequential(sessions)
-            steps = cell.session_length - 1
-            means = np.array([sum(s.hits[1:]) / steps for s in sessions])
-            se = float(np.std(means, ddof=1) / np.sqrt(len(sessions))) if len(sessions) > 1 else 0.0
+            # One sample leaves the standard error undefined: the field stays blank.
+            if len(sessions) > 1:
+                steps = cell.session_length - 1
+                means = np.array([sum(s.hits[1:]) / steps for s in sessions])
+                se = float(np.std(means, ddof=1) / np.sqrt(len(sessions)))
         row: dict[str, Any] = {
-            "recommender": cell.recommender,
-            "cache_policy": config.cache_policy,
-            "cache_capacity": cell.capacity,
-            "demand": cell.demand,
-            "k": cell.session_length,
+            **_coordinates(config, cell),
             "evaluator": report.mode,
             "sessions": report.sessions,
             "chr": report.chr,
@@ -458,22 +447,25 @@ class _Runner:
         return row
 
 
-def _fmt(value: Any) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+_CELL_COLUMNS = ("recommender", "cache_policy", "cache_capacity", "demand", "k")
+FAILURE_COLUMNS = [*_CELL_COLUMNS, "error", "message"]
+
+
+def _coordinates(config: ExperimentConfig, cell: CellSpec) -> dict[str, Any]:
+    """The leading columns shared by result and failure rows."""
+    return {
+        "recommender": cell.recommender,
+        "cache_policy": config.cache_policy,
+        "cache_capacity": cell.capacity,
+        "demand": cell.demand,
+        "k": cell.session_length,
+    }
 
 
 def results_columns(config: ExperimentConfig) -> list[str]:
     max_k = max(config.session_lengths)
     return [
-        "recommender",
-        "cache_policy",
-        "cache_capacity",
-        "demand",
-        "k",
+        *_CELL_COLUMNS,
         "evaluator",
         "sessions",
         "chr",
@@ -482,100 +474,56 @@ def results_columns(config: ExperimentConfig) -> list[str]:
     ]
 
 
-FAILURE_COLUMNS = [
-    "recommender",
-    "cache_policy",
-    "cache_capacity",
-    "demand",
-    "k",
-    "error",
-    "message",
-]
-
-
 def _write_csv(path: Path, columns: list[str], rows: list[dict[str, Any]]) -> None:
-    lines = [",".join(columns)]
-    for row in rows:
-        lines.append(",".join(_fmt(row.get(col)) for col in columns))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8", newline="\n")
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        write_csv(handle, columns, ([row.get(col) for col in columns] for row in rows))
 
 
 _INT_COLUMNS = {"cache_capacity", "k", "sessions"}
 _FLOAT_COLUMNS_PREFIX = ("chr", "hit_rate_k")
 
 
+def _parse_field(column: str, field: str) -> Any:
+    if column in _INT_COLUMNS:
+        return int(field)
+    if column.startswith(_FLOAT_COLUMNS_PREFIX):
+        return float(field)
+    return field
+
+
 def read_results_csv(path: str | Path) -> list[dict[str, Any]]:
     """Load a ``results.csv`` back into typed row mappings (lossless)."""
-    lines = Path(path).read_text(encoding="utf-8").splitlines()
-    columns = lines[0].split(",")
-    rows: list[dict[str, Any]] = []
-    for line in lines[1:]:
-        row: dict[str, Any] = {}
-        for col, field in zip(columns, line.split(",")):
-            if field == "":
-                continue
-            if col in _INT_COLUMNS:
-                row[col] = int(field)
-            elif col.startswith(_FLOAT_COLUMNS_PREFIX):
-                row[col] = float(field)
-            else:
-                row[col] = field
-        rows.append(row)
-    return rows
+    with open(path, newline="", encoding="utf-8") as handle:
+        reader = csv.reader(handle)
+        columns = next(reader)
+        return [
+            {col: _parse_field(col, field) for col, field in zip(columns, record) if field}
+            for record in reader
+        ]
 
 
 def run_experiment(
-    config: ExperimentConfig,
-    out_dir: str | Path | None = None,
-    workers: int | None = None,
+    config: ExperimentConfig, out_dir: str | Path | None = None
 ) -> ExperimentResult:
     """Evaluate every scenario cell and optionally persist CSV outputs.
 
-    A failing cell is recorded in the failures table and does not stop the
-    others.  Results are returned (and written) in canonical sweep order
-    regardless of the worker count.
+    Cells run in canonical sweep order.  A failing cell, including one
+    whose cache placement fails, is recorded in the failures table and
+    does not stop the others.
     """
     start = time.perf_counter()
     runner = _Runner(config)
-    cells = iter_cells(config)
-    # Placements are built up front, single-threaded, so worker scheduling
-    # can never reorder their construction.
-    placement_failures: dict[tuple[int, str], Exception] = {}
-    for cell in cells:
-        key = (cell.capacity, cell.demand)
-        if key in placement_failures:
-            continue
+    rows: list[dict[str, Any]] = []
+    failures: list[dict[str, Any]] = []
+    for cell in iter_cells(config):
         try:
-            runner.placement(cell.capacity, cell.demand)
+            rows.append(runner.evaluate(cell))
         except Exception as exc:
-            placement_failures[key] = exc
-
-    def evaluate(cell: CellSpec) -> tuple[dict[str, Any] | None, dict[str, Any] | None]:
-        failure = placement_failures.get((cell.capacity, cell.demand))
-        if failure is None:
-            try:
-                return runner.evaluate(cell), None
-            except Exception as exc:
-                failure = exc
-        return None, {
-            "recommender": cell.recommender,
-            "cache_policy": config.cache_policy,
-            "cache_capacity": cell.capacity,
-            "demand": cell.demand,
-            "k": cell.session_length,
-            "error": type(failure).__name__,
-            "message": str(failure).replace("\n", " ").replace(",", ";"),
-        }
-
-    n_workers = workers if workers is not None else config.workers
-    if n_workers > 1:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            outcomes = list(pool.map(evaluate, cells))
-    else:
-        outcomes = [evaluate(cell) for cell in cells]
-
-    rows = [row for row, _ in outcomes if row is not None]
-    failures = [fail for _, fail in outcomes if fail is not None]
+            failures.append({
+                **_coordinates(config, cell),
+                "error": type(exc).__name__,
+                "message": str(exc).replace("\n", " "),
+            })
     result = ExperimentResult(
         rows=rows,
         failures=failures,

@@ -175,11 +175,9 @@ def reordered_recommender(
     cache: CacheManifest,
     oracle: RelationOracle,
 ) -> RecommendationList:
-    """The provider's top-``count`` list with cached entries moved to the front."""
-    base = baseline_recommender(seed, count, oracle, cache)
-    front = [(c, True) for c, hit in zip(base.entries, base.cached) if hit]
-    back = [(c, False) for c, hit in zip(base.entries, base.cached) if not hit]
-    ordered = front + back
-    return RecommendationList(
-        tuple(c for c, _ in ordered), tuple(f for _, f in ordered)
-    )
+    """The provider's top-``count`` list with cached entries moved to the front.
+
+    This is the two-phase selection of :func:`select_from_exploration` over
+    the provider's list instead of an exploration.
+    """
+    return select_from_exploration(oracle.related(seed, count), count, cache)

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import math
+import tempfile
+from pathlib import Path
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cabaret_sim.catalog import (
     Catalog,
@@ -20,6 +25,13 @@ from cabaret_sim.errors import (
 
 from conftest import random_catalog
 
+# Printable ids, biased toward the CSV and JSON metacharacters.
+_IDS = st.text(
+    st.characters(blacklist_categories=("Cc", "Cs")) | st.sampled_from(',"\' '),
+    min_size=1,
+    max_size=6,
+)
+
 
 class TestCatalog:
     def test_leaf_closure(self):
@@ -37,8 +49,9 @@ class TestCatalog:
             Catalog({"a": ["b", "b"]})
 
     def test_rejects_negative_weight(self):
-        with pytest.raises(ParameterError):
-            Catalog({"a": ["b"]}, {"a": -1.0})
+        for weight in (-1.0, math.nan, math.inf, -math.inf):
+            with pytest.raises(ParameterError):
+                Catalog({"a": ["b"]}, {"a": weight})
 
     def test_popularity_ids_become_leaves(self):
         cat = Catalog({"a": ["b"]}, {"z": 3.0})
@@ -165,13 +178,33 @@ class TestDatasetFiles:
             load_dataset(str(rel), str(pop))
 
     def test_popularity_bad_weight_line_number(self, tmp_path):
-        pop = tmp_path / "pop.csv"
-        pop.write_text("id,weight\na,1\nb,zebra\n", encoding="utf-8")
         rel = tmp_path / "rel.jsonl"
         rel.write_text('{"id":"a","related":[]}\n', encoding="utf-8")
-        with pytest.raises(DatasetFormatError) as err:
-            load_dataset(str(rel), str(pop))
-        assert err.value.line == 3
+        pop = tmp_path / "pop.csv"
+        for raw in ("zebra", "nan", "inf", "-inf", "Infinity"):
+            pop.write_text(f"id,weight\na,1\nb,{raw}\n", encoding="utf-8")
+            with pytest.raises(DatasetFormatError) as err:
+                load_dataset(str(rel), str(pop))
+            assert err.value.line == 3
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_round_trip_with_arbitrary_ids(self, data):
+        ids = data.draw(st.lists(_IDS, min_size=1, max_size=8, unique=True))
+        related = {}
+        for cid in ids:
+            drawn = data.draw(st.lists(st.sampled_from(ids), unique=True))
+            related[cid] = [c for c in drawn if c != cid]
+        weights = st.floats(min_value=0, allow_infinity=False)
+        popularity = {cid: data.draw(weights) for cid in ids}
+        cat = Catalog(related, popularity)
+        with tempfile.TemporaryDirectory() as tmp:
+            rel, pop = Path(tmp) / "rel.jsonl", Path(tmp) / "pop.csv"
+            save_dataset(cat, str(rel), str(pop))
+            loaded = load_dataset(str(rel), str(pop))
+            assert loaded == cat
+            assert dumps_related(loaded) == rel.read_text(encoding="utf-8")
+            assert dumps_popularity(loaded) == pop.read_text(encoding="utf-8")
 
     def test_save_load_round_trip_is_canonical(self, tmp_path, rng):
         # Serialization oracle: canonical form is a fixed point of save(load(.)).

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import csv
+import io
 import json
 
 import pytest
@@ -65,6 +67,28 @@ def test_explore_csv(dataset, tmp_path, capsys):
     out = capsys.readouterr().out.splitlines()
     assert out[0] == "rank,id,depth"
     assert out[1:] == ["1,a,1", "2,b,1", "3,c,1"]
+
+
+def test_ids_with_commas_and_quotes_are_quoted(tmp_path, capsys):
+    related = tmp_path / "rel.jsonl"
+    related.write_text('{"id":"s","related":["a,b","say \\"hi\\"","c"]}\n', encoding="utf-8")
+    code = main(
+        [
+            "explore",
+            "--related-file", str(related),
+            "--seed-id", "s",
+            "--depth", "1",
+            "--width", "3",
+        ]
+    )
+    assert code == 0
+    rows = list(csv.reader(io.StringIO(capsys.readouterr().out)))
+    assert rows == [
+        ["rank", "id", "depth"],
+        ["1", "a,b", "1"],
+        ["2", 'say "hi"', "1"],
+        ["3", "c", "1"],
+    ]
 
 
 def test_recommend_csv(dataset, tmp_path):

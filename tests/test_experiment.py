@@ -1,12 +1,19 @@
 from __future__ import annotations
 
+import csv
+import dataclasses
 import json
+import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from cabaret_sim import experiment
 from cabaret_sim.errors import ConfigError
 from cabaret_sim.experiment import (
+    SCHEMA,
     CellSpec,
+    ExperimentConfig,
     config_from_mapping,
     derive_catalog_seed,
     derive_cell_seed,
@@ -45,9 +52,91 @@ def tiny_config():
     return config_from_mapping(tiny_mapping())
 
 
+_JUNK = st.booleans() | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
+
+
+def malformed(key):
+    """Values that the schema row ``key`` must reject."""
+    if key.kind is str:
+        bad = st.one_of(_JUNK, st.integers(), st.floats())
+        if key.choices:
+            bad |= st.text(max_size=8).filter(lambda s: s not in key.choices)
+        if key.name == "demand":
+            bad |= st.text(max_size=8).filter(
+                lambda s: s != "uniform" and not s.startswith("zipf:")
+            )
+            bad |= st.floats().filter(lambda a: not a >= 0 or math.isinf(a)).map(
+                lambda a: f"zipf:{a}"
+            )
+    else:
+        bad = st.one_of(_JUNK, st.text(max_size=4))
+        if key.kind is int:
+            bad |= st.floats()
+        else:
+            bad |= st.floats().filter(lambda x: not key.low <= x <= key.high)
+            bad |= st.integers().filter(lambda x: not key.low <= x <= key.high)
+        if key.low is not None:
+            bad |= st.integers(max_value=int(key.low) - 1)
+    if key.sweep:
+        bad |= st.just([]) | st.lists(bad, min_size=1, max_size=3)
+    else:
+        bad |= st.lists(st.integers(), max_size=2)
+    if key.default is not None:
+        bad |= st.none()
+    return bad
+
+
 class TestConfigValidation:
     def test_round_trips_through_mapping(self, tiny_config):
         assert config_from_mapping(tiny_config.to_mapping()) == tiny_config
+
+    def test_schema_lists_every_field_once(self):
+        fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
+        assert sorted(fields) == sorted(key.field for key in SCHEMA)
+        assert all(key.doc for key in SCHEMA)
+
+    def test_defaults_fill_unset_keys(self):
+        mapping = tiny_mapping()
+        for name in ("w_max", "bfs_depth", "list_size", "sessions", "evaluator"):
+            mapping.pop(name, None)
+        config = config_from_mapping(mapping)
+        assert (config.w_max, config.bfs_depth, config.list_size) == (50, 2, 20)
+        assert (config.sessions, config.evaluator) == (1000, "auto")
+        assert "catalog_seed" not in config.to_mapping()
+
+    def test_numbers_accept_int_or_float(self):
+        assert config_from_mapping(tiny_mapping(catalog_overlap=1)).catalog_overlap == 1
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("list_size", 2.5),
+            ("catalog_overlap", "0.5"),
+            ("front_page_size", "a"),
+            ("catalog_seed", "x"),
+            ("list_size", 0),
+            ("bfs_depth", 0),
+            ("bfs_width", -1),
+            ("w_max", 0),
+            ("seed", True),
+            ("cache_capacity", [True]),
+            ("sessions", True),
+            ("catalog_overlap", math.nan),
+            ("catalog_seed", -1),
+        ],
+    )
+    def test_malformed_value_names_the_key(self, key, value):
+        with pytest.raises(ConfigError, match=key):
+            config_from_mapping(tiny_mapping(**{key: value}))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_malformed_config_raises_config_error(self, data):
+        key = data.draw(st.sampled_from(SCHEMA))
+        mapping = tiny_mapping()
+        mapping[key.name] = data.draw(malformed(key))
+        with pytest.raises(ConfigError, match=key.name):
+            config_from_mapping(mapping)
 
     def test_scalar_sweeps_normalize_to_singletons(self):
         config = config_from_mapping(
@@ -64,8 +153,10 @@ class TestConfigValidation:
             config_from_mapping(mapping)
 
     def test_unknown_key(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping(tiny_mapping(bogus=1))
+        # ``workers`` went with the removed thread pool.
+        for key in ("bogus", "workers"):
+            with pytest.raises(ConfigError, match=key):
+                config_from_mapping(tiny_mapping(**{key: 1}))
 
     def test_empty_sweep(self):
         with pytest.raises(ConfigError):
@@ -76,10 +167,9 @@ class TestConfigValidation:
             config_from_mapping(tiny_mapping(recommender=["netflix"]))
 
     def test_bad_demand(self):
-        with pytest.raises(ConfigError):
-            config_from_mapping(tiny_mapping(demand=["zipf"]))
-        with pytest.raises(ConfigError):
-            config_from_mapping(tiny_mapping(demand=["zipf:-1"]))
+        for label in ("zipf", "zipf:-1", "zipf:nan", "zipf:inf", 1):
+            with pytest.raises(ConfigError, match="demand"):
+                config_from_mapping(tiny_mapping(demand=["uniform", label]))
 
     def test_session_length_below_two(self):
         with pytest.raises(ConfigError):
@@ -166,12 +256,31 @@ class TestRunExperiment:
                 tmp_path / "two" / name
             ).read_bytes()
 
-    def test_worker_count_invariance(self, tiny_config, tmp_path):
-        run_experiment(tiny_config, out_dir=tmp_path / "serial", workers=1)
-        run_experiment(tiny_config, out_dir=tmp_path / "parallel", workers=4)
-        assert (tmp_path / "serial" / "results.csv").read_bytes() == (
-            tmp_path / "parallel" / "results.csv"
-        ).read_bytes()
+    def test_full_cache_exact_rates_stay_at_most_one(self):
+        # Summation error used to report chr = 1.0000000000000007 here.
+        config = config_from_mapping(
+            tiny_mapping(cache_capacity=[300], list_size=10, evaluator="exact")
+        )
+        for row in run_experiment(config).rows:
+            rates = [v for k, v in row.items() if k == "chr" or k.startswith("hit_rate_k")]
+            assert all(1.0 - 1e-12 <= rate <= 1.0 for rate in rates)
+
+    def test_single_session_leaves_standard_error_blank(self, tmp_path):
+        config = config_from_mapping(tiny_mapping(sessions=1, evaluator="sampled"))
+        result = run_experiment(config, out_dir=tmp_path)
+        assert all(row["chr_se"] is None for row in result.rows)
+        assert all("chr_se" not in row for row in read_results_csv(tmp_path / "results.csv"))
+
+    def test_failure_messages_are_quoted(self, tiny_config, tmp_path, monkeypatch):
+        def broken(*args):
+            raise ValueError('bad, "quoted"\nvalue')
+
+        monkeypatch.setattr(experiment, "exact_hit_rates", broken)
+        result = run_experiment(tiny_config, out_dir=tmp_path)
+        with open(tmp_path / "failures.csv", newline="", encoding="utf-8") as handle:
+            records = list(csv.DictReader(handle))
+        assert len(records) == len(result.failures) == 12
+        assert {r["message"] for r in records} == {'bad, "quoted" value'}
 
     def test_exact_evaluator_for_all_cells(self):
         config = config_from_mapping(tiny_mapping(evaluator="exact"))
