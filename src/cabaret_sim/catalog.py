@@ -12,7 +12,8 @@ Related lists are stored as JSON lines, one record per line::
     {"id": "v42", "related": ["v7", "v13", ...]}
 
 Array order is the provider's recommendation order.  Popularity is a CSV
-file with header ``id,weight``; ids holding commas or quotes are quoted.
+file with header ``id,weight``; ids holding commas, quotes or line breaks
+are quoted.
 The canonical on-disk form sorts records by id and preserves related
 arrays verbatim; ``save_dataset`` always emits the canonical form.
 """
@@ -20,6 +21,7 @@ arrays verbatim; ``save_dataset`` always emits the canonical form.
 from __future__ import annotations
 
 import csv
+import heapq
 import io
 import json
 import math
@@ -192,8 +194,14 @@ def top_popular(catalog: Catalog, count: int) -> PopularityRegion:
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    ranked = sorted(catalog.ids(), key=lambda c: (-catalog.popularity_of(c), c))
-    return PopularityRegion(tuple(ranked[:count]), truncated=count > len(ranked))
+    # (-weight, id) orders the contents totally, so a partial selection
+    # ranks exactly as a full sort would.
+    ranked = heapq.nsmallest(
+        count, catalog._popularity.items(), key=lambda item: (-item[1], item[0])
+    )
+    return PopularityRegion(
+        tuple(cid for cid, _ in ranked), truncated=count > len(catalog)
+    )
 
 
 def _parse_related_line(line: str, lineno: int) -> tuple[ContentId, list[ContentId]]:

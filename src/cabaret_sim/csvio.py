@@ -9,6 +9,7 @@ round-trip form), so reading a file back recovers every value exactly.
 from __future__ import annotations
 
 import csv
+import io
 from typing import Any, Iterable, Sequence, TextIO
 
 
@@ -21,7 +22,15 @@ def write_csv(
     """
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(header)
-    writer.writerows(
-        [repr(value) if isinstance(value, float) else value for value in row]
-        for row in rows
-    )
+    for row in rows:
+        fields = [repr(value) if isinstance(value, float) else value for value in row]
+        if any(isinstance(value, str) and "\r" in value for value in fields):
+            # Some Python versions quote a field only for the line-break
+            # characters of the writer's own terminator, so a bare "\r"
+            # would go out unquoted and split the row on reading.  A "\r\n"
+            # writer quotes it; the row still ends in "\n".
+            line = io.StringIO()
+            csv.writer(line, lineterminator="\r\n").writerow(fields)
+            handle.write(line.getvalue()[:-2] + "\n")
+        else:
+            writer.writerow(fields)

@@ -43,14 +43,16 @@ from .demand import (
     run_session,
 )
 from .errors import ConfigError
-from .explore import BfsParams, bfs
+from .explore import BfsParams, ExplorationList, bfs
 from .metrics import ChrReport, chr_sequential
 from .placement import ObjectiveSpec, exact_placement, greedy_placement
 from .recommend import (
+    CacheIndex,
     CacheManifest,
     baseline_recommender,
+    cabaret_list,
     reordered_recommender,
-    select_from_exploration,
+    select_from_exploration,  # noqa: F401  (kept bound for bench/tracing.py)
 )
 from .synthetic import generate_synthetic
 from .version import __version__
@@ -249,6 +251,11 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
         for name in ("catalog_size", "catalog_out_degree", "catalog_overlap"):
             if values[name] is None:
                 raise ConfigError(f"synthetic catalog requires {name!r}")
+        if values["catalog_size"] <= values["catalog_out_degree"]:
+            raise ConfigError(
+                f"catalog_size ({values['catalog_size']}) must exceed "
+                f"catalog_out_degree ({values['catalog_out_degree']})"
+            )
     else:
         if values["catalog_related_file"] is None:
             raise ConfigError("files catalog requires 'catalog_related_file'")
@@ -350,17 +357,21 @@ class _Runner:
             self.ranking[: config.front_page_size],
             truncated=config.front_page_size > len(self.catalog),
         )
-        self._exploration: dict[str, tuple[str, ...]] = {}
+        self._heads: dict[str, ExplorationList] = {}
         self._specs: dict[str, ObjectiveSpec] = {}
         self._placements: dict[tuple[int, str], CacheManifest] = {}
         self._recommenders: dict[tuple[str, int, str], Recommender] = {}
 
-    def exploration(self, content: str) -> tuple[str, ...]:
-        entries = self._exploration.get(content)
-        if entries is None:
-            entries = bfs(content, self.params, self.oracle).entries
-            self._exploration[content] = entries
-        return entries
+    def head(self, content: str) -> ExplorationList:
+        """The exploration around ``content`` but its last level, shared by every cache."""
+        head = self._heads.get(content)
+        if head is None:
+            head = ExplorationList(content, (), ())
+            depth, width = self.params.depth, self.params.width
+            if depth > 1:
+                head = bfs(content, BfsParams(depth - 1, width), self.oracle)
+            self._heads[content] = head
+        return head
 
     def _placement_key(self, capacity: int, demand: str) -> tuple[int, str]:
         # Top placement ignores demand; share it across demand values.
@@ -396,8 +407,11 @@ class _Runner:
         cache = self.placement(capacity, demand)
         n = self.config.list_size
         if kind == "cabaret":
+            index = CacheIndex(cache, self.oracle, self.params.width)
+            depth = self.params.depth
+
             def rec(v: str) -> Any:
-                return select_from_exploration(self.exploration(v), n, cache)
+                return cabaret_list(self.head(v), depth, n, index)
         elif kind == "baseline":
             def rec(v: str) -> Any:
                 return baseline_recommender(v, n, self.oracle, cache)

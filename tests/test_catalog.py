@@ -25,9 +25,9 @@ from cabaret_sim.errors import (
 
 from conftest import random_catalog
 
-# Printable ids, biased toward the CSV and JSON metacharacters.
+# Printable ids, biased toward the CSV and JSON metacharacters and line breaks.
 _IDS = st.text(
-    st.characters(blacklist_categories=("Cc", "Cs")) | st.sampled_from(',"\' '),
+    st.characters(blacklist_categories=("Cc", "Cs")) | st.sampled_from(',"\' \r\n'),
     min_size=1,
     max_size=6,
 )
@@ -121,6 +121,20 @@ class TestTopPopular:
         with pytest.raises(ParameterError):
             top_popular(cat, 0)
 
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=30),
+        st.integers(1, 40),
+    )
+    def test_equals_full_sort(self, weights, count):
+        # Few distinct weights, zeros included, so most ranks are ties; ids
+        # are inserted in descending order so ties must be broken by id.
+        cat = Catalog({}, {f"c{99 - i:02d}": w for i, w in enumerate(weights)})
+        ranked = sorted(cat.ids(), key=lambda c: (-cat.popularity_of(c), c))
+        region = top_popular(cat, count)
+        assert region.ids == tuple(ranked[:count])
+        assert region.truncated == (count > len(weights))
+
     def test_oversized_request_truncates_with_flag(self):
         cat = Catalog({"a": [], "b": []}, {"a": 2.0, "b": 1.0})
         region = top_popular(cat, 5)
@@ -203,8 +217,8 @@ class TestDatasetFiles:
             save_dataset(cat, str(rel), str(pop))
             loaded = load_dataset(str(rel), str(pop))
             assert loaded == cat
-            assert dumps_related(loaded) == rel.read_text(encoding="utf-8")
-            assert dumps_popularity(loaded) == pop.read_text(encoding="utf-8")
+            assert dumps_related(loaded).encode() == rel.read_bytes()
+            assert dumps_popularity(loaded).encode() == pop.read_bytes()
 
     def test_save_load_round_trip_is_canonical(self, tmp_path, rng):
         # Serialization oracle: canonical form is a fixed point of save(load(.)).

@@ -190,6 +190,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_mapping(mapping)
 
+    def test_synthetic_size_must_exceed_out_degree(self):
+        for size, degree in ((5, 50), (10, 10)):
+            with pytest.raises(ConfigError, match="catalog_size.*catalog_out_degree"):
+                config_from_mapping(
+                    tiny_mapping(catalog_size=size, catalog_out_degree=degree)
+                )
+        config = config_from_mapping(tiny_mapping(catalog_size=11, catalog_out_degree=10))
+        assert config.catalog_size == 11
+
     def test_load_config_rejects_bad_json(self, tmp_path):
         path = tmp_path / "c.json"
         path.write_text("{nope", encoding="utf-8")
@@ -281,6 +290,33 @@ class TestRunExperiment:
             records = list(csv.DictReader(handle))
         assert len(records) == len(result.failures) == 12
         assert {r["message"] for r in records} == {'bad, "quoted" value'}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_hit_ratios_lie_in_unit_interval(self, data):
+        size = data.draw(st.integers(2, 40))
+        mapping = tiny_mapping(
+            catalog_size=size,
+            catalog_out_degree=data.draw(st.integers(1, min(size - 1, 8))),
+            catalog_overlap=data.draw(st.floats(0, 1)),
+            front_page_size=data.draw(st.integers(1, 12)),
+            recommender=["baseline", "reordered", "cabaret"],
+            bfs_depth=data.draw(st.integers(1, 3)),
+            bfs_width=data.draw(st.integers(1, 8)),
+            w_max=data.draw(st.integers(1, 8)),
+            list_size=data.draw(st.integers(1, 6)),
+            cache_policy=data.draw(st.sampled_from(["top", "greedy"])),
+            cache_capacity=data.draw(st.lists(st.integers(1, 45), min_size=1, max_size=2)),
+            demand=data.draw(st.sampled_from(["uniform", "zipf:0.5", "zipf:2"])),
+            session_length=data.draw(st.integers(2, 4)),
+            sessions=data.draw(st.integers(1, 20)),
+            evaluator=data.draw(st.sampled_from(["exact", "sampled"])),
+        )
+        result = run_experiment(config_from_mapping(mapping))
+        assert not result.failures
+        for row in result.rows:
+            rates = [v for k, v in row.items() if k == "chr" or k.startswith("hit_rate_k")]
+            assert rates and all(0.0 <= rate <= 1.0 for rate in rates)
 
     def test_exact_evaluator_for_all_cells(self):
         config = config_from_mapping(tiny_mapping(evaluator="exact"))

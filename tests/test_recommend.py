@@ -1,19 +1,23 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cabaret_sim.catalog import Catalog, RelationOracle
 from cabaret_sim.demand import enumerate_single_requests, position_probs
 from cabaret_sim.catalog import PopularityRegion
 from cabaret_sim.errors import ParameterError
-from cabaret_sim.explore import BfsParams, bfs
+from cabaret_sim.explore import BfsParams, ExplorationList, bfs
 from cabaret_sim.recommend import (
+    CacheIndex,
     CacheManifest,
     RecommendationList,
     baseline_recommender,
+    cabaret_list,
     count_cached_in,
     recommend,
     reordered_recommender,
+    select_from_exploration,
 )
 
 from conftest import random_catalog
@@ -106,6 +110,48 @@ class TestRecommend:
         first = recommend("s", 6, cache_of("d"), BfsParams(1, 12), oracle)
         second = recommend("s", 6, cache_of("d"), BfsParams(1, 12), oracle)
         assert first == second
+
+
+@st.composite
+def small_catalogs(draw):
+    """Catalogs of up to 12 contents; empty related lists make leaf seeds."""
+    ids = [f"c{i}" for i in range(draw(st.integers(1, 12)))]
+    related = {}
+    for cid in ids:
+        others = draw(st.permutations([x for x in ids if x != cid]))
+        related[cid] = others[: draw(st.integers(0, len(others)))]
+    return Catalog(related)
+
+
+class TestCabaretList:
+    """The D-1 levels plus cache index path against the full exploration."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_equals_selection_over_full_exploration(self, data):
+        cat = data.draw(small_catalogs())
+        ids = cat.ids()
+        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        cached = data.draw(st.one_of(
+            st.just([]), st.just(ids), st.lists(st.sampled_from(ids), unique=True)
+        ))
+        cache = CacheManifest.from_ids(cached)
+        params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
+        count = data.draw(st.integers(1, 14))
+        # One index serves every seed, as it does in the runner.
+        index = CacheIndex(cache, oracle, params.width)
+        for seed in ids:
+            want = select_from_exploration(bfs(seed, params, oracle).entries, count, cache)
+            assert recommend(seed, count, cache, params, oracle) == want
+            head = ExplorationList(seed, (), ())
+            if params.depth > 1:
+                head = bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
+            assert cabaret_list(head, params.depth, count, index) == want
+
+    def test_rejects_zero_count(self, flat_catalog):
+        oracle = RelationOracle(flat_catalog)
+        with pytest.raises(ParameterError):
+            recommend("s", 0, cache_of("a"), BfsParams(2, 3), oracle)
 
 
 class TestPerRequestDominance:
