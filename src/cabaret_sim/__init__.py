@@ -12,6 +12,7 @@ from .catalog import (
 from .demand import (
     PositionDistribution,
     Session,
+    TransitionTable,
     enumerate_single_requests,
     exact_hit_rates,
     position_probs,
@@ -62,6 +63,7 @@ __all__ = [
     "RecommendationList",
     "RelationOracle",
     "Session",
+    "TransitionTable",
     "__version__",
     "baseline_recommender",
     "bfs",

@@ -26,6 +26,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Mapping, Sequence
 
 from .csvio import write_csv
@@ -66,23 +67,19 @@ class Catalog:
         rel: dict[ContentId, tuple[ContentId, ...]] = {}
         for cid, lst in related.items():
             entries = tuple(lst)
-            seen = set()
-            for entry in entries:
-                if entry == cid:
-                    raise DatasetFormatError(
-                        f"related list of {cid!r} contains the content itself"
-                    )
-                if entry in seen:
-                    raise DatasetFormatError(
-                        f"related list of {cid!r} contains duplicate entry {entry!r}"
-                    )
-                seen.add(entry)
+            distinct = set(entries)
+            if cid in distinct or len(distinct) != len(entries):
+                _reject_related_list(cid, entries)
             rel[cid] = entries
-        # Leaf closure: referenced-but-undefined ids become empty-list leaves.
-        for entries in list(rel.values()):
-            for entry in entries:
-                if entry not in rel:
-                    rel[entry] = ()
+        # Leaf closure: referenced-but-undefined ids become empty-list
+        # leaves, in order of first reference.
+        leaves = set().union(*rel.values()).difference(rel)
+        for entry in chain.from_iterable(list(rel.values())):
+            if not leaves:
+                break
+            if entry in leaves:
+                leaves.discard(entry)
+                rel[entry] = ()
         pop: dict[ContentId, float] = {}
         if popularity is not None:
             for cid, weight in popularity.items():
@@ -141,6 +138,19 @@ class Catalog:
         if total <= 0:
             return {c: 1.0 / len(ids) for c in ids}
         return {c: w / total for c, w in zip(ids, weights)}
+
+
+def _reject_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None:
+    """Raise naming the first entry that repeats or is ``cid`` itself."""
+    seen = set()
+    for entry in entries:
+        if entry == cid:
+            raise DatasetFormatError(f"related list of {cid!r} contains the content itself")
+        if entry in seen:
+            raise DatasetFormatError(
+                f"related list of {cid!r} contains duplicate entry {entry!r}"
+            )
+        seen.add(entry)
 
 
 @dataclass(frozen=True)
@@ -277,15 +287,12 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
 
 def dumps_related(catalog: Catalog) -> str:
     """Canonical related-lists serialization: records sorted by id."""
-    out = io.StringIO()
-    for cid in catalog.ids():
-        json.dump(
-            {"id": cid, "related": list(catalog.related_list(cid))},
-            out,
-            separators=(",", ":"),
-        )
-        out.write("\n")
-    return out.getvalue()
+    # json.dumps takes the C encoder; json.dump to a stream does not.
+    return "".join(
+        json.dumps({"id": cid, "related": list(catalog.related_list(cid))}, separators=(",", ":"))
+        + "\n"
+        for cid in catalog.ids()
+    )
 
 
 def dumps_popularity(catalog: Catalog) -> str:

@@ -8,10 +8,13 @@ hold either a scalar or a non-empty array; the experiment runs one
 scenario cell per element of their cross product, in that key order.  All
 other keys are scalars.
 
-``auto`` evaluates two-request cells exactly (closed form over all starting
-contents) and samples longer sessions; ``exact`` propagates the watched-
-content distribution exactly for every cell, which makes reruns and
-cross-recommender comparisons noise-free.
+``auto`` evaluates two-request cells exactly (over all starting contents)
+and samples longer sessions; ``exact`` propagates the watched-content
+distribution exactly for every cell, which makes reruns and
+cross-recommender comparisons noise-free.  Both read one
+:class:`~cabaret_sim.demand.TransitionTable` per recommender, cache and
+demand, so cells differing only in session length share their rows and,
+in exact mode, their per-step rates.
 
 Each cell's RNG seed is ``sha256("<seed>|recommender=<r>|capacity=<c>|``
 ``demand=<d>|k=<k>")``, first 8 bytes big-endian, so adding sweep values
@@ -38,9 +41,10 @@ from .csvio import write_csv
 from .demand import (
     PositionDistribution,
     Recommender,
-    exact_hit_rates,
+    TransitionTable,
+    exact_hit_rates,  # noqa: F401  (kept bound for bench/tracing.py)
     position_probs,
-    run_session,
+    run_session,  # noqa: F401  (kept bound for bench/tracing.py)
 )
 from .errors import ConfigError
 from .explore import BfsParams, ExplorationList, bfs
@@ -361,6 +365,9 @@ class _Runner:
         self._specs: dict[str, ObjectiveSpec] = {}
         self._placements: dict[tuple[int, str], CacheManifest] = {}
         self._recommenders: dict[tuple[str, int, str], Recommender] = {}
+        # Cells of one table are adjacent in sweep order (session length
+        # varies fastest), so only the latest table is kept.
+        self._table: tuple[tuple[str, int, str], TransitionTable] | None = None
 
     def head(self, content: str) -> ExplorationList:
         """The exploration around ``content`` but its last level, shared by every cache."""
@@ -422,25 +429,30 @@ class _Runner:
         self._recommenders[key] = memoized
         return memoized
 
+    def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:
+        """The transition table of one recommender, cache and demand."""
+        key = (kind, capacity, demand)
+        if self._table is None or self._table[0] != key:
+            rec = self.recommender(kind, capacity, demand)
+            dist = _demand_dist(demand, self.config.list_size)
+            self._table = (key, TransitionTable(self.front_page, rec, dist))
+        return self._table[1]
+
     def evaluate(self, cell: CellSpec) -> dict[str, Any]:
         config = self.config
-        dist = _demand_dist(cell.demand, config.list_size)
         cache = self.placement(cell.capacity, cell.demand)
-        rec = self.recommender(cell.recommender, cell.capacity, cell.demand)
+        table = self.table(cell.recommender, cell.capacity, cell.demand)
         exact = config.evaluator == "exact" or (
             config.evaluator == "auto" and cell.session_length == 2
         )
         se = None
         if exact:
-            rates = exact_hit_rates(self.front_page, rec, dist, cell.session_length)
+            rates = table.hit_rates(cell.session_length)
             report = ChrReport.from_exact(rates, cell.session_length)
         else:
             rng = np.random.Generator(np.random.PCG64(derive_cell_seed(config.seed, cell)))
             sessions = [
-                run_session(
-                    cell.session_length, self.front_page, rec, dist,
-                    rng=rng, cache=cache,
-                )
+                table.session(cell.session_length, cache=cache, rng=rng)
                 for _ in range(config.sessions)
             ]
             report = chr_sequential(sessions)

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import math
 import tempfile
+import io
+import json
 from pathlib import Path
 
 import pytest
@@ -33,6 +35,18 @@ _IDS = st.text(
 )
 
 
+
+def stream_dumps_related(catalog):
+    """The canonical related-lists form written record by record to a stream."""
+    out = io.StringIO()
+    for cid in catalog.ids():
+        json.dump(
+            {"id": cid, "related": list(catalog.related_list(cid))}, out, separators=(",", ":")
+        )
+        out.write("\n")
+    return out.getvalue()
+
+
 class TestCatalog:
     def test_leaf_closure(self):
         cat = Catalog({"a": ["b", "c"]})
@@ -47,6 +61,17 @@ class TestCatalog:
     def test_rejects_duplicate_entry(self):
         with pytest.raises(DatasetFormatError):
             Catalog({"a": ["b", "b"]})
+
+    def test_rejection_names_the_first_offender(self):
+        with pytest.raises(DatasetFormatError, match="'a' contains the content itself"):
+            Catalog({"ok": ["x"], "a": ["b", "a", "b"]})
+        with pytest.raises(DatasetFormatError, match="'a' contains duplicate entry 'c'"):
+            Catalog({"a": ["b", "c", "c", "b", "a"]})
+
+    def test_leaves_follow_first_reference_order(self):
+        cat = Catalog({"a": ["z", "b"], "b": ["y", "z", "a"]}, {"p": 1.0, "a": 2.0})
+        assert list(cat._related) == ["a", "b", "z", "y", "p"]
+        assert list(cat._popularity) == ["a", "b", "z", "y", "p"]
 
     def test_rejects_negative_weight(self):
         for weight in (-1.0, math.nan, math.inf, -math.inf):
@@ -219,6 +244,7 @@ class TestDatasetFiles:
             assert loaded == cat
             assert dumps_related(loaded).encode() == rel.read_bytes()
             assert dumps_popularity(loaded).encode() == pop.read_bytes()
+        assert dumps_related(cat) == stream_dumps_related(cat)
 
     def test_save_load_round_trip_is_canonical(self, tmp_path, rng):
         # Serialization oracle: canonical form is a fixed point of save(load(.)).

@@ -9,6 +9,7 @@ from scipy import stats
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle
 from cabaret_sim.demand import (
+    TransitionTable,
     enumerate_single_requests,
     exact_hit_rates,
     position_probs,
@@ -18,7 +19,7 @@ from cabaret_sim.errors import ParameterError
 from cabaret_sim.explore import BfsParams
 from cabaret_sim.recommend import CacheManifest, RecommendationList, recommend
 
-from conftest import random_catalog
+from conftest import random_catalog, reference_exact_hit_rates, reference_run_session
 
 
 def fixed_list_recommender(entries, cached):
@@ -208,3 +209,143 @@ class TestExactHitRates:
         rec = lambda v: recommend(v, 3, cache, BfsParams(1, 3), oracle)
         rates = exact_hit_rates(PopularityRegion(("p",)), rec, position_probs("uniform", n=3), 4)
         assert rates == (1.0, 0.0, 0.0)
+
+
+@st.composite
+def markov_scenarios(draw):
+    """A small catalog with leaves, a cache, a front page, a law and a recommender."""
+    size = draw(st.integers(1, 15))
+    ids = [f"c{i:02d}" for i in range(size)]
+    leaves = [f"leaf{i}" for i in range(draw(st.integers(0, 3)))]
+    related = {}
+    for cid in ids:
+        others = [x for x in ids + leaves if x != cid]
+        related[cid] = (
+            draw(st.lists(st.sampled_from(others), unique=True, max_size=8)) if others else []
+        )
+    catalog = Catalog(related)
+    every = catalog.ids()
+    cached = draw(
+        st.sampled_from([(), tuple(every)])
+        | st.lists(st.sampled_from(every), unique=True).map(tuple)
+    )
+    cache = CacheManifest.from_ids(cached)
+    front = PopularityRegion(tuple(draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))))
+    n = draw(st.integers(1, 6))
+    dist = draw(
+        st.just(position_probs("uniform", n=n))
+        | st.floats(0.0, 3.0).map(lambda alpha: position_probs("zipf", alpha, n))
+    )
+    params = BfsParams(draw(st.integers(1, 3)), draw(st.integers(1, 8)))
+    oracle = RelationOracle(catalog)
+    return front, lambda v: recommend(v, n, cache, params, oracle), dist, cache
+
+
+def recording(recommender):
+    """``recommender`` plus the list of contents it was asked about, in order."""
+    calls = []
+
+    def rec(v):
+        calls.append(v)
+        return recommender(v)
+
+    return rec, calls
+
+
+class TestTransitionTable:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scenario=markov_scenarios(),
+        lengths=st.lists(st.integers(2, 8), min_size=2, max_size=2, unique=True),
+    )
+    def test_rates_equal_dict_propagation_bit_for_bit(self, scenario, lengths):
+        front, rec, dist, _ = scenario
+        short, long = sorted(lengths)
+        expected_calls = recording(rec)
+        reference_exact_hit_rates(front, expected_calls[0], dist, long)
+        for order in ([short, long], [long, short]):
+            table_rec, calls = recording(rec)
+            table = TransitionTable(front, table_rec, dist)
+            for k in order:
+                assert table.hit_rates(k) == reference_exact_hit_rates(front, rec, dist, k)
+            # The table asks about the same states in the same order.
+            assert calls == expected_calls[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scenario=markov_scenarios(),
+        length=st.integers(2, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sessions_equal_reference_draws(self, scenario, length, seed):
+        front, rec, dist, cache = scenario
+        table = TransitionTable(front, rec, dist)
+        ours = np.random.Generator(np.random.PCG64(seed))
+        theirs = np.random.Generator(np.random.PCG64(seed))
+        for _ in range(20):
+            assert table.session(length, cache=cache, rng=ours) == reference_run_session(
+                length, front, rec, dist, cache=cache, rng=theirs
+            )
+        assert run_session(length, front, rec, dist, seed=seed, cache=cache) == (
+            reference_run_session(length, front, rec, dist, seed=seed, cache=cache)
+        )
+
+    def test_error_fails_exactly_the_sessions_that_reach_it(self):
+        # A chain c0 -> c1 -> ... -> c9 with c0 on the front page: c{j-1} is
+        # first watched as request j, and its list is asked only by
+        # sessions longer than j.
+        chain = [f"c{i}" for i in range(10)]
+        cat = Catalog({a: [b] for a, b in zip(chain, chain[1:])})
+        oracle = RelationOracle(cat)
+        cache = CacheManifest.from_ids(chain[::2])
+        dist = position_probs("uniform", n=2)
+        front = PopularityRegion(("c0",))
+
+        def rec(v):
+            return recommend(v, 2, cache, BfsParams(1, 2), oracle)
+
+        for j in range(1, 8):
+            def raising(v, bad=chain[j - 1]):
+                if v == bad:
+                    raise ValueError(f"no list for {v}")
+                return rec(v)
+
+            for order in (range(2, 10), range(9, 1, -1)):
+                table = TransitionTable(front, raising, dist)
+                for k in order:
+                    if k > j:
+                        with pytest.raises(ValueError, match="no list"):
+                            table.hit_rates(k)
+                    else:
+                        assert table.hit_rates(k) == reference_exact_hit_rates(front, rec, dist, k)
+
+    def test_states_reached_with_zero_mass_are_visited(self):
+        # The second position has probability 2**-1000, so "e" is reached
+        # with mass 2**-2000, which underflows to 0.0.
+        cat = Catalog({"a": ["b", "c"], "c": ["d", "e"], "e": ["f"]})
+        oracle = RelationOracle(cat)
+        cache = CacheManifest.from_ids(["f"])
+        front = PopularityRegion(("a",))
+        dist = position_probs("zipf", 1000.0, 2)
+        rec, calls = recording(lambda v: recommend(v, 2, cache, BfsParams(1, 2), oracle))
+        reference, reference_calls = recording(
+            lambda v: recommend(v, 2, cache, BfsParams(1, 2), oracle)
+        )
+        assert TransitionTable(front, rec, dist).hit_rates(5) == reference_exact_hit_rates(
+            front, reference, dist, 5
+        )
+        assert calls == reference_calls
+        assert "e" in calls
+
+    def test_lost_mass_pads_with_zeros_after_a_shorter_prefix(self):
+        cat = Catalog({"p": ["d"], "d": []})
+        oracle = RelationOracle(cat)
+        cache = CacheManifest.from_ids(["d"])
+        table = TransitionTable(
+            PopularityRegion(("p",)),
+            lambda v: recommend(v, 3, cache, BfsParams(1, 3), oracle),
+            position_probs("uniform", n=3),
+        )
+        assert table.hit_rates(2) == (1.0,)
+        assert table.hit_rates(5) == (1.0, 0.0, 0.0, 0.0)
+        assert table.hit_rates(3) == (1.0, 0.0)

@@ -284,12 +284,46 @@ class TestRunExperiment:
         def broken(*args):
             raise ValueError('bad, "quoted"\nvalue')
 
-        monkeypatch.setattr(experiment, "exact_hit_rates", broken)
+        monkeypatch.setattr(experiment.TransitionTable, "hit_rates", broken)
         result = run_experiment(tiny_config, out_dir=tmp_path)
         with open(tmp_path / "failures.csv", newline="", encoding="utf-8") as handle:
             records = list(csv.DictReader(handle))
         assert len(records) == len(result.failures) == 12
         assert {r["message"] for r in records} == {'bad, "quoted" value'}
+
+    def test_recommender_error_fails_exactly_the_cells_that_reach_it(self, monkeypatch):
+        config = config_from_mapping(tiny_mapping(
+            recommender="cabaret", cache_capacity=5, demand="zipf:1", front_page_size=1,
+            session_length=[6, 2, 4, 3, 5], evaluator="exact",
+        ))
+        runner = experiment._Runner(config)
+        rec = runner.recommender("cabaret", 5, "zipf:1")
+        # The request at which each content can first be watched.
+        request = {runner.front_page.ids[0]: 1}
+        level = list(request)
+        while level:
+            depth = request[level[0]] + 1
+            reached = (c for v in level for c in rec(v).entries if c not in request)
+            level = list(dict.fromkeys(reached))
+            request.update(dict.fromkeys(level, depth))
+        target = min(c for c, r in request.items() if r == 3)
+
+        recommender = experiment._Runner.recommender
+
+        def raising(self, kind, capacity, demand):
+            inner = recommender(self, kind, capacity, demand)
+
+            def rec(v):
+                if v == target:
+                    raise ValueError("no list")
+                return inner(v)
+
+            return rec
+
+        monkeypatch.setattr(experiment._Runner, "recommender", raising)
+        result = run_experiment(config)
+        assert sorted(f["k"] for f in result.failures) == [4, 5, 6]
+        assert sorted(r["k"] for r in result.rows) == [2, 3]
 
     @settings(max_examples=60, deadline=None)
     @given(st.data())
