@@ -18,12 +18,16 @@ cached flags and its hit mass.  Both evaluators read the same rows:
   The rates of a session of ``K`` requests are a prefix of those of any
   longer session, so a table computes each step once and a shorter ``K``
   takes a slice;
+* :meth:`TransitionTable.sample` walks a batch of sessions together and
+  returns their hit flags.  Every step compares the sessions' draws with
+  padded per-state copies of the rows' cumulative sums, which picks the
+  same positions as bisecting them one session at a time;
 * :meth:`TransitionTable.session` samples one session, drawing each next
-  position from the row's cumulative sums.
+  position by bisecting the row's cumulative sums.
 
-:func:`exact_hit_rates` and :func:`run_session` are the same two
-evaluators over a fresh table.  All sampling uses numpy's PCG64 generator;
-a session is a pure function of its seed.
+:func:`exact_hit_rates` and :func:`run_session` are the exact evaluator and
+the one-session sampler over a fresh table.  All sampling uses numpy's
+PCG64 generator; a session is a pure function of its seed.
 """
 
 from __future__ import annotations
@@ -62,6 +66,14 @@ class PositionDistribution:
         return tuple(p / total for p in head)
 
 
+def _zipf_weight(position: int, alpha: float) -> float:
+    try:
+        return 1.0 / position**alpha
+    except OverflowError:
+        # A weight below the smallest float: the position is never picked.
+        return 0.0
+
+
 def position_probs(kind: str, alpha: float = 0.0, n: int = 1) -> PositionDistribution:
     """Build a uniform or Zipf position distribution over ``n`` slots.
 
@@ -76,7 +88,7 @@ def position_probs(kind: str, alpha: float = 0.0, n: int = 1) -> PositionDistrib
     if kind == "zipf":
         if alpha < 0:
             raise ParameterError(f"zipf alpha must be >= 0, got {alpha}")
-        weights = [1.0 / (i**alpha) for i in range(1, n + 1)]
+        weights = [_zipf_weight(i, alpha) for i in range(1, n + 1)]
         total = sum(weights)
         return PositionDistribution("zipf", alpha, n, tuple(w / total for w in weights))
     raise ParameterError(f"unknown distribution kind {kind!r}")
@@ -145,8 +157,9 @@ class TransitionTable:
         self.dist = dist
         self._laws: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
         self._rows: dict[ContentId, Row] = {}
-        # Exact propagation numbers the states on discovery and flattens a
-        # state's row into the CSR arrays ``_dst``/``_p`` on its first step.
+        # Both evaluators number states on discovery; exact propagation
+        # flattens a state's row into the CSR arrays ``_dst``/``_p`` on its
+        # first step.
         self._number: dict[ContentId, int] = {}
         self._ids: list[ContentId] = []
         self._start: list[int] = []  # per state, -1 until flattened
@@ -157,6 +170,16 @@ class TransitionTable:
         self._states: np.ndarray | None = None  # states holding mass, by id
         self._mass: np.ndarray | None = None
         self._rates: list[float] = []
+        # The sampler copies the rows of the states it reaches into padded
+        # arrays indexed by state number: cumulative sums (padded with inf),
+        # their last value, the row's length (-1 until copied), cached flags
+        # and the entries' state numbers (-1 until a walk lands there).
+        n = dist.n
+        self._cum = np.empty((0, n))
+        self._last = np.empty(0)
+        self._width = np.empty(0, dtype=np.intp)
+        self._cached = np.empty((0, n), dtype=bool)
+        self._next = np.empty((0, n), dtype=np.intp)
 
     def row(self, content: ContentId) -> Row:
         """The transitions out of ``content``, built on first use."""
@@ -224,6 +247,102 @@ class TransitionTable:
             watched.append(current)
             hits.append(cached[idx])
         return Session(tuple(watched), tuple(hits), length, truncated, seed)
+
+    def sample(self, length: int, sessions: int, rng: np.random.Generator) -> np.ndarray:
+        """Hit flags of ``sessions`` sampled sessions of ``length`` requests.
+
+        Draws the front-page starts with one ``rng.integers`` call and then
+        one ``rng.random(sessions)`` call per step, and walks them with
+        :meth:`walk`.  Returns the ``sessions`` × ``length - 1`` matrix.
+        """
+        _check_session(length, self.front_page)
+        starts = rng.integers(len(self.front_page.ids), size=sessions)
+        uniforms = np.stack([rng.random(sessions) for _ in range(length - 1)], axis=1)
+        return self.walk(starts, uniforms)
+
+    def walk(self, starts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+        """Walk one session per entry of ``starts``, all sessions together.
+
+        Session ``m`` starts at ``front_page.ids[starts[m]]`` and makes its
+        ``j``-th pick with the uniform ``uniforms[m, j]``, as
+        :meth:`session` does with the same numbers, so the walk is a pure
+        function of ``starts`` and ``uniforms``.  Returns the boolean
+        matrix of the hit flags of requests 2..K, one row per session and
+        one column per column of ``uniforms``.  A session that reaches an
+        empty list is truncated and misses at every remaining step.
+
+        Before each step the rows of the states the live sessions sit on
+        are built, in sorted-id order, so the recommender is asked about
+        exactly the states the walks reach.  A pick counts the padded
+        cumulative sums at or below the draw, which is ``bisect_right``
+        with the same float operations; its temporary holds
+        ``len(starts)`` × ``dist.n`` booleans.
+        """
+        sessions, steps = uniforms.shape
+        hits = np.zeros((sessions, steps), dtype=bool)
+        front = np.array(self._numbers(list(self.front_page.ids)), dtype=np.intp)
+        state = front[starts]
+        live = np.arange(sessions)
+        for j in range(steps):
+            self._load(np.unique(state[live]))
+            live = live[self._width[state[live]] > 0]
+            at = state[live]
+            drawn = uniforms[live, j] * self._last[at]
+            below = (self._cum[at] <= drawn[:, None]).sum(axis=1)
+            pick = np.minimum(below, self._width[at] - 1)
+            hits[live, j] = self._cached[at, pick]
+            landed = self._next[at, pick]
+            unnumbered = landed < 0
+            if unnumbered.any():
+                self._number_entries(at[unnumbered], pick[unnumbered])
+                landed = self._next[at, pick]
+            state[live] = landed
+        return hits
+
+    def _load(self, states: np.ndarray) -> None:
+        """Copy the rows of ``states`` into the sampler's padded arrays.
+
+        Rows not built yet are built in sorted-id order.
+        """
+        self._reserve()
+        fresh = states[self._width[states] < 0].tolist()
+        fresh.sort(key=self._ids.__getitem__)
+        # The only call that can raise; nothing has changed before it.
+        rows = [self.row(self._ids[s]) for s in fresh]
+        if not rows:
+            return
+        widths = np.array([len(row.cum) for row in rows], dtype=np.intp)
+        filled = np.arange(self.dist.n) < widths[:, None]
+        cum = np.full(filled.shape, np.inf)
+        cum[filled] = [p for row in rows for p in row.cum]
+        cached = np.zeros(filled.shape, dtype=bool)
+        cached[filled] = [hit for row in rows for hit in row.cached[: len(row.cum)]]
+        self._cum[fresh] = cum
+        self._last[fresh] = cum[np.arange(len(rows)), np.maximum(widths - 1, 0)]
+        self._cached[fresh] = cached
+        self._width[fresh] = widths
+
+    def _number_entries(self, states: np.ndarray, picks: np.ndarray) -> None:
+        """Number the entries at ``picks`` of the rows of ``states``."""
+        n = self.dist.n
+        states, picks = np.divmod(np.unique(states * n + picks), n)
+        rows = self._rows
+        ids = self._ids
+        entries = [rows[ids[s]].entries[i] for s, i in zip(states.tolist(), picks.tolist())]
+        self._next[states, picks] = self._numbers(entries)
+
+    def _reserve(self) -> None:
+        """Grow the sampler's arrays to cover every numbered state."""
+        have = len(self._width)
+        if have >= len(self._ids):
+            return
+        extra = max(len(self._ids), 2 * have) - have
+        n = self.dist.n
+        self._cum = np.concatenate((self._cum, np.full((extra, n), np.inf)))
+        self._last = np.concatenate((self._last, np.zeros(extra)))
+        self._width = np.concatenate((self._width, np.full(extra, -1, dtype=np.intp)))
+        self._cached = np.concatenate((self._cached, np.zeros((extra, n), dtype=bool)))
+        self._next = np.concatenate((self._next, np.full((extra, n), -1, dtype=np.intp)))
 
     def _numbers(self, contents: list[ContentId]) -> list[int]:
         """The state numbers of ``contents``, numbering new states in order."""

@@ -14,7 +14,9 @@ distribution exactly for every cell, which makes reruns and
 cross-recommender comparisons noise-free.  Both read one
 :class:`~cabaret_sim.demand.TransitionTable` per recommender, cache and
 demand, so cells differing only in session length share their rows and,
-in exact mode, their per-step rates.
+in exact mode, their per-step rates.  A sampled cell walks all its
+sessions together and reads ``chr``, the per-step rates and ``chr_se``
+from their matrix of hit flags.
 
 Each cell's RNG seed is ``sha256("<seed>|recommender=<r>|capacity=<c>|``
 ``demand=<d>|k=<k>")``, first 8 bytes big-endian, so adding sweep values
@@ -48,7 +50,7 @@ from .demand import (
 )
 from .errors import ConfigError
 from .explore import BfsParams, ExplorationList, bfs
-from .metrics import ChrReport, chr_sequential
+from .metrics import ChrReport, chr_sequential  # noqa: F401  (kept bound for bench/tracing.py)
 from .placement import ObjectiveSpec, exact_placement, greedy_placement
 from .recommend import (
     CacheIndex,
@@ -440,7 +442,6 @@ class _Runner:
 
     def evaluate(self, cell: CellSpec) -> dict[str, Any]:
         config = self.config
-        cache = self.placement(cell.capacity, cell.demand)
         table = self.table(cell.recommender, cell.capacity, cell.demand)
         exact = config.evaluator == "exact" or (
             config.evaluator == "auto" and cell.session_length == 2
@@ -451,16 +452,12 @@ class _Runner:
             report = ChrReport.from_exact(rates, cell.session_length)
         else:
             rng = np.random.Generator(np.random.PCG64(derive_cell_seed(config.seed, cell)))
-            sessions = [
-                table.session(cell.session_length, cache=cache, rng=rng)
-                for _ in range(config.sessions)
-            ]
-            report = chr_sequential(sessions)
+            hits = table.sample(cell.session_length, config.sessions, rng)
+            report = ChrReport.from_hits(hits)
             # One sample leaves the standard error undefined: the field stays blank.
-            if len(sessions) > 1:
-                steps = cell.session_length - 1
-                means = np.array([sum(s.hits[1:]) / steps for s in sessions])
-                se = float(np.std(means, ddof=1) / np.sqrt(len(sessions)))
+            if config.sessions > 1:
+                means = hits.sum(axis=1) / (cell.session_length - 1)
+                se = float(np.std(means, ddof=1) / np.sqrt(config.sessions))
         row: dict[str, Any] = {
             **_coordinates(config, cell),
             "evaluator": report.mode,

@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .catalog import ContentId, PopularityRegion, RelationOracle
 from .demand import Session
 from .errors import ParameterError, UndefinedMetricError
@@ -119,6 +121,21 @@ class ChrReport:
         return [(k, rate) for k, rate in enumerate(self.per_step, start=2)]
 
     @classmethod
+    def from_hits(cls, hits: np.ndarray) -> "ChrReport":
+        """Summary of a sessions × steps matrix of hit flags for steps 2..K."""
+        sessions, steps = hits.shape
+        counts = hits.sum(axis=0).tolist()
+        per_step = tuple(h / sessions for h in counts)
+        return cls(
+            chr=sum(per_step) / steps,
+            length=steps + 1,
+            per_step=per_step,
+            mode="sampled",
+            sessions=sessions,
+            total_hits=sum(counts),
+        )
+
+    @classmethod
     def from_exact(cls, per_step: Sequence[float], length: int) -> "ChrReport":
         per_step = tuple(per_step)
         if len(per_step) != length - 1:
@@ -131,16 +148,6 @@ class ChrReport:
         )
 
 
-def _step_hits(sessions: Sequence[Session], length: int) -> list[int]:
-    # Steps lost to truncation count as misses.
-    hits = [0] * (length - 1)
-    for session in sessions:
-        for k in range(1, len(session.hits)):
-            if session.hits[k]:
-                hits[k - 1] += 1
-    return hits
-
-
 def chr_sequential(sessions: Sequence[Session]) -> ChrReport:
     """Hit ratio over steps 2..K of same-length sampled sessions."""
     if not sessions:
@@ -148,16 +155,9 @@ def chr_sequential(sessions: Sequence[Session]) -> ChrReport:
     length = sessions[0].requested_length
     if any(s.requested_length != length for s in sessions):
         raise ParameterError("sessions have mixed requested lengths")
-    hits = _step_hits(sessions, length)
-    per_step = tuple(h / len(sessions) for h in hits)
-    return ChrReport(
-        chr=sum(per_step) / len(per_step),
-        length=length,
-        per_step=per_step,
-        mode="sampled",
-        sessions=len(sessions),
-        total_hits=sum(hits),
-    )
+    # Steps lost to truncation count as misses.
+    hits = [s.hits[1:] + (False,) * (length - len(s.hits)) for s in sessions]
+    return ChrReport.from_hits(np.array(hits, dtype=bool))
 
 
 def chr_single(sessions: Sequence[Session]) -> ChrReport:

@@ -5,7 +5,8 @@ style from the package code (level-concatenation instead of incremental
 frontiers, full objective re-evaluation instead of inverted-index gains) so
 they can serve as oracles for it.  ``reference_exact_hit_rates`` and
 ``reference_run_session`` evaluate sessions state by state through plain
-dicts and lists; they are the oracles for ``TransitionTable``.
+dicts and lists, and ``reference_walk`` runs one session from given random
+numbers; they are the oracles for ``TransitionTable``.
 """
 
 from __future__ import annotations
@@ -121,6 +122,37 @@ def reference_run_session(
         watched.append(current)
         hits.append(shown.cached[idx])
     return Session(tuple(watched), tuple(hits), length, truncated, seed)
+
+
+def reference_walk(
+    length: int,
+    start: int,
+    uniforms,
+    front_page: PopularityRegion,
+    recommender: Recommender,
+    dist: PositionDistribution,
+    cache: CacheManifest | None = None,
+) -> Session:
+    """One session from a front-page index and one uniform per step.
+
+    The same loop as ``reference_run_session``, with the random numbers
+    passed in: ``uniforms[j]`` makes the pick of request ``j + 2``.
+    """
+    current = front_page.ids[start]
+    watched = [current]
+    hits = [cache is not None and current in cache]
+    truncated = False
+    for u in uniforms[: length - 1]:
+        shown = recommender(current)
+        if shown.empty:
+            truncated = True
+            break
+        probs = dist.truncated(len(shown))
+        idx = _reference_pick_index(probs, float(u))
+        current = shown.entries[idx]
+        watched.append(current)
+        hits.append(shown.cached[idx])
+    return Session(tuple(watched), tuple(hits), length, truncated)
 
 
 def reference_exact_hit_rates(

@@ -17,14 +17,14 @@ import pytest
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle, top_popular
 from cabaret_sim.demand import (
+    TransitionTable,
     enumerate_single_requests,
     exact_hit_rates,
     position_probs,
-    run_session,
 )
 from cabaret_sim.experiment import config_from_mapping, iter_cells, run_experiment
 from cabaret_sim.explore import BfsParams, bfs
-from cabaret_sim.metrics import chr_single, eval_iv
+from cabaret_sim.metrics import ChrReport, eval_iv
 from cabaret_sim.placement import (
     ObjectiveSpec,
     check_submodularity,
@@ -355,11 +355,8 @@ def test_criterion_7_sampling_agreement():
         if not 0.02 < expected < 0.98:
             continue
         gen = np.random.Generator(np.random.PCG64(int(rng.integers(1 << 62))))
-        sessions = [
-            run_session(2, front, rec, dist, rng=gen, cache=cache)
-            for _ in range(draws)
-        ]
-        estimate = chr_single(sessions).chr
+        hits = TransitionTable(front, rec, dist).sample(2, draws, gen)
+        estimate = ChrReport.from_hits(hits).chr
         stderr = math.sqrt(expected * (1 - expected) / draws)
         deviation = abs(estimate - expected) / stderr
         assert deviation <= 3.0, (expected, estimate, deviation)
@@ -385,6 +382,17 @@ def test_criterion_8_determinism(standard_run, tmp_path):
         for name in ("results.csv", "failures.csv", "config.json")
     )
     report(8, same, "two runs of the standard config are byte-identical")
+
+
+def test_criterion_8_determinism_sampled(tmp_path):
+    config = config_from_mapping({**STANDARD_CONFIG, "evaluator": "sampled"})
+    run_experiment(config, out_dir=tmp_path / "first")
+    run_experiment(config, out_dir=tmp_path / "second")
+    same = all(
+        (tmp_path / "first" / name).read_bytes() == (tmp_path / "second" / name).read_bytes()
+        for name in ("results.csv", "failures.csv", "config.json")
+    )
+    report(8, same, "two runs of the standard config, sampled, are byte-identical")
 
 
 # --------------------------------------------------------------------------

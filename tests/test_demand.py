@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import numpy as np
 import pytest
@@ -19,7 +20,12 @@ from cabaret_sim.errors import ParameterError
 from cabaret_sim.explore import BfsParams
 from cabaret_sim.recommend import CacheManifest, RecommendationList, recommend
 
-from conftest import random_catalog, reference_exact_hit_rates, reference_run_session
+from conftest import (
+    random_catalog,
+    reference_exact_hit_rates,
+    reference_run_session,
+    reference_walk,
+)
 
 
 def fixed_list_recommender(entries, cached):
@@ -61,6 +67,17 @@ class TestPositionProbs:
         assert abs(sum(probs) - 1.0) < 1e-12
         assert all(p >= 0 for p in probs)
         assert all(probs[i] >= probs[i + 1] for i in range(n - 1))
+
+    def test_zipf_weights_that_overflow_are_zero(self):
+        probs = position_probs("zipf", 1000.0, 20).probs
+        assert probs[0] == 1.0 and probs[2:] == (0.0,) * 18
+        assert position_probs("zipf", 300.0, 20).probs[-1] == 0.0
+
+    def test_zipf_bits_unchanged_where_nothing_overflows(self):
+        for alpha in (0.5, 1.0, 2.0):
+            weights = [1.0 / (i**alpha) for i in range(1, 21)]
+            total = sum(weights)
+            assert position_probs("zipf", alpha, 20).probs == tuple(w / total for w in weights)
 
     def test_truncated_renormalizes(self):
         dist = position_probs("zipf", 1.0, 4)
@@ -232,9 +249,11 @@ def markov_scenarios(draw):
     cache = CacheManifest.from_ids(cached)
     front = PopularityRegion(tuple(draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))))
     n = draw(st.integers(1, 6))
+    # zipf:1000 leaves zero-probability tail positions, so equal cumulative sums.
     dist = draw(
         st.just(position_probs("uniform", n=n))
         | st.floats(0.0, 3.0).map(lambda alpha: position_probs("zipf", alpha, n))
+        | st.just(position_probs("zipf", 1000.0, n))
     )
     params = BfsParams(draw(st.integers(1, 3)), draw(st.integers(1, 8)))
     oracle = RelationOracle(catalog)
@@ -349,3 +368,93 @@ class TestTransitionTable:
         assert table.hit_rates(2) == (1.0,)
         assert table.hit_rates(5) == (1.0, 0.0, 0.0, 0.0)
         assert table.hit_rates(3) == (1.0, 0.0)
+
+
+def tie_draws(dist):
+    """Uniforms that land a pick on a cumulative sum of ``dist`` truncated to some length.
+
+    These are the draws where ``bisect_right`` and ``bisect_left`` part.
+    """
+    draws = [0.0]
+    for length in range(2, dist.n + 1):
+        cum = list(accumulate(dist.truncated(length)))
+        draws += [c / cum[-1] for c in cum[:-1] if c < cum[-1]]
+    return np.array(draws)
+
+
+class TestBatchedSampler:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        scenario=markov_scenarios(),
+        length=st.integers(2, 8),
+        sessions=st.integers(1, 50),
+        exact_first=st.integers(1, 8),
+        edge_share=st.sampled_from([0.0, 0.5, 1.0]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_walk_equals_reference_loops_bit_for_bit(
+        self, scenario, length, sessions, exact_first, edge_share, seed
+    ):
+        front, rec, dist, cache = scenario
+        rng = np.random.Generator(np.random.PCG64(seed))
+        starts = rng.integers(len(front.ids), size=sessions)
+        shape = (sessions, length - 1)
+        uniforms = np.where(
+            rng.random(shape) < edge_share, rng.choice(tie_draws(dist), shape), rng.random(shape)
+        )
+        table_rec, calls = recording(rec)
+        table = TransitionTable(front, table_rec, dist)
+        # Exact cells may have built rows of the same table first.
+        if exact_first > 1:
+            table.hit_rates(exact_first)
+        asked = set(calls)
+        del calls[:]
+        hits = table.walk(starts, uniforms)
+
+        walks = [
+            reference_walk(length, int(start), row, front, rec, dist, cache)
+            for start, row in zip(starts, uniforms)
+        ]
+        expected = [w.hits[1:] + (False,) * (length - len(w.hits)) for w in walks]
+        assert hits.dtype == bool
+        assert hits.tolist() == [list(row) for row in expected]
+        # Request j + 1 asks for its row at step j, fresh states in id order.
+        expected_calls = []
+        for j in range(length - 1):
+            reached = {w.watched[j] for w in walks if j < len(w.watched)}
+            expected_calls += sorted(reached - asked)
+            asked |= reached
+        assert calls == expected_calls
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        scenario=markov_scenarios(),
+        length=st.integers(2, 8),
+        sessions=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_sample_draws_starts_then_one_uniform_per_step(self, scenario, length, sessions, seed):
+        front, rec, dist, _ = scenario
+        got = TransitionTable(front, rec, dist).sample(
+            length, sessions, np.random.Generator(np.random.PCG64(seed))
+        )
+        rng = np.random.Generator(np.random.PCG64(seed))
+        starts = rng.integers(len(front.ids), size=sessions)
+        uniforms = np.stack([rng.random(sessions) for _ in range(length - 1)], axis=1)
+        want = TransitionTable(front, rec, dist).walk(starts, uniforms)
+        assert got.shape == (sessions, length - 1)
+        assert np.array_equal(got, want)
+
+    def test_recommender_error_propagates(self):
+        cat = Catalog({"p": ["d"], "d": ["p"]})
+        oracle = RelationOracle(cat)
+
+        def rec(v):
+            if v == "d":
+                raise ValueError("no list for d")
+            return recommend(v, 1, CacheManifest.from_ids([]), BfsParams(1, 1), oracle)
+
+        table = TransitionTable(PopularityRegion(("p",)), rec, position_probs("uniform", n=1))
+        assert table.sample(2, 5, np.random.Generator(np.random.PCG64(0))).shape == (5, 1)
+        with pytest.raises(ValueError, match="no list"):
+            table.sample(3, 5, np.random.Generator(np.random.PCG64(0)))

@@ -5,10 +5,12 @@ import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from cabaret_sim import experiment
+from cabaret_sim.catalog import Catalog, save_dataset
 from cabaret_sim.errors import ConfigError
 from cabaret_sim.experiment import (
     SCHEMA,
@@ -22,6 +24,9 @@ from cabaret_sim.experiment import (
     read_results_csv,
     run_experiment,
 )
+from cabaret_sim.metrics import chr_sequential
+
+from conftest import reference_walk
 
 
 def tiny_mapping(**over):
@@ -279,6 +284,55 @@ class TestRunExperiment:
         result = run_experiment(config, out_dir=tmp_path)
         assert all(row["chr_se"] is None for row in result.rows)
         assert all("chr_se" not in row for row in read_results_csv(tmp_path / "results.csv"))
+
+    def test_sampled_cell_equals_chr_sequential_over_rebuilt_sessions(self):
+        config = config_from_mapping(tiny_mapping(evaluator="sampled", session_length=[4]))
+        runner = experiment._Runner(config)
+        for cell in iter_cells(config):
+            row = runner.evaluate(cell)
+            # Rebuild the cell's sessions one at a time from the same draws.
+            rng = np.random.Generator(np.random.PCG64(derive_cell_seed(config.seed, cell)))
+            starts = rng.integers(len(runner.front_page.ids), size=config.sessions)
+            steps = cell.session_length - 1
+            uniforms = [rng.random(config.sessions) for _ in range(steps)]
+            sessions = [
+                reference_walk(
+                    cell.session_length, int(start), [u[m] for u in uniforms],
+                    runner.front_page,
+                    runner.recommender(cell.recommender, cell.capacity, cell.demand),
+                    experiment._demand_dist(cell.demand, config.list_size),
+                    runner.placement(cell.capacity, cell.demand),
+                )
+                for m, start in enumerate(starts)
+            ]
+            report = chr_sequential(sessions)
+            means = np.array([sum(s.hits[1:]) / steps for s in sessions])
+            se = float(np.std(means, ddof=1) / np.sqrt(len(sessions)))
+            assert row["chr"] == report.chr
+            assert [row[f"hit_rate_k{k}"] for k in range(2, 5)] == list(report.per_step)
+            assert row["chr_se"] == se
+
+    def test_truncated_steps_count_as_misses(self, tmp_path):
+        # The front page holds "a", whose only entry "b" is cached and a leaf:
+        # every session hits at request 2 and is truncated after it.
+        related, weights = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
+        save_dataset(Catalog({"a": ["b"], "b": []}, {"a": 2.0, "b": 1.0}), str(related), str(weights))
+        config = config_from_mapping(tiny_mapping(
+            catalog_kind="files", catalog_related_file=str(related),
+            catalog_popularity_file=str(weights), catalog_size=None,
+            catalog_out_degree=None, catalog_overlap=None, front_page_size=1,
+            recommender="baseline", cache_capacity=2, demand="uniform", session_length=4,
+            list_size=1, bfs_depth=1, evaluator="sampled",
+        ))
+        (row,) = run_experiment(config).rows
+        assert (row["hit_rate_k2"], row["hit_rate_k3"], row["hit_rate_k4"]) == (1.0, 0.0, 0.0)
+        assert row["chr"] == 1 / 3
+        assert row["chr_se"] == pytest.approx(0.0, abs=1e-15)
+
+    def test_zipf_weights_that_overflow_give_rows(self):
+        result = run_experiment(config_from_mapping(tiny_mapping(demand="zipf:1000")))
+        assert result.failures == []
+        assert len(result.rows) == len(iter_cells(result.config))
 
     def test_failure_messages_are_quoted(self, tiny_config, tmp_path, monkeypatch):
         def broken(*args):
