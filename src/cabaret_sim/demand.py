@@ -5,13 +5,16 @@ at random, then repeatedly follows recommendations: the content shown at
 position ``i`` is selected with probability ``p_i``, where ``p`` is either
 uniform or Zipf over positions and does not depend on the content shown.
 When a realized list is shorter than the distribution, ``p`` is truncated
-and renormalized, which preserves the position-bias shape.
+and renormalized, which preserves the position-bias shape; entries past
+the distribution's last position are never selected.
 
 Because every content's list is fixed, a session is a Markov chain over
 contents.  A :class:`TransitionTable` holds that chain for one front page,
-recommender and position law.  A row is built on a state's first visit and
-holds its entries, truncated probabilities and their cumulative sums, its
-cached flags and its hit mass.  Both evaluators read the same rows:
+recommender and position law in one row store: padded arrays indexed by
+state number, each row built once on the state's first visit.  A row holds
+the truncated probabilities and their cumulative sums, the cached flags,
+the hit mass and the entries' state numbers.  Both evaluators read those
+arrays:
 
 * :meth:`TransitionTable.hit_rates` propagates the watched-content
   distribution step by step with numpy, giving exact per-step hit rates.
@@ -20,14 +23,13 @@ cached flags and its hit mass.  Both evaluators read the same rows:
   takes a slice;
 * :meth:`TransitionTable.sample` walks a batch of sessions together and
   returns their hit flags.  Every step compares the sessions' draws with
-  padded per-state copies of the rows' cumulative sums, which picks the
-  same positions as bisecting them one session at a time;
-* :meth:`TransitionTable.session` samples one session, drawing each next
-  position by bisecting the row's cumulative sums.
+  the rows' cumulative sums, which picks the same positions as bisecting
+  them one session at a time.
 
-:func:`exact_hit_rates` and :func:`run_session` are the exact evaluator and
-the one-session sampler over a fresh table.  All sampling uses numpy's
-PCG64 generator; a session is a pure function of its seed.
+:func:`exact_hit_rates` is the exact evaluator over a fresh table, and
+:func:`run_session` samples one session straight from the recommender.
+All sampling uses numpy's PCG64 generator; a session is a pure function of
+its seed.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
-from typing import Callable, NamedTuple
+from typing import Callable
 
 import numpy as np
 
@@ -121,29 +123,15 @@ def _check_session(length: int, front_page: PopularityRegion) -> None:
         raise ParameterError("front page is empty")
 
 
-class Row(NamedTuple):
-    """One state's transitions; every field is empty for an empty list."""
-
-    entries: tuple[ContentId, ...]
-    probs: tuple[float, ...]
-    cum: tuple[float, ...]
-    cached: tuple[bool, ...]
-
-    @property
-    def hit_mass(self) -> float:
-        """The probability that the next request is a cache hit."""
-        return sum(p for p, hit in zip(self.probs, self.cached) if hit)
-
-
 class TransitionTable:
     """The session Markov chain of one front page, recommender and position law.
 
-    Rows are built on a state's first visit, so the table asks the
-    recommender about exactly the states an evaluator reaches: a sampled
-    session about the states it walks through, and exact rates for ``K``
-    requests about every state within ``K - 2`` steps of the front page, in
-    sorted-id order within a step.  A recommender error propagates and
-    leaves the computed steps as they were.
+    States are numbered on discovery and a row is built on a state's first
+    visit, so the table asks the recommender about exactly the states an
+    evaluator reaches: a sampled session about the states it walks
+    through, and exact rates for ``K`` requests about every state within
+    ``K - 2`` steps of the front page, in sorted-id order within a step.
+    A recommender error propagates and leaves the table as it was.
     """
 
     def __init__(
@@ -155,47 +143,27 @@ class TransitionTable:
         self.front_page = front_page
         self.recommender = recommender
         self.dist = dist
-        self._laws: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {}
-        self._rows: dict[ContentId, Row] = {}
-        # Both evaluators number states on discovery; exact propagation
-        # flattens a state's row into the CSR arrays ``_dst``/``_p`` on its
-        # first step.
         self._number: dict[ContentId, int] = {}
         self._ids: list[ContentId] = []
-        self._start: list[int] = []  # per state, -1 until flattened
-        self._length: list[int] = []
-        self._hit: list[float] = []
-        self._dst: np.ndarray | None = None
-        self._p: np.ndarray | None = None
-        self._states: np.ndarray | None = None  # states holding mass, by id
-        self._mass: np.ndarray | None = None
-        self._rates: list[float] = []
-        # The sampler copies the rows of the states it reaches into padded
-        # arrays indexed by state number: cumulative sums (padded with inf),
-        # their last value, the row's length (-1 until copied), cached flags
-        # and the entries' state numbers (-1 until a walk lands there).
+        # The truncated law per row width: probabilities padded with 0,
+        # cumulative sums padded with inf, and their last value.
+        self._laws: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
+        # One padded row per state number, holding the first ``_width``
+        # entries of its list (-1 until built): probabilities, cumulative
+        # sums, cached flags, the entries' state numbers and the hit mass.
         n = dist.n
+        self._columns = np.arange(n)
+        self._width = np.empty(0, dtype=np.intp)
+        self._p = np.empty((0, n))
         self._cum = np.empty((0, n))
         self._last = np.empty(0)
-        self._width = np.empty(0, dtype=np.intp)
         self._cached = np.empty((0, n), dtype=bool)
         self._next = np.empty((0, n), dtype=np.intp)
-
-    def row(self, content: ContentId) -> Row:
-        """The transitions out of ``content``, built on first use."""
-        row = self._rows.get(content)
-        if row is None:
-            shown = self.recommender(content)
-            if shown.empty:
-                row = Row((), (), (), ())
-            else:
-                law = self._laws.get(len(shown))
-                if law is None:
-                    probs = self.dist.truncated(len(shown))
-                    law = self._laws[len(shown)] = (probs, tuple(accumulate(probs)))
-                row = Row(shown.entries, *law, shown.cached)
-            self._rows[content] = row
-        return row
+        self._hit = np.empty(0)
+        # Exact propagation: the states holding mass, by id, and their mass.
+        self._states: np.ndarray | None = None
+        self._mass: np.ndarray | None = None
+        self._rates: list[float] = []
 
     def hit_rates(self, length: int) -> tuple[float, ...]:
         """Exact per-step cache-hit rates for sessions of ``length`` requests.
@@ -215,38 +183,9 @@ class TransitionTable:
             ids = self.front_page.ids
             self._states = np.array(self._numbers(sorted(set(ids))), dtype=np.intp)
             self._mass = np.full(len(self._states), 1.0 / len(ids))
-            self._dst = np.empty(0, dtype=np.intp)
-            self._p = np.empty(0)
         while len(self._rates) < length - 1:
             self._step()
         return tuple(self._rates[: length - 1])
-
-    def session(
-        self,
-        length: int,
-        seed: int | None = None,
-        cache: CacheManifest | None = None,
-        rng: np.random.Generator | None = None,
-    ) -> Session:
-        """Sample one session of ``length`` watched contents; see :func:`run_session`."""
-        _check_session(length, self.front_page)
-        if rng is None:
-            rng = np.random.Generator(np.random.PCG64(seed))
-        ids = self.front_page.ids
-        current = ids[int(rng.integers(len(ids)))]
-        watched = [current]
-        hits = [cache is not None and current in cache]
-        truncated = False
-        for _ in range(length - 1):
-            entries, _, cum, cached = self.row(current)
-            if not entries:
-                truncated = True
-                break
-            idx = min(bisect_right(cum, float(rng.random()) * cum[-1]), len(cum) - 1)
-            current = entries[idx]
-            watched.append(current)
-            hits.append(cached[idx])
-        return Session(tuple(watched), tuple(hits), length, truncated, seed)
 
     def sample(self, length: int, sessions: int, rng: np.random.Generator) -> np.ndarray:
         """Hit flags of ``sessions`` sampled sessions of ``length`` requests.
@@ -265,18 +204,17 @@ class TransitionTable:
 
         Session ``m`` starts at ``front_page.ids[starts[m]]`` and makes its
         ``j``-th pick with the uniform ``uniforms[m, j]``, as
-        :meth:`session` does with the same numbers, so the walk is a pure
-        function of ``starts`` and ``uniforms``.  Returns the boolean
+        :func:`run_session` does with the same numbers, so the walk is a
+        pure function of ``starts`` and ``uniforms``.  Returns the boolean
         matrix of the hit flags of requests 2..K, one row per session and
         one column per column of ``uniforms``.  A session that reaches an
         empty list is truncated and misses at every remaining step.
 
         Before each step the rows of the states the live sessions sit on
-        are built, in sorted-id order, so the recommender is asked about
-        exactly the states the walks reach.  A pick counts the padded
-        cumulative sums at or below the draw, which is ``bisect_right``
-        with the same float operations; its temporary holds
-        ``len(starts)`` × ``dist.n`` booleans.
+        are built, so the recommender is asked about exactly the states the
+        walks reach.  A pick counts the padded cumulative sums at or below
+        the draw, which is ``bisect_right`` with the same float operations;
+        its temporary holds ``len(starts)`` × ``dist.n`` booleans.
         """
         sessions, steps = uniforms.shape
         hits = np.zeros((sessions, steps), dtype=bool)
@@ -291,58 +229,54 @@ class TransitionTable:
             below = (self._cum[at] <= drawn[:, None]).sum(axis=1)
             pick = np.minimum(below, self._width[at] - 1)
             hits[live, j] = self._cached[at, pick]
-            landed = self._next[at, pick]
-            unnumbered = landed < 0
-            if unnumbered.any():
-                self._number_entries(at[unnumbered], pick[unnumbered])
-                landed = self._next[at, pick]
-            state[live] = landed
+            state[live] = self._next[at, pick]
         return hits
 
-    def _load(self, states: np.ndarray) -> None:
-        """Copy the rows of ``states`` into the sampler's padded arrays.
+    def _law(self, width: int) -> tuple[np.ndarray, np.ndarray, float]:
+        """The law truncated to ``width`` positions, padded to ``dist.n``."""
+        law = self._laws.get(width)
+        if law is None:
+            n = self.dist.n
+            p, cum, last = np.zeros(n), np.full(n, np.inf), 0.0
+            if width:
+                probs = self.dist.truncated(width)
+                p[:width] = probs
+                cum[:width] = list(accumulate(probs))
+                last = cum[width - 1]
+            law = self._laws[width] = (p, cum, last)
+        return law
 
-        Rows not built yet are built in sorted-id order.
+    def _load(self, states: np.ndarray) -> None:
+        """Build the rows of ``states`` not built yet, in sorted-id order.
+
+        A row keeps the first ``dist.n`` entries of the list, as many as the
+        law has positions, and numbers them.
         """
-        self._reserve()
         fresh = states[self._width[states] < 0].tolist()
+        if not fresh:
+            return
         fresh.sort(key=self._ids.__getitem__)
         # The only call that can raise; nothing has changed before it.
-        rows = [self.row(self._ids[s]) for s in fresh]
-        if not rows:
-            return
-        widths = np.array([len(row.cum) for row in rows], dtype=np.intp)
-        filled = np.arange(self.dist.n) < widths[:, None]
-        cum = np.full(filled.shape, np.inf)
-        cum[filled] = [p for row in rows for p in row.cum]
+        shown = [self.recommender(self._ids[s]) for s in fresh]
+        n = self.dist.n
+        widths = [min(len(rec), n) for rec in shown]
+        numbers = self._numbers([c for rec, w in zip(shown, widths) for c in rec.entries[:w]])
+        laws = [self._law(w) for w in widths]
+        filled = self._columns < np.array(widths)[:, None]
         cached = np.zeros(filled.shape, dtype=bool)
-        cached[filled] = [hit for row in rows for hit in row.cached[: len(row.cum)]]
-        self._cum[fresh] = cum
-        self._last[fresh] = cum[np.arange(len(rows)), np.maximum(widths - 1, 0)]
-        self._cached[fresh] = cached
+        cached[filled] = [hit for rec, w in zip(shown, widths) for hit in rec.cached[:w]]
+        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries[filled] = numbers
+        p = np.array([law[0] for law in laws])
         self._width[fresh] = widths
-
-    def _number_entries(self, states: np.ndarray, picks: np.ndarray) -> None:
-        """Number the entries at ``picks`` of the rows of ``states``."""
-        n = self.dist.n
-        states, picks = np.divmod(np.unique(states * n + picks), n)
-        rows = self._rows
-        ids = self._ids
-        entries = [rows[ids[s]].entries[i] for s, i in zip(states.tolist(), picks.tolist())]
-        self._next[states, picks] = self._numbers(entries)
-
-    def _reserve(self) -> None:
-        """Grow the sampler's arrays to cover every numbered state."""
-        have = len(self._width)
-        if have >= len(self._ids):
-            return
-        extra = max(len(self._ids), 2 * have) - have
-        n = self.dist.n
-        self._cum = np.concatenate((self._cum, np.full((extra, n), np.inf)))
-        self._last = np.concatenate((self._last, np.zeros(extra)))
-        self._width = np.concatenate((self._width, np.full(extra, -1, dtype=np.intp)))
-        self._cached = np.concatenate((self._cached, np.zeros((extra, n), dtype=bool)))
-        self._next = np.concatenate((self._next, np.full((extra, n), -1, dtype=np.intp)))
+        self._p[fresh] = p
+        self._cum[fresh] = [law[1] for law in laws]
+        self._last[fresh] = [law[2] for law in laws]
+        self._cached[fresh] = cached
+        self._next[fresh] = entries
+        # cumsum adds in position order, as a loop over the entries does;
+        # adding the 0.0 of a miss is exact.
+        self._hit[fresh] = np.cumsum(np.where(cached, p, 0.0), axis=1)[:, -1]
 
     def _numbers(self, contents: list[ContentId]) -> list[int]:
         """The state numbers of ``contents``, numbering new states in order."""
@@ -352,10 +286,23 @@ class TransitionTable:
             first = len(self._ids)
             number.update(zip(new, range(first, first + len(new))))
             self._ids += new
-            self._start += [-1] * len(new)
-            self._length += [0] * len(new)
-            self._hit += [0.0] * len(new)
+            self._reserve()
         return [number[c] for c in contents]
+
+    def _reserve(self) -> None:
+        """Grow the row store to cover every numbered state."""
+        have = len(self._width)
+        if have >= len(self._ids):
+            return
+        extra = max(len(self._ids), 2 * have) - have
+        n = self.dist.n
+        self._width = np.concatenate((self._width, np.full(extra, -1, dtype=np.intp)))
+        self._p = np.concatenate((self._p, np.zeros((extra, n))))
+        self._cum = np.concatenate((self._cum, np.full((extra, n), np.inf)))
+        self._last = np.concatenate((self._last, np.zeros(extra)))
+        self._cached = np.concatenate((self._cached, np.zeros((extra, n), dtype=bool)))
+        self._next = np.concatenate((self._next, np.full((extra, n), -1, dtype=np.intp)))
+        self._hit = np.concatenate((self._hit, np.zeros(extra)))
 
     def _step(self) -> None:
         """Record the next step's hit rate and move the mass one step on."""
@@ -363,36 +310,20 @@ class TransitionTable:
         if not len(states):
             self._rates.append(0.0)
             return
-        fresh = [s for s in states.tolist() if self._start[s] < 0]
-        # The only call that can raise; nothing has changed before it.
-        rows = [self.row(self._ids[s]) for s in fresh]
-        offset = len(self._p)
-        for s, row in zip(fresh, rows):
-            self._start[s] = offset
-            self._length[s] = len(row.entries)
-            self._hit[s] = row.hit_mass
-            offset += len(row.entries)
-        dst = self._numbers([c for row in rows for c in row.entries])
-        probs = [p for row in rows for p in row.probs]
-        self._dst = np.concatenate((self._dst, np.array(dst, dtype=np.intp)))
-        self._p = np.concatenate((self._p, np.array(probs, dtype=float)))
-
-        # Gather the rows of ``states`` as one CSR slice, in state order.
-        starts = np.array(self._start)[states]
-        lengths = np.array(self._length)[states]
-        offsets = np.cumsum(lengths) - lengths
-        at = np.arange(lengths.sum()) + np.repeat(starts - offsets, lengths)
-        dst_at = self._dst[at]
-        # cumsum and bincount add in input order, as a state-by-state loop
-        # does; np.sum would add pairwise and round differently.
-        rate = np.cumsum(self._mass * np.array(self._hit)[states])[-1]
+        self._load(states)
+        filled = self._columns < self._width[states][:, None]
+        # Row-major order is state order, then position order, as a
+        # state-by-state loop adds; cumsum and bincount add in input order,
+        # where np.sum would add pairwise and round differently.
+        dst = self._next[states][filled]
+        rate = np.cumsum(self._mass * self._hit[states])[-1]
         # Summation error can push a full-cache rate just past 1.
         self._rates.append(min(float(rate), 1.0))
         n = len(self._ids)
-        weights = np.repeat(self._mass, lengths) * self._p[at]
-        mass = np.bincount(dst_at, weights=weights, minlength=n)
+        weights = (self._mass[:, None] * self._p[states])[filled]
+        mass = np.bincount(dst, weights=weights, minlength=n)
         # A state whose mass underflows to 0.0 is still reached.
-        reached = np.flatnonzero(np.bincount(dst_at, minlength=n))
+        reached = np.flatnonzero(np.bincount(dst, minlength=n))
         self._states = np.array(sorted(reached.tolist(), key=self._ids.__getitem__), dtype=np.intp)
         self._mass = mass[self._states]
 
@@ -410,10 +341,30 @@ def run_session(
 
     The first content is uniform over the front page; each subsequent one
     is drawn position-biased from the recommendation list for the content
-    watched before it.  Pass ``rng`` to stream many sessions from one
-    generator; otherwise a fresh PCG64 generator is seeded from ``seed``.
+    watched before it, by bisecting the cumulative sums of the law
+    truncated to the list's length.  Pass ``rng`` to stream many sessions
+    from one generator; otherwise a fresh PCG64 generator is seeded from
+    ``seed``.
     """
-    return TransitionTable(front_page, recommender, dist).session(length, seed, cache, rng)
+    _check_session(length, front_page)
+    if rng is None:
+        rng = np.random.Generator(np.random.PCG64(seed))
+    ids = front_page.ids
+    current = ids[int(rng.integers(len(ids)))]
+    watched = [current]
+    hits = [cache is not None and current in cache]
+    truncated = False
+    for _ in range(length - 1):
+        shown = recommender(current)
+        if shown.empty:
+            truncated = True
+            break
+        cum = list(accumulate(dist.truncated(len(shown))))
+        idx = min(bisect_right(cum, float(rng.random()) * cum[-1]), len(cum) - 1)
+        current = shown.entries[idx]
+        watched.append(current)
+        hits.append(shown.cached[idx])
+    return Session(tuple(watched), tuple(hits), length, truncated, seed)
 
 
 def exact_hit_rates(

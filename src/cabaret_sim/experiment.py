@@ -457,7 +457,9 @@ class _Runner:
             # One sample leaves the standard error undefined: the field stays blank.
             if config.sessions > 1:
                 means = hits.sum(axis=1) / (cell.session_length - 1)
-                se = float(np.std(means, ddof=1) / np.sqrt(config.sessions))
+                # np.std of equal means need not round to exactly 0.
+                spread = means.min() < means.max()
+                se = float(np.std(means, ddof=1) / np.sqrt(config.sessions)) if spread else 0.0
         row: dict[str, Any] = {
             **_coordinates(config, cell),
             "evaluator": report.mode,

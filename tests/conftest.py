@@ -187,7 +187,11 @@ def reference_exact_hit_rates(
                 cached_entry = ((), (), 0.0)
             else:
                 probs = dist.truncated(len(shown))
-                hit_mass = sum(p for p, hit in zip(probs, shown.cached) if hit)
+                # In position order; Python 3.12's sum() compensates rounding.
+                hit_mass = 0.0
+                for p, hit in zip(probs, shown.cached):
+                    if hit:
+                        hit_mass += p
                 cached_entry = (shown.entries, probs, hit_mass)
             transitions[content] = cached_entry
         return cached_entry

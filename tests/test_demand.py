@@ -248,7 +248,10 @@ def markov_scenarios(draw):
     )
     cache = CacheManifest.from_ids(cached)
     front = PopularityRegion(tuple(draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))))
-    n = draw(st.integers(1, 6))
+    # Lists may be longer or shorter than the law.  Laws of 9 and more
+    # positions tell an in-order sum from numpy's pairwise one.
+    count = draw(st.integers(1, 12))
+    n = draw(st.integers(1, 12))
     # zipf:1000 leaves zero-probability tail positions, so equal cumulative sums.
     dist = draw(
         st.just(position_probs("uniform", n=n))
@@ -257,7 +260,7 @@ def markov_scenarios(draw):
     )
     params = BfsParams(draw(st.integers(1, 3)), draw(st.integers(1, 8)))
     oracle = RelationOracle(catalog)
-    return front, lambda v: recommend(v, n, cache, params, oracle), dist, cache
+    return front, lambda v: recommend(v, count, cache, params, oracle), dist, cache
 
 
 def recording(recommender):
@@ -298,12 +301,11 @@ class TestTransitionTable:
     )
     def test_sessions_equal_reference_draws(self, scenario, length, seed):
         front, rec, dist, cache = scenario
-        table = TransitionTable(front, rec, dist)
         ours = np.random.Generator(np.random.PCG64(seed))
         theirs = np.random.Generator(np.random.PCG64(seed))
         for _ in range(20):
-            assert table.session(length, cache=cache, rng=ours) == reference_run_session(
-                length, front, rec, dist, cache=cache, rng=theirs
+            assert run_session(length, front, rec, dist, cache=cache, rng=ours) == (
+                reference_run_session(length, front, rec, dist, cache=cache, rng=theirs)
             )
         assert run_session(length, front, rec, dist, seed=seed, cache=cache) == (
             reference_run_session(length, front, rec, dist, seed=seed, cache=cache)
@@ -355,6 +357,33 @@ class TestTransitionTable:
         )
         assert calls == reference_calls
         assert "e" in calls
+
+    def test_hit_mass_adds_in_position_order(self):
+        # Adding 0.1 ten times in order gives 0.9999999999999999; numpy's
+        # pairwise np.sum gives 1.0.
+        rec = fixed_list_recommender([f"e{i}" for i in range(10)], [True] * 10)
+        front = PopularityRegion(("p",))
+        dist = position_probs("uniform", n=10)
+        expected = reference_exact_hit_rates(front, rec, dist, 2)
+        assert expected == (0.9999999999999999,)
+        assert TransitionTable(front, rec, dist).hit_rates(2) == expected
+
+    def test_entries_past_the_law_are_never_picked(self):
+        # Only "a" and "b" fall within the two-position law; "c" and "d" are
+        # cached, as are the lists they lead to.
+        lists = {
+            "p": RecommendationList(("a", "b", "c", "d"), (True, False, True, True)),
+            "c": RecommendationList(("c",), (True,)),
+            "d": RecommendationList(("d",), (True,)),
+        }
+        rec = lambda v: lists.get(v, RecommendationList((), ()))
+        front = PopularityRegion(("p",))
+        dist = position_probs("uniform", n=2)
+        expected = reference_exact_hit_rates(front, rec, dist, 3)
+        assert expected == (0.5, 0.0)
+        table_rec, calls = recording(rec)
+        assert TransitionTable(front, table_rec, dist).hit_rates(3) == expected
+        assert calls == ["p", "a", "b"]
 
     def test_lost_mass_pads_with_zeros_after_a_shorter_prefix(self):
         cat = Catalog({"p": ["d"], "d": []})
@@ -425,6 +454,26 @@ class TestBatchedSampler:
             expected_calls += sorted(reached - asked)
             asked |= reached
         assert calls == expected_calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scenario=markov_scenarios(),
+        walked=st.integers(2, 8),
+        length=st.integers(2, 8),
+        sessions=st.integers(1, 50),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rates_after_a_walk_equal_dict_propagation_bit_for_bit(
+        self, scenario, walked, length, sessions, seed
+    ):
+        # The order of an ``auto`` sweep whose sampled K comes before K = 2.
+        front, rec, dist, _ = scenario
+        table_rec, calls = recording(rec)
+        table = TransitionTable(front, table_rec, dist)
+        table.sample(walked, sessions, np.random.Generator(np.random.PCG64(seed)))
+        assert table.hit_rates(length) == reference_exact_hit_rates(front, rec, dist, length)
+        # Rows the walk built are read, not rebuilt.
+        assert len(calls) == len(set(calls))
 
     @settings(max_examples=40, deadline=None)
     @given(

@@ -327,7 +327,7 @@ class TestRunExperiment:
         (row,) = run_experiment(config).rows
         assert (row["hit_rate_k2"], row["hit_rate_k3"], row["hit_rate_k4"]) == (1.0, 0.0, 0.0)
         assert row["chr"] == 1 / 3
-        assert row["chr_se"] == pytest.approx(0.0, abs=1e-15)
+        assert row["chr_se"] == 0.0
 
     def test_zipf_weights_that_overflow_give_rows(self):
         result = run_experiment(config_from_mapping(tiny_mapping(demand="zipf:1000")))
