@@ -13,7 +13,6 @@ from .demand import (
     PositionDistribution,
     Session,
     TransitionTable,
-    enumerate_single_requests,
     exact_hit_rates,
     position_probs,
     run_session,
@@ -24,12 +23,11 @@ from .experiment import (
     load_config,
     run_experiment,
 )
-from .explore import BfsParams, ExplorationList, bfs, depth_sets
-from .metrics import ChrReport, OverlapReport, chr_sequential, chr_single, eval_iv
+from .explore import BfsParams, ExplorationList, bfs
+from .metrics import ChrReport, OverlapReport, chr_sequential, eval_iv
 from .placement import (
     ObjectiveSpec,
     PlacementResult,
-    check_submodularity,
     exact_placement,
     greedy_placement,
     objective,
@@ -39,7 +37,6 @@ from .recommend import (
     CacheManifest,
     RecommendationList,
     baseline_recommender,
-    count_cached_in,
     recommend,
     reordered_recommender,
 )
@@ -67,12 +64,7 @@ __all__ = [
     "__version__",
     "baseline_recommender",
     "bfs",
-    "check_submodularity",
     "chr_sequential",
-    "chr_single",
-    "count_cached_in",
-    "depth_sets",
-    "enumerate_single_requests",
     "eval_iv",
     "exact_hit_rates",
     "exact_placement",

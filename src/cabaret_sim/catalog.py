@@ -27,7 +27,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 from .csvio import write_csv
 from .errors import (
@@ -123,21 +123,6 @@ class Catalog:
             return self._popularity[content_id]
         except KeyError:
             raise UnknownContentError(content_id) from None
-
-    def normalized_weights(self, support: Iterable[ContentId]) -> dict[ContentId, float]:
-        """Popularity weights over ``support``, rescaled to sum to 1.
-
-        Falls back to a uniform distribution when the support carries zero
-        total weight.
-        """
-        ids = list(support)
-        if not ids:
-            raise ParameterError("empty support")
-        weights = [self.popularity_of(c) for c in ids]
-        total = sum(weights)
-        if total <= 0:
-            return {c: 1.0 / len(ids) for c in ids}
-        return {c: w / total for c, w in zip(ids, weights)}
 
 
 def _reject_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None:

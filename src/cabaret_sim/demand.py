@@ -36,8 +36,10 @@ from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from functools import reduce
 from itertools import accumulate
-from typing import Callable
+from operator import add
+from typing import Callable, Iterable
 
 import numpy as np
 
@@ -46,6 +48,16 @@ from .errors import ParameterError
 from .recommend import CacheManifest, RecommendationList
 
 Recommender = Callable[[ContentId], RecommendationList]
+
+
+def ordered_sum(values: Iterable[float]) -> float:
+    """The sum of ``values`` added left to right.
+
+    Python 3.12's ``sum()`` compensates rounding, so it can differ in the
+    last bit from the plain in-order addition that Python 3.10 and 3.11
+    do; this gives the latter's bits on every version.
+    """
+    return reduce(add, values, 0.0)
 
 
 @dataclass(frozen=True)
@@ -64,7 +76,7 @@ class PositionDistribution:
         if length < 1:
             raise ParameterError(f"length must be >= 1, got {length}")
         head = self.probs[:length]
-        total = sum(head)
+        total = ordered_sum(head)
         return tuple(p / total for p in head)
 
 
@@ -91,7 +103,7 @@ def position_probs(kind: str, alpha: float = 0.0, n: int = 1) -> PositionDistrib
         if alpha < 0:
             raise ParameterError(f"zipf alpha must be >= 0, got {alpha}")
         weights = [_zipf_weight(i, alpha) for i in range(1, n + 1)]
-        total = sum(weights)
+        total = ordered_sum(weights)
         return PositionDistribution("zipf", alpha, n, tuple(w / total for w in weights))
     raise ParameterError(f"unknown distribution kind {kind!r}")
 
@@ -375,12 +387,3 @@ def exact_hit_rates(
 ) -> tuple[float, ...]:
     """Exact per-step cache-hit rates; see :meth:`TransitionTable.hit_rates`."""
     return TransitionTable(front_page, recommender, dist).hit_rates(length)
-
-
-def enumerate_single_requests(
-    front_page: PopularityRegion,
-    recommender: Recommender,
-    dist: PositionDistribution,
-) -> float:
-    """Exact expected cache-hit ratio of the second request."""
-    return exact_hit_rates(front_page, recommender, dist, 2)[0]

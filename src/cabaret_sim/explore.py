@@ -45,10 +45,6 @@ class ExplorationList:
     def __len__(self) -> int:
         return len(self.entries)
 
-    def at_depth(self, depth: int) -> tuple[ContentId, ...]:
-        """Entries first discovered at ``depth``, in list order."""
-        return tuple(e for e, d in zip(self.entries, self.depths) if d == depth)
-
 
 def bfs(seed: ContentId, params: BfsParams, oracle: RelationOracle) -> ExplorationList:
     """Explore contents related to ``seed`` in level order.
@@ -75,19 +71,3 @@ def bfs(seed: ContentId, params: BfsParams, oracle: RelationOracle) -> Explorati
             break
         frontier = next_frontier
     return ExplorationList(seed, tuple(entries), tuple(depths))
-
-
-def depth_sets(
-    seed: ContentId, params: BfsParams, oracle: RelationOracle
-) -> list[set[ContentId]]:
-    """First-discovery partition of the exploration, one set per depth.
-
-    Always returns ``params.depth`` sets; trailing sets are empty when the
-    exploration exhausts earlier.  The sets are pairwise disjoint and their
-    union equals the set of explored entries.
-    """
-    result = bfs(seed, params, oracle)
-    sets: list[set[ContentId]] = [set() for _ in range(params.depth)]
-    for entry, depth in zip(result.entries, result.depths):
-        sets[depth - 1].add(entry)
-    return sets

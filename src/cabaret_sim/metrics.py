@@ -7,11 +7,11 @@ first-discovery de-duplication a direct neighbor re-found one hop later
 would never appear in the exploration's depth-2 slice, and the overlap
 would be zero by construction.
 
-Cache hit ratios come in a single-request form (fraction of second
-requests served from cache) and a sequential form (hits over steps
-2..K, normalized by ``sessions * (K - 1)`` so the value stays in [0, 1]
-and the two forms coincide at K = 2).  Sequential reports also carry the
-per-step rates so hit-rate decay over a session can be plotted directly.
+The cache hit ratio of sessions of K requests counts the hits over steps
+2..K, normalized by ``sessions * (K - 1)`` so the value stays in [0, 1];
+at K = 2 it is the fraction of second requests served from cache.
+Reports also carry the per-step rates so hit-rate decay over a session
+can be plotted directly.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .catalog import ContentId, PopularityRegion, RelationOracle
-from .demand import Session
+from .demand import Session, ordered_sum
 from .errors import ParameterError, UndefinedMetricError
 
 
@@ -82,7 +82,7 @@ def eval_iv(
     return OverlapReport(
         per_seed=tuple(per_seed),
         median=_lower_median(values),
-        mean=sum(values) / len(values),
+        mean=ordered_sum(values) / len(values),
         width=width,
         seed_count=len(per_seed),
     )
@@ -95,7 +95,7 @@ class ChrReport:
     ``per_step`` holds the hit rate of each step 2..K.  ``chr`` is their
     mean, which equals total hits divided by ``sessions * (K - 1)`` for
     sampled data.  ``mode`` records whether the numbers come from sampled
-    sessions or an exact computation (``sessions of None``).
+    sessions or an exact computation (``sessions`` is None).
     """
 
     chr: float
@@ -103,19 +103,6 @@ class ChrReport:
     per_step: tuple[float, ...]
     mode: str = "sampled"
     sessions: int | None = None
-    total_hits: int | None = None
-
-    def summary_rows(self) -> list[tuple[str, object]]:
-        rows: list[tuple[str, object]] = [
-            ("chr", self.chr),
-            ("length", self.length),
-            ("mode", self.mode),
-        ]
-        if self.sessions is not None:
-            rows.append(("sessions", self.sessions))
-        if self.total_hits is not None:
-            rows.append(("total_hits", self.total_hits))
-        return rows
 
     def per_step_rows(self) -> list[tuple[int, float]]:
         return [(k, rate) for k, rate in enumerate(self.per_step, start=2)]
@@ -124,15 +111,13 @@ class ChrReport:
     def from_hits(cls, hits: np.ndarray) -> "ChrReport":
         """Summary of a sessions × steps matrix of hit flags for steps 2..K."""
         sessions, steps = hits.shape
-        counts = hits.sum(axis=0).tolist()
-        per_step = tuple(h / sessions for h in counts)
+        per_step = tuple(h / sessions for h in hits.sum(axis=0).tolist())
         return cls(
-            chr=sum(per_step) / steps,
+            chr=ordered_sum(per_step) / steps,
             length=steps + 1,
             per_step=per_step,
             mode="sampled",
             sessions=sessions,
-            total_hits=sum(counts),
         )
 
     @classmethod
@@ -141,7 +126,7 @@ class ChrReport:
         if len(per_step) != length - 1:
             raise ParameterError("need one rate per step 2..length")
         return cls(
-            chr=sum(per_step) / len(per_step),
+            chr=ordered_sum(per_step) / len(per_step),
             length=length,
             per_step=per_step,
             mode="exact",
@@ -158,12 +143,3 @@ def chr_sequential(sessions: Sequence[Session]) -> ChrReport:
     # Steps lost to truncation count as misses.
     hits = [s.hits[1:] + (False,) * (length - len(s.hits)) for s in sessions]
     return ChrReport.from_hits(np.array(hits, dtype=bool))
-
-
-def chr_single(sessions: Sequence[Session]) -> ChrReport:
-    """Hit ratio of the second request over two-request sessions."""
-    if not sessions:
-        raise UndefinedMetricError("no sessions")
-    if any(s.requested_length != 2 for s in sessions):
-        raise ParameterError("single-request metric needs sessions of length 2")
-    return chr_sequential(sessions)

@@ -1,17 +1,24 @@
 """Cache placement: hit-ratio objective, greedy and exact solvers.
 
-The objective values a cache set by the probability that a user's next
-request is served from it: for every demand-support content, the number of
-cached contents inside that content's exploration list (capped at the
-recommendation-list length) determines how much position-probability mass
-the cache collects, weighted by the content's demand share.
+The objective values a cache set by the probability that a user's second
+request is served from it: the ``K = 2`` hit rate the evaluator reports
+for CABaRet lists.  A demand-support content's list holds
+``min(N, len(exploration))`` entries, cached ones first, and its next
+request follows the position law truncated to that length, as in
+:meth:`~cabaret_sim.demand.PositionDistribution.truncated`.  So ``c``
+cached contents inside the exploration collect the first ``min(c, length)``
+prefix sums of that row's truncated law, weighted by the content's demand
+share.
 
-The objective is monotone and submodular, so the greedy maximizer is run
-with lazy evaluation: stale marginal gains are kept in a max-heap and only
-the top candidate is re-evaluated, which is valid because gains can only
+Each row's prefix sums of a non-increasing law are concave in ``c``, so the
+objective is monotone and submodular, and the greedy maximizer is run with
+lazy evaluation: stale marginal gains are kept in a max-heap and only the
+top candidate is re-evaluated, which is valid because gains can only
 shrink as the chosen set grows.  Its output is identical to naive greedy
-under the same tie-break (smallest content id).  A guarded brute-force
-solver provides exact optima for small instances.
+under the same tie-break (smallest content id).  A brute-force solver
+provides exact optima for instances of at most :data:`BRUTE_FORCE_LIMIT`
+subsets.  Both solvers choose among the explored universe, the contents
+found in some support content's exploration.
 
 Exploration lists are computed once per spec; marginal gains then use an
 inverted index (content -> demand contents whose exploration contains it),
@@ -23,41 +30,35 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
-from itertools import combinations
+from itertools import accumulate, combinations
 from typing import Iterable, Mapping, Sequence
 
-import numpy as np
-
 from .catalog import Catalog, ContentId, RelationOracle, top_popular
-from .demand import PositionDistribution
+from .demand import PositionDistribution, ordered_sum
 from .errors import InstanceTooLargeError, ParameterError
 from .explore import BfsParams, bfs
+
+#: The most subsets :func:`exact_placement` enumerates.
+BRUTE_FORCE_LIMIT = 10_000_000
 
 
 class ObjectiveSpec:
     """Frozen inputs of the placement objective.
 
-    Holds the demand support with normalized weights, the position
-    probabilities, the per-content exploration sets, and the inverted
-    index used for fast marginal gains.  Build once, evaluate many times.
+    Holds the demand support with normalized weights, each support row's
+    prefix sums of its truncated position law, the per-content exploration
+    sets, and the inverted index used for fast marginal gains.  Build once,
+    evaluate many times.
     """
 
-    __slots__ = (
-        "support",
-        "weights",
-        "list_size",
-        "prefix_mass",
-        "table",
-        "inverted",
-        "universe",
-    )
+    __slots__ = ("support", "weights", "masses", "table", "inverted", "universe")
 
     def __init__(
         self,
         support: Sequence[ContentId],
         weights: Sequence[float],
         list_size: int,
-        probs: Sequence[float],
+        dist: PositionDistribution,
         table: Mapping[ContentId, frozenset[ContentId]],
     ):
         if not support:
@@ -65,18 +66,22 @@ class ObjectiveSpec:
         if len(weights) != len(support):
             raise ParameterError("weights must align with support")
         self.support = tuple(support)
-        total = float(sum(weights))
+        total = ordered_sum(weights)
         if total <= 0:
             raise ParameterError("support weights must have positive total")
         self.weights = tuple(w / total for w in weights)
-        self.list_size = list_size
-        mass = [0.0]
-        for p in probs[:list_size]:
-            mass.append(mass[-1] + p)
-        while len(mass) < list_size + 1:
-            mass.append(mass[-1])
-        self.prefix_mass = tuple(mass)
         self.table = {v: frozenset(table[v]) for v in self.support}
+        # Row v's list holds min(N, |exploration|) entries; an empty one
+        # collects nothing, and a law truncated past its width keeps it.
+        by_length: dict[int, tuple[float, ...]] = {0: (0.0,)}
+        masses = []
+        for v in self.support:
+            length = min(list_size, len(self.table[v]))
+            mass = by_length.get(length)
+            if mass is None:
+                mass = by_length[length] = (0.0, *accumulate(dist.truncated(length)))
+            masses.append(mass)
+        self.masses = tuple(masses)
         inverted: dict[ContentId, list[int]] = {}
         for i, v in enumerate(self.support):
             for c in self.table[v]:
@@ -104,7 +109,7 @@ class ObjectiveSpec:
         else:
             w = [float(weights[v]) for v in support]
         table = {v: frozenset(bfs(v, params, oracle).entries) for v in support}
-        return cls(support, w, list_size, dist.probs, table)
+        return cls(support, w, list_size, dist, table)
 
     def counts(self, cache_ids: Iterable[ContentId]) -> list[int]:
         """Per-support-row count of cached contents inside the exploration."""
@@ -115,20 +120,19 @@ class ObjectiveSpec:
         return rows
 
     def value_of_counts(self, rows: Sequence[int]) -> float:
-        cap = self.list_size
-        mass = self.prefix_mass
-        return sum(
-            q * mass[n if n < cap else cap] for q, n in zip(self.weights, rows)
+        return ordered_sum(
+            q * (mass[n] if n < len(mass) else mass[-1])
+            for q, mass, n in zip(self.weights, self.masses, rows)
         )
 
     def gain(self, content: ContentId, rows: Sequence[int]) -> float:
         """Marginal objective increase of adding ``content`` given row counts."""
-        cap = self.list_size
-        mass = self.prefix_mass
+        masses = self.masses
         total = 0.0
         for i in self.inverted.get(content, ()):
+            mass = masses[i]
             n = rows[i]
-            if n < cap:
+            if n + 1 < len(mass):
                 total += self.weights[i] * (mass[n + 1] - mass[n])
         return total
 
@@ -170,23 +174,20 @@ class PlacementResult:
         ]
 
 
-def _resolve_candidates(
-    spec: ObjectiveSpec, candidates: Iterable[ContentId] | None
-) -> tuple[list[ContentId], list[ContentId]]:
-    """Split candidates into useful (inside the explored universe) and the rest."""
-    if candidates is None:
-        return list(spec.universe), []
-    pool = sorted(set(candidates))
-    useful = [c for c in pool if c in spec.inverted]
-    rest = [c for c in pool if c not in spec.inverted]
-    return useful, rest
+def _trajectory(
+    spec: ObjectiveSpec, chosen: Sequence[ContentId]
+) -> tuple[tuple[float, ...], tuple[float, ...]]:
+    """The objective after each prefix of ``chosen``, and each step's gain."""
+    rows = [0] * len(spec.support)
+    values = []
+    for cid in chosen:
+        spec.add_to_counts(cid, rows)
+        values.append(spec.value_of_counts(rows))
+    gains = [after - before for before, after in zip((0.0, *values), values)]
+    return tuple(values), tuple(gains)
 
 
-def greedy_placement(
-    spec: ObjectiveSpec,
-    capacity: int,
-    candidates: Iterable[ContentId] | None = None,
-) -> PlacementResult:
+def greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
     """Pick ``capacity`` contents by repeated best-marginal-gain selection.
 
     Ties break toward the smallest content id.  Once every remaining
@@ -195,13 +196,12 @@ def greedy_placement(
     """
     if capacity < 1:
         raise ParameterError(f"capacity must be >= 1, got {capacity}")
-    useful, rest = _resolve_candidates(spec, candidates)
     rows = [0] * len(spec.support)
     chosen: list[ContentId] = []
     values: list[float] = []
     gains: list[float] = []
 
-    heap = [(-spec.gain(c, rows), c, 0) for c in useful]
+    heap = [(-spec.gain(c, rows), c, 0) for c in spec.universe]
     heapify(heap)
     while len(chosen) < capacity and heap:
         neg, cid, epoch = heappop(heap)
@@ -220,60 +220,37 @@ def greedy_placement(
         values.append(spec.value_of_counts(rows))
         gains.append(gain)
 
-    filled = 0
-    if len(chosen) < capacity:
-        remaining = set(c for _, c, _ in heap) | set(rest)
-        pool = sorted(remaining - set(chosen))
-        flat = values[-1] if values else 0.0
-        for cid in pool[: capacity - len(chosen)]:
-            chosen.append(cid)
-            values.append(flat)
-            gains.append(0.0)
-            filled += 1
+    # The heap holds every candidate not chosen.
+    fill = sorted(c for _, c, _ in heap)[: capacity - len(chosen)]
+    chosen += fill
+    values += [values[-1] if values else 0.0] * len(fill)
+    gains += [0.0] * len(fill)
     return PlacementResult(
-        "greedy", tuple(chosen), tuple(values), tuple(gains), filled
+        "greedy", tuple(chosen), tuple(values), tuple(gains), len(fill)
     )
 
 
-def exact_placement(
-    spec: ObjectiveSpec,
-    capacity: int,
-    candidates: Iterable[ContentId] | None = None,
-    guard: int = 10_000_000,
-) -> PlacementResult:
+def exact_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
     """Exhaustive search for the best cache set of at most ``capacity``.
 
     Ties resolve to the lexicographically smallest set.  Refuses instances
-    whose subset count exceeds ``guard``.
+    whose subset count exceeds :data:`BRUTE_FORCE_LIMIT`.
     """
     if capacity < 1:
         raise ParameterError(f"capacity must be >= 1, got {capacity}")
-    useful, _ = _resolve_candidates(spec, candidates)
-    if capacity >= len(useful):
-        best = tuple(useful)
-    else:
-        n_subsets = math.comb(len(useful), capacity)
-        if n_subsets > guard:
+    best = spec.universe
+    if capacity < len(best):
+        n_subsets = math.comb(len(best), capacity)
+        if n_subsets > BRUTE_FORCE_LIMIT:
             raise InstanceTooLargeError(
-                f"{n_subsets} subsets exceed the brute-force guard ({guard})"
+                f"{n_subsets} subsets exceed the brute-force guard ({BRUTE_FORCE_LIMIT})"
             )
-        best_value = -1.0
-        best = ()
-        for combo in combinations(useful, capacity):
-            value = spec.value_of_counts(spec.counts(combo))
-            if value > best_value:
-                best_value = value
-                best = combo
-    rows = [0] * len(spec.support)
-    values: list[float] = []
-    gains: list[float] = []
-    for cid in best:
-        before = spec.value_of_counts(rows)
-        spec.add_to_counts(cid, rows)
-        after = spec.value_of_counts(rows)
-        values.append(after)
-        gains.append(after - before)
-    return PlacementResult("exact", best, tuple(values), tuple(gains))
+        # max() keeps the first of equal values: the smallest set in id order.
+        best = max(
+            combinations(best, capacity),
+            key=lambda combo: spec.value_of_counts(spec.counts(combo)),
+        )
+    return PlacementResult("exact", best, *_trajectory(spec, best))
 
 
 def top_placement(
@@ -283,68 +260,6 @@ def top_placement(
 
     The objective trajectory is reported when a spec is supplied.
     """
-    region = top_popular(catalog, capacity)
-    values: list[float] = []
-    gains: list[float] = []
-    if spec is not None:
-        rows = [0] * len(spec.support)
-        for cid in region.ids:
-            before = spec.value_of_counts(rows)
-            spec.add_to_counts(cid, rows)
-            after = spec.value_of_counts(rows)
-            values.append(after)
-            gains.append(after - before)
-    return PlacementResult("top", region.ids, tuple(values), tuple(gains))
-
-
-@dataclass(frozen=True)
-class SubmodularityReport:
-    """Outcome of randomized monotonicity / diminishing-returns checks."""
-
-    trials: int
-    violations: int
-    max_violation: float
-    tolerance: float
-
-    @property
-    def ok(self) -> bool:
-        return self.violations == 0
-
-
-def check_submodularity(
-    spec: ObjectiveSpec,
-    trials: int = 10_000,
-    seed: int = 0,
-    tolerance: float = 1e-12,
-) -> SubmodularityReport:
-    """Sample nested sets and verify diminishing returns and monotonicity.
-
-    Each trial draws ``A subset-of B`` from the explored universe and an
-    element ``x`` outside ``B``, then checks ``gain(A, x) >= gain(B, x)``
-    and ``objective(A) <= objective(B)`` within ``tolerance``.
-    """
-    rng = np.random.Generator(np.random.PCG64(seed))
-    universe = list(spec.universe)
-    if len(universe) < 2:
-        raise ParameterError("universe too small for submodularity sampling")
-    max_b = min(len(universe) - 1, 12)
-    violations = 0
-    worst = 0.0
-    for _ in range(trials):
-        b_size = int(rng.integers(0, max_b + 1))
-        picked = rng.choice(len(universe), size=b_size, replace=False)
-        b_set = [universe[i] for i in picked]
-        a_set = b_set[: int(rng.integers(0, b_size + 1))]
-        while True:
-            x = universe[int(rng.integers(len(universe)))]
-            if x not in b_set:
-                break
-        rows_a = spec.counts(a_set)
-        rows_b = spec.counts(b_set)
-        gain_gap = spec.gain(x, rows_b) - spec.gain(x, rows_a)
-        mono_gap = spec.value_of_counts(rows_a) - spec.value_of_counts(rows_b)
-        gap = max(gain_gap, mono_gap)
-        if gap > tolerance:
-            violations += 1
-        worst = max(worst, gap)
-    return SubmodularityReport(trials, violations, worst, tolerance)
+    ids = top_popular(catalog, capacity).ids
+    values, gains = _trajectory(spec, ids) if spec is not None else ((), ())
+    return PlacementResult("top", ids, values, gains)

@@ -93,9 +93,6 @@ class RecommendationList:
     def empty(self) -> bool:
         return not self.entries
 
-    def cached_count(self) -> int:
-        return sum(self.cached)
-
 
 def select_from_exploration(
     explored: Sequence[ContentId], count: int, cache: CacheManifest
@@ -219,16 +216,6 @@ def recommend(
         head = bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
     index = CacheIndex(cache, oracle, params.width)
     return cabaret_list(head, params.depth, count, index)
-
-
-def count_cached_in(
-    seed: ContentId,
-    cache: CacheManifest,
-    params: BfsParams,
-    oracle: RelationOracle,
-) -> int:
-    """Number of cached contents in the seed's exploration list (uncapped)."""
-    return sum(1 for c in bfs(seed, params, oracle).entries if c in cache)
 
 
 def baseline_recommender(

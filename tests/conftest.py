@@ -7,11 +7,14 @@ they can serve as oracles for it.  ``reference_exact_hit_rates`` and
 ``reference_run_session`` evaluate sessions state by state through plain
 dicts and lists, and ``reference_walk`` runs one session from given random
 numbers; they are the oracles for ``TransitionTable``.
+``check_submodularity`` samples nested cache sets to test the placement
+objective's monotonicity and diminishing returns.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
@@ -20,6 +23,7 @@ import pytest
 from cabaret_sim.catalog import Catalog, ContentId, PopularityRegion, RelationOracle
 from cabaret_sim.demand import PositionDistribution, Recommender, Session
 from cabaret_sim.errors import ParameterError
+from cabaret_sim.placement import ObjectiveSpec
 from cabaret_sim.recommend import CacheManifest
 
 
@@ -214,6 +218,59 @@ def reference_exact_hit_rates(
             rates.extend(0.0 for _ in range(length - 1 - len(rates)))
             break
     return tuple(rates)
+
+
+@dataclass(frozen=True)
+class SubmodularityReport:
+    """Outcome of randomized monotonicity / diminishing-returns checks."""
+
+    trials: int
+    violations: int
+    max_violation: float
+    tolerance: float
+
+    @property
+    def ok(self) -> bool:
+        return self.violations == 0
+
+
+def check_submodularity(
+    spec: ObjectiveSpec,
+    trials: int = 10_000,
+    seed: int = 0,
+    tolerance: float = 1e-12,
+) -> SubmodularityReport:
+    """Sample nested sets and verify diminishing returns and monotonicity.
+
+    Each trial draws ``A subset-of B`` from the explored universe and an
+    element ``x`` outside ``B``, then checks ``gain(A, x) >= gain(B, x)``
+    and ``objective(A) <= objective(B)`` within ``tolerance``.
+    """
+    rng = np.random.Generator(np.random.PCG64(seed))
+    universe = list(spec.universe)
+    if len(universe) < 2:
+        raise ParameterError("universe too small for submodularity sampling")
+    max_b = min(len(universe) - 1, 12)
+    violations = 0
+    worst = 0.0
+    for _ in range(trials):
+        b_size = int(rng.integers(0, max_b + 1))
+        picked = rng.choice(len(universe), size=b_size, replace=False)
+        b_set = [universe[i] for i in picked]
+        a_set = b_set[: int(rng.integers(0, b_size + 1))]
+        while True:
+            x = universe[int(rng.integers(len(universe)))]
+            if x not in b_set:
+                break
+        rows_a = spec.counts(a_set)
+        rows_b = spec.counts(b_set)
+        gain_gap = spec.gain(x, rows_b) - spec.gain(x, rows_a)
+        mono_gap = spec.value_of_counts(rows_a) - spec.value_of_counts(rows_b)
+        gap = max(gain_gap, mono_gap)
+        if gap > tolerance:
+            violations += 1
+        worst = max(worst, gap)
+    return SubmodularityReport(trials, violations, worst, tolerance)
 
 
 @pytest.fixture

@@ -16,18 +16,12 @@ import numpy as np
 import pytest
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle, top_popular
-from cabaret_sim.demand import (
-    TransitionTable,
-    enumerate_single_requests,
-    exact_hit_rates,
-    position_probs,
-)
+from cabaret_sim.demand import TransitionTable, exact_hit_rates, position_probs
 from cabaret_sim.experiment import config_from_mapping, iter_cells, run_experiment
 from cabaret_sim.explore import BfsParams, bfs
 from cabaret_sim.metrics import ChrReport, eval_iv
 from cabaret_sim.placement import (
     ObjectiveSpec,
-    check_submodularity,
     exact_placement,
     greedy_placement,
     objective,
@@ -36,7 +30,7 @@ from cabaret_sim.placement import (
 from cabaret_sim.recommend import CacheManifest, recommend, select_from_exploration
 from cabaret_sim.synthetic import generate_synthetic
 
-from conftest import random_catalog
+from conftest import check_submodularity, random_catalog
 
 GREEDY_BOUND = 1.0 - 1.0 / math.e
 
@@ -351,7 +345,7 @@ def test_criterion_7_sampling_agreement():
         rec = lru_cache(maxsize=None)(
             lambda v, c=cache, p=params, o=oracle: recommend(v, n, c, p, o)
         )
-        expected = enumerate_single_requests(front, rec, dist)
+        (expected,) = exact_hit_rates(front, rec, dist, 2)
         if not 0.02 < expected < 0.98:
             continue
         gen = np.random.Generator(np.random.PCG64(int(rng.integers(1 << 62))))

@@ -83,16 +83,6 @@ class TestCatalog:
         assert "z" in cat
         assert cat.popularity_of("z") == 3.0
 
-    def test_normalized_weights(self):
-        cat = Catalog({"a": [], "b": [], "c": []}, {"a": 2.0, "b": 1.0, "c": 1.0})
-        w = cat.normalized_weights(["a", "b"])
-        assert w == {"a": 2 / 3, "b": 1 / 3}
-        assert abs(sum(cat.normalized_weights(cat.ids()).values()) - 1.0) < 1e-12
-
-    def test_normalized_weights_zero_total_uniform(self):
-        cat = Catalog({"a": [], "b": []})
-        assert cat.normalized_weights(["a", "b"]) == {"a": 0.5, "b": 0.5}
-
 
 class TestRelatedQueries:
     def test_prefix(self):

@@ -10,9 +10,10 @@ from scipy import stats
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle
 from cabaret_sim.demand import (
+    PositionDistribution,
     TransitionTable,
-    enumerate_single_requests,
     exact_hit_rates,
+    ordered_sum,
     position_probs,
     run_session,
 )
@@ -85,6 +86,14 @@ class TestPositionProbs:
         assert abs(sum(head) - 1.0) < 1e-12
         assert head[0] / head[1] == pytest.approx(2.0)
         assert dist.truncated(4) == dist.probs
+
+    def test_truncated_normalises_with_the_in_order_total(self):
+        # Left to right, ten 0.1s add to 0.9999999999999999; Python 3.12's
+        # compensated sum() would give 1.0 and leave the 0.1s as they are.
+        assert ordered_sum([0.1] * 10) == 0.9999999999999999
+        dist = PositionDistribution("custom", 0.0, 11, (0.1,) * 10 + (0.0,))
+        assert dist.truncated(10) == (0.1 / 0.9999999999999999,) * 10
+        assert dist.truncated(10)[0] != 0.1
 
 
 class TestRunSession:
@@ -168,18 +177,18 @@ class TestEnumerateSingleRequests:
     def test_empty_cache_zero(self):
         rec = fixed_list_recommender("abc", [False, False, False])
         front = PopularityRegion(("p", "q"))
-        assert enumerate_single_requests(front, rec, position_probs("uniform", n=3)) == 0.0
+        assert exact_hit_rates(front, rec, position_probs("uniform", n=3), 2) == (0.0,)
 
     def test_everything_cached_one(self):
         rec = fixed_list_recommender("abc", [True, True, True])
         front = PopularityRegion(("p", "q"))
-        value = enumerate_single_requests(front, rec, position_probs("zipf", 1.0, 3))
+        (value,) = exact_hit_rates(front, rec, position_probs("zipf", 1.0, 3), 2)
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_monte_carlo_agrees_within_three_standard_errors(self, rng):
         front_page, rec, cache = scenario(rng)
         dist = position_probs("zipf", 0.7, 5)
-        exact = enumerate_single_requests(front_page, rec, dist)
+        (exact,) = exact_hit_rates(front_page, rec, dist, 2)
         assert 0.0 < exact < 1.0
         draws = 100_000
         gen = np.random.Generator(np.random.PCG64(1234))
@@ -198,9 +207,7 @@ class TestExactHitRates:
             front_page, rec, _ = scenario(rng)
             dist = position_probs("zipf", 1.1, 5)
             rates = exact_hit_rates(front_page, rec, dist, 2)
-            assert rates[0] == pytest.approx(
-                enumerate_single_requests(front_page, rec, dist), abs=1e-12
-            )
+            assert rates == reference_exact_hit_rates(front_page, rec, dist, 2)
 
     def test_matches_sampling_for_longer_sessions(self, rng):
         front_page, rec, cache = scenario(rng)

@@ -2,8 +2,11 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import importlib.util
 import json
 import math
+import types
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -525,3 +528,20 @@ class TestRunExperiment:
         assert len(lines) == 1 + 24
         config_echo = json.loads((tmp_path / "config.json").read_text())
         assert config_echo["seed"] == 42
+
+
+def test_bench_tracer_finds_every_name_it_rebinds():
+    # bench/tracing.py rebinds names in the runner's module namespace; one
+    # missing there raises AttributeError.  It runs on a copy here, so the
+    # real module is left as it was.
+    path = Path(__file__).resolve().parent.parent / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    before = dict(vars(experiment))
+    namespace = types.SimpleNamespace(**before)
+    tracing.install(tracing.Tracer(), namespace)
+    after = vars(experiment)
+    assert after.keys() == before.keys()
+    assert all(after[name] is value for name, value in before.items())
+    assert namespace.bfs is not experiment.bfs

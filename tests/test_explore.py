@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from cabaret_sim.catalog import Catalog, RelationOracle
 from cabaret_sim.errors import ParameterError
-from cabaret_sim.explore import BfsParams, bfs, depth_sets
+from cabaret_sim.explore import BfsParams, bfs
 
 from conftest import CountingOracle, random_catalog, reference_bfs
 
@@ -36,8 +36,7 @@ class TestBfs:
         result = bfs("s", BfsParams(2, 3), oracle)
         assert result.entries == tuple("abcdefghijkl")
         assert len(result) == 12
-        assert result.at_depth(1) == ("a", "b", "c")
-        assert len(result.at_depth(2)) == 9
+        assert result.depths == (1,) * 3 + (2,) * 9
 
     def test_cycle_skips_seed_on_rediscovery(self):
         # Hand trace: level 1 [b], level 2 [c], level 3 rediscovers the
@@ -99,7 +98,8 @@ class TestBfsInvariants:
         # Depth annotations non-decreasing; depth-1 slice equals the
         # oracle's own answer, in order.
         assert list(result.depths) == sorted(result.depths)
-        assert result.at_depth(1) == oracle.related(seed, width)
+        first = tuple(e for e, d in zip(result.entries, result.depths) if d == 1)
+        assert first == oracle.related(seed, width)
 
     @settings(max_examples=40, deadline=None)
     @given(st.data())
@@ -122,24 +122,38 @@ class TestBfsInvariants:
         )
 
 
+def depth_sets(result) -> dict[int, set]:
+    """The explored entries grouped by their first-discovery depth."""
+    sets: dict[int, set] = {}
+    for entry, depth in zip(result.entries, result.depths):
+        sets.setdefault(depth, set()).add(entry)
+    return sets
+
+
 class TestDepthSets:
     def test_depth_one_single_set(self):
         oracle = RelationOracle(fig2_catalog())
-        sets = depth_sets("s", BfsParams(1, 3), oracle)
-        assert sets == [{"a", "b", "c"}]
+        assert depth_sets(bfs("s", BfsParams(1, 3), oracle)) == {1: {"a", "b", "c"}}
 
     def test_fig2_shape_sizes(self):
         oracle = RelationOracle(fig2_catalog())
-        sets = depth_sets("s", BfsParams(2, 3), oracle)
-        assert (len(sets[0]), len(sets[1])) == (3, 9)
+        sets = depth_sets(bfs("s", BfsParams(2, 3), oracle))
+        assert (len(sets[1]), len(sets[2])) == (3, 9)
 
     def test_partition_properties(self, rng):
+        # Every depth up to the last one reached is populated, and each
+        # level holds exactly the unseen entries of the previous level's
+        # related lists.
         for _ in range(20):
             cat = random_catalog(rng, 15, 4)
             oracle = RelationOracle(cat)
             params = BfsParams(int(rng.integers(1, 4)), int(rng.integers(1, 5)))
-            sets = depth_sets("c000", params, oracle)
-            assert len(sets) == params.depth
-            flat = [c for s in sets for c in s]
-            assert len(flat) == len(set(flat))
-            assert set(flat) == set(bfs("c000", params, oracle).entries)
+            result = bfs("c000", params, oracle)
+            sets = depth_sets(result)
+            assert sorted(sets) == list(range(1, len(sets) + 1))
+            seen, level = {"c000"}, {"c000"}
+            for depth in range(1, params.depth + 1):
+                found = {c for u in level for c in oracle.related(u, params.width)} - seen
+                assert sets.get(depth, set()) == found
+                seen |= found
+                level = found

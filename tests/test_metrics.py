@@ -1,11 +1,12 @@
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle
 from cabaret_sim.demand import Session
 from cabaret_sim.errors import ParameterError, UndefinedMetricError
-from cabaret_sim.metrics import ChrReport, chr_sequential, chr_single, eval_iv
+from cabaret_sim.metrics import ChrReport, chr_sequential, eval_iv
 
 from conftest import random_catalog
 
@@ -89,25 +90,23 @@ def session(hits: list[bool], requested: int, truncated=False) -> Session:
 
 
 class TestChrSingle:
+    """The hit ratio of two-request sessions: served second requests."""
+
     def test_all_second_requests_cached(self):
         sessions = [session([False, True], 2) for _ in range(5)]
-        assert chr_single(sessions).chr == 1.0
+        assert chr_sequential(sessions).chr == 1.0
 
     def test_empty_cache(self):
         sessions = [session([False, False], 2) for _ in range(5)]
-        assert chr_single(sessions).chr == 0.0
+        assert chr_sequential(sessions).chr == 0.0
 
     def test_zero_sessions_rejected(self):
         with pytest.raises(UndefinedMetricError):
-            chr_single([])
-
-    def test_wrong_length_rejected(self):
-        with pytest.raises(ParameterError):
-            chr_single([session([False, True, True], 3)])
+            chr_sequential([])
 
     def test_truncated_session_counts_as_miss(self):
         sessions = [session([False, True], 2), session([False], 2, truncated=True)]
-        assert chr_single(sessions).chr == 0.5
+        assert chr_sequential(sessions).chr == 0.5
 
 
 class TestChrSequential:
@@ -115,7 +114,9 @@ class TestChrSequential:
         sessions = [
             session([False, bool(rng.integers(2))], 2) for _ in range(20)
         ]
-        assert chr_sequential(sessions) == chr_single(sessions)
+        report = chr_sequential(sessions)
+        second = sum(s.hits[1] for s in sessions) / len(sessions)
+        assert report.chr == report.per_step[0] == second
 
     def test_all_steps_hit(self):
         sessions = [session([True, True, True, True], 4) for _ in range(3)]
@@ -132,7 +133,7 @@ class TestChrSequential:
         ]
         report = chr_sequential(sessions)
         prefixes = [Session(s.watched[:2], s.hits[:2], 2) for s in sessions]
-        assert report.per_step[0] == chr_single(prefixes).chr
+        assert report.per_step[0] == chr_sequential(prefixes).chr
 
     def test_aggregate_is_mean_of_per_step(self, rng):
         sessions = [
@@ -141,9 +142,8 @@ class TestChrSequential:
         ]
         report = chr_sequential(sessions)
         assert report.chr == pytest.approx(sum(report.per_step) / 4, abs=1e-15)
-        assert report.chr * len(sessions) * 4 == pytest.approx(
-            report.total_hits, abs=1e-9
-        )
+        total_hits = sum(sum(s.hits[1:]) for s in sessions)
+        assert report.chr * len(sessions) * 4 == pytest.approx(total_hits, abs=1e-9)
         assert all(0.0 <= r <= 1.0 for r in report.per_step)
 
     def test_mixed_lengths_rejected(self):
@@ -163,7 +163,9 @@ class TestChrReport:
         with pytest.raises(ParameterError):
             ChrReport.from_exact((0.5,), 3)
 
-    def test_summary_rows(self):
-        report = ChrReport.from_exact((0.5,), 2)
-        assert ("chr", 0.5) in report.summary_rows()
-        assert ("mode", "exact") in report.summary_rows()
+    def test_chr_adds_rates_left_to_right(self):
+        # Python 3.12's sum() would give 1.0 for these rates.
+        assert ChrReport.from_exact((0.1,) * 10, 11).chr == 0.9999999999999999 / 10
+        hits = np.zeros((10, 10), dtype=bool)
+        hits[0] = True
+        assert ChrReport.from_hits(hits).chr == 0.9999999999999999 / 10

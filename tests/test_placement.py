@@ -3,30 +3,30 @@ from __future__ import annotations
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cabaret_sim.catalog import RelationOracle, top_popular
-from cabaret_sim.demand import position_probs
+from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle, top_popular
+from cabaret_sim.demand import exact_hit_rates, position_probs
 from cabaret_sim.errors import InstanceTooLargeError, ParameterError
 from cabaret_sim.explore import BfsParams
 from cabaret_sim.placement import (
     ObjectiveSpec,
-    check_submodularity,
     exact_placement,
     greedy_placement,
     objective,
     top_placement,
 )
+from cabaret_sim.recommend import CacheManifest, recommend
 
-from conftest import random_catalog
+from conftest import check_submodularity, random_catalog
 
 
-def spec_of(table: dict, list_size: int, probs=None, weights=None) -> ObjectiveSpec:
+def spec_of(table: dict, list_size: int, weights=None) -> ObjectiveSpec:
     support = tuple(sorted(table))
-    if probs is None:
-        probs = (1.0 / list_size,) * list_size
     if weights is None:
         weights = [1.0] * len(support)
-    return ObjectiveSpec(support, weights, list_size, probs, table)
+    dist = position_probs("uniform", n=list_size)
+    return ObjectiveSpec(support, weights, list_size, dist, table)
 
 
 def random_spec(rng, size=10, degree=4, support_size=5, list_size=3) -> ObjectiveSpec:
@@ -41,9 +41,9 @@ def random_spec(rng, size=10, degree=4, support_size=5, list_size=3) -> Objectiv
     )
 
 
-def naive_greedy(spec, capacity, candidates=None):
+def naive_greedy(spec, capacity):
     """Reference greedy: full objective re-evaluation for every candidate."""
-    pool = sorted(candidates if candidates is not None else spec.universe)
+    pool = sorted(spec.universe)
     chosen = []
     while len(chosen) < capacity and pool:
         base = objective(spec, chosen)
@@ -98,6 +98,63 @@ class TestObjective:
         assert objective(spec, ["a", "a", "b"]) == objective(spec, ["a", "b"])
 
 
+@st.composite
+def objective_cases(draw):
+    """A catalog with leaves and short lists, a front page, a cache and a law."""
+    size = draw(st.integers(2, 10))
+    ids = [f"c{i}" for i in range(size)]
+    # Ids past the catalog's own become leaves once a list names them.
+    pool = ids + ["leaf0", "leaf1", "leaf2"]
+    related = {
+        cid: draw(st.lists(st.sampled_from([x for x in pool if x != cid]), unique=True, max_size=4))
+        for cid in ids
+    }
+    catalog = Catalog(related)
+    known = catalog.ids()
+    front = draw(st.lists(st.sampled_from(known), min_size=1, max_size=5, unique=True))
+    cached = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
+    n = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["uniform", "zipf"]))
+    dist = position_probs(kind, draw(st.floats(0.0, 2.0)) if kind == "zipf" else 0.0, n)
+    list_size = draw(st.integers(1, 6))
+    params = BfsParams(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
+    return catalog, PopularityRegion(tuple(front)), cached, dist, list_size, params
+
+
+class TestObjectiveIsTheEvaluatedRate:
+    def test_short_list_priced_with_its_truncated_law(self):
+        # Front page {a, b}, uniform law over N = 5, depth 1: a's list is
+        # [x] and b's is c1..c5.  Caching x serves every request after a,
+        # while c1 serves a fifth of those after b.
+        catalog = Catalog({"a": ["x"], "b": ["c1", "c2", "c3", "c4", "c5"]})
+        oracle = RelationOracle(catalog)
+        front = PopularityRegion(("a", "b"))
+        dist = position_probs("uniform", n=5)
+        params = BfsParams(1, 5)
+        spec = ObjectiveSpec.build(front.ids, 5, dist, params, oracle)
+
+        def rate(cached):
+            cache = CacheManifest.from_ids(cached)
+            rec = lambda v: recommend(v, 5, cache, params, oracle)
+            return exact_hit_rates(front, rec, dist, 2)[0]
+
+        assert objective(spec, ["x"]) == rate(["x"]) == 0.5
+        assert objective(spec, ["c1"]) == pytest.approx(rate(["c1"])) == 0.1
+        assert greedy_placement(spec, 1).chosen == ("x",)
+        assert exact_placement(spec, 1).chosen == ("x",)
+
+    @settings(max_examples=200, deadline=None)
+    @given(objective_cases())
+    def test_objective_equals_exact_two_request_rate(self, case):
+        catalog, front, cached, dist, list_size, params = case
+        oracle = RelationOracle(catalog)
+        spec = ObjectiveSpec.build(front.ids, list_size, dist, params, oracle)
+        cache = CacheManifest.from_ids(cached)
+        rec = lambda v: recommend(v, list_size, cache, params, oracle)
+        rate = exact_hit_rates(front, rec, dist, 2)[0]
+        assert objective(spec, cached) == pytest.approx(rate, abs=1e-12)
+
+
 class TestGreedy:
     def test_single_slot_is_argmax(self, rng):
         for _ in range(20):
@@ -143,19 +200,20 @@ class TestGreedy:
         assert result.chosen == ("a", "b")
 
     def test_zero_gain_fill_by_id_order(self):
-        spec = spec_of({"v": frozenset(["a", "b"])}, 1)
-        result = greedy_placement(spec, 3, candidates=["z", "b", "a", "y"])
-        assert result.chosen[0] == "a"
-        assert set(result.chosen[1:]) == {"b", "y"}
-        assert result.chosen[1:] == ("b", "y")
+        # One slot per row: the first pick saturates the universe, so the
+        # other contents fill the remaining slots in id order.
+        spec = spec_of({"v": frozenset("dbca")}, 1)
+        result = greedy_placement(spec, 3)
+        assert result.chosen == ("a", "b", "c")
         assert result.filled == 2
-        assert result.gains[1:] == (0.0, 0.0)
+        assert result.gains == (1.0, 0.0, 0.0)
+        assert result.objective_values == (1.0, 1.0, 1.0)
 
     def test_capacity_validation(self, rng):
         with pytest.raises(ParameterError):
             greedy_placement(random_spec(rng), 0)
 
-    def test_beats_top_given_superset_candidates(self, rng):
+    def test_beats_top_placement(self, rng):
         for _ in range(15):
             cat = random_catalog(rng, 15, 4)
             oracle = RelationOracle(cat)
@@ -163,8 +221,7 @@ class TestGreedy:
             dist = position_probs("uniform", n=3)
             spec = ObjectiveSpec.build(front.ids, 3, dist, BfsParams(2, 3), oracle)
             capacity = 4
-            candidates = set(spec.universe) | set(front.ids)
-            greedy = greedy_placement(spec, capacity, candidates)
+            greedy = greedy_placement(spec, capacity)
             top = top_placement(cat, capacity, spec)
             assert objective(spec, greedy.chosen) >= objective(spec, top.chosen) - 1e-12
 
@@ -274,8 +331,10 @@ class TestSubmodularity:
 class TestSpecValidation:
     def test_empty_support_rejected(self):
         with pytest.raises(ParameterError):
-            ObjectiveSpec((), (), 2, (0.5, 0.5), {})
+            ObjectiveSpec((), (), 2, position_probs("uniform", n=2), {})
 
     def test_misaligned_weights_rejected(self):
         with pytest.raises(ParameterError):
-            ObjectiveSpec(("v",), (1.0, 2.0), 2, (0.5, 0.5), {"v": frozenset("a")})
+            ObjectiveSpec(
+                ("v",), (1.0, 2.0), 2, position_probs("uniform", n=2), {"v": frozenset("a")}
+            )

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cabaret_sim.catalog import Catalog, RelationOracle
-from cabaret_sim.demand import enumerate_single_requests, position_probs
+from cabaret_sim.demand import exact_hit_rates, position_probs
 from cabaret_sim.catalog import PopularityRegion
 from cabaret_sim.errors import ParameterError
 from cabaret_sim.explore import BfsParams, ExplorationList, bfs
@@ -14,7 +14,6 @@ from cabaret_sim.recommend import (
     RecommendationList,
     baseline_recommender,
     cabaret_list,
-    count_cached_in,
     recommend,
     reordered_recommender,
     select_from_exploration,
@@ -103,7 +102,7 @@ class TestRecommend:
             large = small + [ids[i] for i in rng.choice(18, size=6, replace=False)]
             shown_small = recommend(ids[0], 6, cache_of(*small), BfsParams(2, 3), oracle)
             shown_large = recommend(ids[0], 6, cache_of(*large), BfsParams(2, 3), oracle)
-            assert shown_large.cached_count() >= shown_small.cached_count()
+            assert sum(shown_large.cached) >= sum(shown_small.cached)
 
     def test_deterministic(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
@@ -175,14 +174,18 @@ class TestPerRequestDominance:
 
 
 class TestCountCachedIn:
+    """A list flags as many entries as its exploration holds cached, up to n."""
+
     def test_empty_cache(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
-        assert count_cached_in("s", cache_of("zz"), BfsParams(1, 12), oracle) == 0
+        shown = recommend("s", 12, cache_of("zz"), BfsParams(1, 12), oracle)
+        assert shown.cached == (False,) * 12
 
     def test_superset_cache(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
         full = cache_of(*"abcdefghijkl")
-        assert count_cached_in("s", full, BfsParams(1, 12), oracle) == 12
+        shown = recommend("s", 12, full, BfsParams(1, 12), oracle)
+        assert shown.cached == (True,) * 12
 
     def test_consistent_with_recommend_flags(self, rng):
         # min(count, n) equals the number of cached-flagged entries when
@@ -195,11 +198,12 @@ class TestCountCachedIn:
             seed = ids[int(rng.integers(22))]
             params = BfsParams(2, 4)
             n = 6
-            if len(bfs(seed, params, oracle)) < n:
+            explored = bfs(seed, params, oracle).entries
+            if len(explored) < n:
                 continue
-            total = count_cached_in(seed, cached, params, oracle)
+            total = sum(c in cached for c in explored)
             shown = recommend(seed, n, cached, params, oracle)
-            assert min(total, n) == shown.cached_count()
+            assert min(total, n) == sum(shown.cached)
 
 
 class TestProviderRecommenders:
@@ -260,12 +264,12 @@ class TestProviderRecommenders:
         cached = cache_of(*(ids[i] for i in rng.choice(25, size=8, replace=False)))
         front = PopularityRegion(tuple(ids[:10]))
         dist = position_probs("uniform", n=5)
-        chr_base = enumerate_single_requests(
-            front, lambda v: baseline_recommender(v, 5, oracle, cached), dist
-        )
-        chr_reord = enumerate_single_requests(
-            front, lambda v: reordered_recommender(v, 5, cached, oracle), dist
-        )
+        chr_base = exact_hit_rates(
+            front, lambda v: baseline_recommender(v, 5, oracle, cached), dist, 2
+        )[0]
+        chr_reord = exact_hit_rates(
+            front, lambda v: reordered_recommender(v, 5, cached, oracle), dist, 2
+        )[0]
         assert chr_base == pytest.approx(chr_reord, abs=1e-15)
 
 
