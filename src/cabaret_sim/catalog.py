@@ -16,6 +16,8 @@ file with header ``id,weight``; ids holding commas, quotes or line breaks
 are quoted.
 The canonical on-disk form sorts records by id and preserves related
 arrays verbatim; ``save_dataset`` always emits the canonical form.
+A loaded catalog holds one string object per id: every occurrence of an
+id, as a key or inside any related list, is the same object.
 """
 
 from __future__ import annotations
@@ -130,10 +132,12 @@ def _reject_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None
     seen = set()
     for entry in entries:
         if entry == cid:
-            raise DatasetFormatError(f"related list of {cid!r} contains the content itself")
+            raise DatasetFormatError(
+                f"related list of {cid!r} contains the content itself", content_id=cid
+            )
         if entry in seen:
             raise DatasetFormatError(
-                f"related list of {cid!r} contains duplicate entry {entry!r}"
+                f"related list of {cid!r} contains duplicate entry {entry!r}", content_id=cid
             )
         seen.add(entry)
 
@@ -212,14 +216,21 @@ def _parse_related_line(line: str, lineno: int) -> tuple[ContentId, list[Content
     rel = record["related"]
     if not isinstance(cid, str) or not cid:
         raise DatasetFormatError('"id" must be a non-empty string', line=lineno)
-    if not isinstance(rel, list) or not all(isinstance(x, str) for x in rel):
+    if not isinstance(rel, list) or not set(map(type, rel)) <= {str}:
         raise DatasetFormatError('"related" must be an array of strings', line=lineno)
+    if "" in rel:
+        raise DatasetFormatError('"related" must not hold an empty id', line=lineno)
     return cid, rel
 
 
-def load_related_file(path: str) -> dict[ContentId, list[ContentId]]:
-    """Parse a JSON-lines related-lists file into an ordered mapping."""
-    related: dict[ContentId, list[ContentId]] = {}
+def load_related_file(path: str) -> dict[ContentId, tuple[ContentId, ...]]:
+    """Parse a JSON-lines related-lists file into an ordered mapping.
+
+    Every occurrence of an id, as a key or in a list, is one shared string
+    object, so the parser's strings are freed line by line.
+    """
+    related: dict[ContentId, tuple[ContentId, ...]] = {}
+    canon: dict[ContentId, ContentId] = {}
     with open(path, encoding="utf-8") as handle:
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
@@ -229,8 +240,21 @@ def load_related_file(path: str) -> dict[ContentId, list[ContentId]]:
                 raise DuplicateContentError(
                     f"content {cid!r} defined more than once", line=lineno
                 )
-            related[cid] = rel
+            related[canon.setdefault(cid, cid)] = tuple(map(canon.setdefault, rel, rel))
     return related
+
+
+def _line_of(path: str, cid: ContentId) -> int | None:
+    """The line of ``path``, already parsed, that defines ``cid``."""
+    with open(path, encoding="utf-8") as handle:
+        return next(
+            (
+                lineno
+                for lineno, line in enumerate(handle, start=1)
+                if line.strip() and json.loads(line)["id"] == cid
+            ),
+            None,
+        )
 
 
 def load_popularity_file(path: str) -> dict[ContentId, float]:
@@ -247,6 +271,8 @@ def load_popularity_file(path: str) -> dict[ContentId, float]:
             if len(row) != 2:
                 raise DatasetFormatError(f"expected 2 fields, got {len(row)}", line=lineno)
             cid, raw = row[0], row[1]
+            if not cid:
+                raise DatasetFormatError("id must be a non-empty string", line=lineno)
             if cid in popularity:
                 raise DuplicateContentError(
                     f"popularity for {cid!r} defined more than once", line=lineno
@@ -267,7 +293,13 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
     """Build a catalog from a related-lists file and optional popularity file."""
     related = load_related_file(related_path)
     popularity = load_popularity_file(popularity_path) if popularity_path else None
-    return Catalog(related, popularity)
+    try:
+        return Catalog(related, popularity)
+    except DatasetFormatError as exc:
+        # A related list that holds its own id or a repeat: name its line.
+        raise DatasetFormatError(
+            exc.args[0], line=_line_of(related_path, exc.content_id), content_id=exc.content_id
+        ) from None
 
 
 def dumps_related(catalog: Catalog) -> str:

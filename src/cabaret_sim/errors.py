@@ -23,11 +23,13 @@ class UnknownContentError(SimulatorError, KeyError):
 class DatasetFormatError(SimulatorError, ValueError):
     """A dataset file violates the documented format.
 
-    ``line`` is 1-based when the error is attributable to a specific line.
+    ``line`` is 1-based when the error is attributable to a specific line;
+    ``content_id`` names the content whose record is at fault, when known.
     """
 
-    def __init__(self, message: str, line: int | None = None):
+    def __init__(self, message: str, line: int | None = None, content_id: str | None = None):
         self.line = line
+        self.content_id = content_id
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)

@@ -15,6 +15,7 @@ from cabaret_sim.catalog import (
     dumps_popularity,
     dumps_related,
     load_dataset,
+    load_related_file,
     save_dataset,
     top_popular,
 )
@@ -189,6 +190,72 @@ class TestDatasetFiles:
         )
         with pytest.raises(DuplicateContentError):
             load_dataset(str(path))
+
+    @pytest.mark.parametrize(
+        "related", ['"abc"', "[1]", "[null]", '[["x"]]', '[{"a": 1}]', '["b", 1]']
+    )
+    def test_related_not_an_array_of_strings(self, tmp_path, related):
+        path = tmp_path / "rel.jsonl"
+        path.write_text(
+            '{"id":"a","related":[]}\n\n{"id":"b","related":%s}\n' % related, encoding="utf-8"
+        )
+        with pytest.raises(DatasetFormatError, match='"related" must be an array of strings') as err:
+            load_dataset(str(path))
+        assert err.value.line == 3
+
+    def test_empty_related_entry_rejected(self, tmp_path):
+        # A saved empty id could not be loaded again, so loading rejects it.
+        path = tmp_path / "rel.jsonl"
+        path.write_text('{"id":"b","related":[]}\n{"id":"a","related":[""]}\n', encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="empty id") as err:
+            load_dataset(str(path))
+        assert err.value.line == 2
+
+    def test_empty_popularity_id_rejected(self, tmp_path):
+        rel = tmp_path / "rel.jsonl"
+        rel.write_text('{"id":"a","related":[]}\n', encoding="utf-8")
+        pop = tmp_path / "pop.csv"
+        pop.write_text('id,weight\na,1.0\n"",1.0\n', encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match="non-empty") as err:
+            load_dataset(str(rel), str(pop))
+        assert err.value.line == 3
+
+    @pytest.mark.parametrize(
+        "record, message",
+        [
+            ('{"id":"a","related":["a"]}', "related list of 'a' contains the content itself"),
+            ('{"id":"a","related":["b","b"]}', "related list of 'a' contains duplicate entry 'b'"),
+        ],
+    )
+    def test_bad_related_list_names_its_line(self, tmp_path, record, message):
+        path = tmp_path / "rel.jsonl"
+        path.write_text('{"id":"b","related":[]}\n\n%s\n' % record, encoding="utf-8")
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(path))
+        assert err.value.line == 3
+        assert str(err.value) == f"line 3: {message}"
+
+    def test_loaded_ids_are_shared_objects(self, tmp_path):
+        # Ids repeat across keys and lists; "leaf" is referenced but never
+        # defined.  No id has one character: CPython shares those anyway.
+        lines = [
+            {"id": "v1", "related": ["v2", "leaf", "v3"]},
+            {"id": "v2", "related": ["leaf", "v1"]},
+            {"id": "v3", "related": ["v1", "v2", "leaf"]},
+        ]
+        path = tmp_path / "rel.jsonl"
+        path.write_text("".join(json.dumps(r) + "\n" for r in lines), encoding="utf-8")
+        cat = load_dataset(str(path))
+        keys = cat.ids()
+        occurrences = keys + [x for cid in keys for x in cat.related_list(cid)]
+        assert len({id(x) for x in occurrences}) == len(cat) == 4
+        assert cat == Catalog({r["id"]: list(r["related"]) for r in lines})
+
+    def test_catalog_keeps_the_loaders_tuples(self, tmp_path):
+        path = tmp_path / "rel.jsonl"
+        path.write_text('{"id":"a","related":["b","c"]}\n', encoding="utf-8")
+        related = load_related_file(str(path))
+        assert Catalog(related).related_list("a") is related["a"]
 
     def test_popularity_parsing(self, tmp_path):
         rel = tmp_path / "rel.jsonl"
