@@ -53,7 +53,8 @@ class Catalog:
     frontier-truncated crawl loads cleanly.
 
     Args:
-        related: mapping from content id to its ordered related ids.
+        related: mapping from content id to its ordered related ids; no
+            id may be empty.
         popularity: optional mapping from content id to a finite weight
             >= 0.  Ids present here but not in ``related`` also become
             leaves.
@@ -72,6 +73,11 @@ class Catalog:
             distinct = set(entries)
             if cid in distinct or len(distinct) != len(entries):
                 _reject_related_list(cid, entries)
+            # A saved empty id could not be loaded again.
+            if cid == "":
+                raise ParameterError(f"content id must be non-empty, got {cid!r}")
+            if "" in distinct:
+                raise ParameterError(f"related list of {cid!r} holds an empty id")
             rel[cid] = entries
         # Leaf closure: referenced-but-undefined ids become empty-list
         # leaves, in order of first reference.
@@ -85,6 +91,8 @@ class Catalog:
         pop: dict[ContentId, float] = {}
         if popularity is not None:
             for cid, weight in popularity.items():
+                if cid == "":
+                    raise ParameterError(f"popularity id must be non-empty, got {cid!r}")
                 w = float(weight)
                 if not (math.isfinite(w) and w >= 0):
                     raise ParameterError(

@@ -9,22 +9,22 @@ and renormalized, which preserves the position-bias shape; entries past
 the distribution's last position are never selected.
 
 Because every content's list is fixed, a session is a Markov chain over
-contents.  A :class:`TransitionTable` holds that chain for one front page,
-recommender and position law in one row store: padded arrays indexed by
-state number, each row built once on the state's first visit.  A row holds
-the truncated probabilities and their cumulative sums, the cached flags,
-the hit mass and the entries' state numbers.  Both evaluators read those
-arrays:
+contents.  A :class:`TransitionTable` holds that chain for one front page
+and recommender in one row store: padded arrays indexed by state number,
+each row built once on the state's first visit.  A row holds what the
+recommender said: the list's width, the cached flags and the entries'
+state numbers.  The position law is the user's, so each read names it,
+and both evaluators read the rows through the law truncated to each width:
 
 * :meth:`TransitionTable.hit_rates` propagates the watched-content
   distribution step by step with numpy, giving exact per-step hit rates.
   The rates of a session of ``K`` requests are a prefix of those of any
-  longer session, so a table computes each step once and a shorter ``K``
-  takes a slice;
+  longer session, so a table computes each step once per law and a
+  shorter ``K`` takes a slice;
 * :meth:`TransitionTable.sample` walks a batch of sessions together and
   returns their hit flags.  Every step compares the sessions' draws with
-  the rows' cumulative sums, which picks the same positions as bisecting
-  them one session at a time.
+  the cumulative sums for the rows' widths, which picks the same
+  positions as bisecting them one session at a time.
 
 :func:`exact_hit_rates` is the exact evaluator over a fresh table, and
 :func:`run_session` samples one session straight from the recommender.
@@ -136,49 +136,33 @@ def _check_session(length: int, front_page: PopularityRegion) -> None:
 
 
 class TransitionTable:
-    """The session Markov chain of one front page, recommender and position law.
+    """The session Markov chain of one front page and recommender.
 
     States are numbered on discovery and a row is built on a state's first
     visit, so the table asks the recommender about exactly the states an
     evaluator reaches: a sampled session about the states it walks
     through, and exact rates for ``K`` requests about every state within
     ``K - 2`` steps of the front page, in sorted-id order within a step.
-    A recommender error propagates and leaves the table as it was.
+    Rows hold no position law, so one table serves every law of ``n``
+    positions.  A recommender error propagates and leaves the table as it was.
     """
 
-    def __init__(
-        self,
-        front_page: PopularityRegion,
-        recommender: Recommender,
-        dist: PositionDistribution,
-    ):
+    def __init__(self, front_page: PopularityRegion, recommender: Recommender, n: int):
         self.front_page = front_page
         self.recommender = recommender
-        self.dist = dist
+        self.n = n
         self._number: dict[ContentId, int] = {}
         self._ids: list[ContentId] = []
-        # The truncated law per row width: probabilities padded with 0,
-        # cumulative sums padded with inf, and their last value.
-        self._laws: dict[int, tuple[np.ndarray, np.ndarray, float]] = {}
-        # One padded row per state number, holding the first ``_width``
-        # entries of its list (-1 until built): probabilities, cumulative
-        # sums, cached flags, the entries' state numbers and the hit mass.
-        n = dist.n
+        # One padded row per state number: the first ``_width`` entries of
+        # its list (-1 until built), their cached flags and state numbers.
         self._columns = np.arange(n)
         self._width = np.empty(0, dtype=np.intp)
-        self._p = np.empty((0, n))
-        self._cum = np.empty((0, n))
-        self._last = np.empty(0)
         self._cached = np.empty((0, n), dtype=bool)
         self._next = np.empty((0, n), dtype=np.intp)
-        self._hit = np.empty(0)
-        # Exact propagation: the states holding mass, by id, and their mass.
-        self._states: np.ndarray | None = None
-        self._mass: np.ndarray | None = None
-        self._rates: list[float] = []
+        self._laws: dict[PositionDistribution, _Law] = {}
 
-    def hit_rates(self, length: int) -> tuple[float, ...]:
-        """Exact per-step cache-hit rates for sessions of ``length`` requests.
+    def hit_rates(self, dist: PositionDistribution, length: int) -> tuple[float, ...]:
+        """Exact per-step cache-hit rates for sessions of ``length`` requests under ``dist``.
 
         Returns one rate per step 2..``length``.  The watched-content
         distribution starts uniform over the front page and is propagated
@@ -191,16 +175,19 @@ class TransitionTable:
         state-by-state dict propagation.
         """
         _check_session(length, self.front_page)
-        if self._states is None:
+        law = self._law(dist)
+        if law.states is None:
             ids = self.front_page.ids
-            self._states = np.array(self._numbers(sorted(set(ids))), dtype=np.intp)
-            self._mass = np.full(len(self._states), 1.0 / len(ids))
-        while len(self._rates) < length - 1:
-            self._step()
-        return tuple(self._rates[: length - 1])
+            law.states = np.array(self._numbers(sorted(set(ids))), dtype=np.intp)
+            law.mass = np.full(len(law.states), 1.0 / len(ids))
+        while len(law.rates) < length - 1:
+            self._step(law)
+        return tuple(law.rates[: length - 1])
 
-    def sample(self, length: int, sessions: int, rng: np.random.Generator) -> np.ndarray:
-        """Hit flags of ``sessions`` sampled sessions of ``length`` requests.
+    def sample(
+        self, dist: PositionDistribution, length: int, sessions: int, rng: np.random.Generator
+    ) -> np.ndarray:
+        """Hit flags of ``sessions`` sampled sessions of ``length`` requests under ``dist``.
 
         Draws the front-page starts with one ``rng.integers`` call and then
         one ``rng.random(sessions)`` call per step, and walks them with
@@ -209,10 +196,12 @@ class TransitionTable:
         _check_session(length, self.front_page)
         starts = rng.integers(len(self.front_page.ids), size=sessions)
         uniforms = np.stack([rng.random(sessions) for _ in range(length - 1)], axis=1)
-        return self.walk(starts, uniforms)
+        return self.walk(dist, starts, uniforms)
 
-    def walk(self, starts: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-        """Walk one session per entry of ``starts``, all sessions together.
+    def walk(
+        self, dist: PositionDistribution, starts: np.ndarray, uniforms: np.ndarray
+    ) -> np.ndarray:
+        """Walk one session per entry of ``starts`` under ``dist``, all sessions together.
 
         Session ``m`` starts at ``front_page.ids[starts[m]]`` and makes its
         ``j``-th pick with the uniform ``uniforms[m, j]``, as
@@ -224,10 +213,11 @@ class TransitionTable:
 
         Before each step the rows of the states the live sessions sit on
         are built, so the recommender is asked about exactly the states the
-        walks reach.  A pick counts the padded cumulative sums at or below
-        the draw, which is ``bisect_right`` with the same float operations;
-        its temporary holds ``len(starts)`` × ``dist.n`` booleans.
+        walks reach.  A pick counts the cumulative sums for the row's width
+        at or below the draw, which is ``bisect_right`` with the same float
+        operations; its temporary holds ``len(starts)`` × ``n`` booleans.
         """
+        law = self._law(dist)
         sessions, steps = uniforms.shape
         hits = np.zeros((sessions, steps), dtype=bool)
         front = np.array(self._numbers(list(self.front_page.ids)), dtype=np.intp)
@@ -237,32 +227,28 @@ class TransitionTable:
             self._load(np.unique(state[live]))
             live = live[self._width[state[live]] > 0]
             at = state[live]
-            drawn = uniforms[live, j] * self._last[at]
-            below = (self._cum[at] <= drawn[:, None]).sum(axis=1)
-            pick = np.minimum(below, self._width[at] - 1)
+            width = self._width[at]
+            drawn = uniforms[live, j] * law.last[width]
+            below = (law.cum[width] <= drawn[:, None]).sum(axis=1)
+            pick = np.minimum(below, width - 1)
             hits[live, j] = self._cached[at, pick]
             state[live] = self._next[at, pick]
         return hits
 
-    def _law(self, width: int) -> tuple[np.ndarray, np.ndarray, float]:
-        """The law truncated to ``width`` positions, padded to ``dist.n``."""
-        law = self._laws.get(width)
+    def _law(self, dist: PositionDistribution) -> _Law:
+        """The per-width arrays and exact propagation state of ``dist``."""
+        law = self._laws.get(dist)
         if law is None:
-            n = self.dist.n
-            p, cum, last = np.zeros(n), np.full(n, np.inf), 0.0
-            if width:
-                probs = self.dist.truncated(width)
-                p[:width] = probs
-                cum[:width] = list(accumulate(probs))
-                last = cum[width - 1]
-            law = self._laws[width] = (p, cum, last)
+            if dist.n != self.n:
+                raise ParameterError(f"position law has n={dist.n}, the table n={self.n}")
+            law = self._laws[dist] = _Law(dist)
         return law
 
     def _load(self, states: np.ndarray) -> None:
         """Build the rows of ``states`` not built yet, in sorted-id order.
 
-        A row keeps the first ``dist.n`` entries of the list, as many as the
-        law has positions, and numbers them.
+        A row keeps the first ``n`` entries of the list, as many as a law
+        has positions, and numbers them.
         """
         fresh = states[self._width[states] < 0].tolist()
         if not fresh:
@@ -270,25 +256,16 @@ class TransitionTable:
         fresh.sort(key=self._ids.__getitem__)
         # The only call that can raise; nothing has changed before it.
         shown = [self.recommender(self._ids[s]) for s in fresh]
-        n = self.dist.n
-        widths = [min(len(rec), n) for rec in shown]
+        widths = [min(len(rec), self.n) for rec in shown]
         numbers = self._numbers([c for rec, w in zip(shown, widths) for c in rec.entries[:w]])
-        laws = [self._law(w) for w in widths]
         filled = self._columns < np.array(widths)[:, None]
         cached = np.zeros(filled.shape, dtype=bool)
         cached[filled] = [hit for rec, w in zip(shown, widths) for hit in rec.cached[:w]]
         entries = np.full(filled.shape, -1, dtype=np.intp)
         entries[filled] = numbers
-        p = np.array([law[0] for law in laws])
         self._width[fresh] = widths
-        self._p[fresh] = p
-        self._cum[fresh] = [law[1] for law in laws]
-        self._last[fresh] = [law[2] for law in laws]
         self._cached[fresh] = cached
         self._next[fresh] = entries
-        # cumsum adds in position order, as a loop over the entries does;
-        # adding the 0.0 of a miss is exact.
-        self._hit[fresh] = np.cumsum(np.where(cached, p, 0.0), axis=1)[:, -1]
 
     def _numbers(self, contents: list[ContentId]) -> list[int]:
         """The state numbers of ``contents``, numbering new states in order."""
@@ -307,37 +284,58 @@ class TransitionTable:
         if have >= len(self._ids):
             return
         extra = max(len(self._ids), 2 * have) - have
-        n = self.dist.n
         self._width = np.concatenate((self._width, np.full(extra, -1, dtype=np.intp)))
-        self._p = np.concatenate((self._p, np.zeros((extra, n))))
-        self._cum = np.concatenate((self._cum, np.full((extra, n), np.inf)))
-        self._last = np.concatenate((self._last, np.zeros(extra)))
-        self._cached = np.concatenate((self._cached, np.zeros((extra, n), dtype=bool)))
-        self._next = np.concatenate((self._next, np.full((extra, n), -1, dtype=np.intp)))
-        self._hit = np.concatenate((self._hit, np.zeros(extra)))
+        self._cached = np.concatenate((self._cached, np.zeros((extra, self.n), dtype=bool)))
+        self._next = np.concatenate((self._next, np.full((extra, self.n), -1, dtype=np.intp)))
 
-    def _step(self) -> None:
-        """Record the next step's hit rate and move the mass one step on."""
-        states = self._states
+    def _step(self, law: _Law) -> None:
+        """Record the next step's hit rate under ``law`` and move its mass one step on."""
+        states = law.states
         if not len(states):
-            self._rates.append(0.0)
+            law.rates.append(0.0)
             return
         self._load(states)
-        filled = self._columns < self._width[states][:, None]
+        width = self._width[states]
+        p = law.p[width]
+        filled = self._columns < width[:, None]
         # Row-major order is state order, then position order, as a
         # state-by-state loop adds; cumsum and bincount add in input order,
-        # where np.sum would add pairwise and round differently.
-        dst = self._next[states][filled]
-        rate = np.cumsum(self._mass * self._hit[states])[-1]
+        # where np.sum would add pairwise and round differently.  Adding
+        # the 0.0 of a miss is exact.
+        hit = np.cumsum(np.where(self._cached[states], p, 0.0), axis=1)[:, -1]
+        rate = np.cumsum(law.mass * hit)[-1]
         # Summation error can push a full-cache rate just past 1.
-        self._rates.append(min(float(rate), 1.0))
+        law.rates.append(min(float(rate), 1.0))
+        dst = self._next[states][filled]
         n = len(self._ids)
-        weights = (self._mass[:, None] * self._p[states])[filled]
+        weights = (law.mass[:, None] * p)[filled]
         mass = np.bincount(dst, weights=weights, minlength=n)
         # A state whose mass underflows to 0.0 is still reached.
         reached = np.flatnonzero(np.bincount(dst, minlength=n))
-        self._states = np.array(sorted(reached.tolist(), key=self._ids.__getitem__), dtype=np.intp)
-        self._mass = mass[self._states]
+        law.states = np.array(sorted(reached.tolist(), key=self._ids.__getitem__), dtype=np.intp)
+        law.mass = mass[law.states]
+
+
+class _Law:
+    """One position law as a table reads it, and its exact propagation.
+
+    Indexed by row width 0..n: the law truncated to that width, padded with
+    0; its cumulative sums, padded with inf; and their last value.  The
+    propagation keeps the states holding mass, by id, their mass and rates.
+    """
+
+    def __init__(self, dist: PositionDistribution):
+        n = dist.n
+        self.p = np.zeros((n + 1, n))
+        for width in range(1, n + 1):
+            self.p[width, :width] = dist.truncated(width)
+        # cumsum adds in position order, as accumulate() does; adding 0.0 is exact.
+        cum = np.cumsum(self.p, axis=1)
+        self.cum = np.where(np.arange(n) < np.arange(n + 1)[:, None], cum, np.inf)
+        self.last = cum[:, -1]
+        self.states: np.ndarray | None = None
+        self.mass: np.ndarray | None = None
+        self.rates: list[float] = []
 
 
 def run_session(
@@ -386,4 +384,4 @@ def exact_hit_rates(
     length: int,
 ) -> tuple[float, ...]:
     """Exact per-step cache-hit rates; see :meth:`TransitionTable.hit_rates`."""
-    return TransitionTable(front_page, recommender, dist).hit_rates(length)
+    return TransitionTable(front_page, recommender, dist.n).hit_rates(dist, length)

@@ -12,9 +12,10 @@ other keys are scalars.
 and samples longer sessions; ``exact`` propagates the watched-content
 distribution exactly for every cell, which makes reruns and
 cross-recommender comparisons noise-free.  Both read one
-:class:`~cabaret_sim.demand.TransitionTable` per recommender, cache and
-demand, so cells differing only in session length share their rows and,
-in exact mode, their per-step rates.  A sampled cell walks all its
+:class:`~cabaret_sim.demand.TransitionTable` per recommender and cache,
+under the cell's demand law, so cells sharing a cache share their rows
+and each list is built once; cells differing only in session length also
+share, in exact mode, their per-step rates.  A sampled cell walks all its
 sessions together and reads ``chr``, the per-step rates and ``chr_se``
 from their matrix of hit flags.
 
@@ -32,7 +33,6 @@ import json
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -366,9 +366,9 @@ class _Runner:
         self._heads: dict[str, ExplorationList] = {}
         self._specs: dict[str, ObjectiveSpec] = {}
         self._placements: dict[tuple[int, str], CacheManifest] = {}
-        self._recommenders: dict[tuple[str, int, str], Recommender] = {}
-        # Cells of one table are adjacent in sweep order (session length
-        # varies fastest), so only the latest table is kept.
+        self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
+        # One table serves every demand sharing its cache.  Its cells are
+        # adjacent in sweep order (demand and K vary fastest): keep the latest.
         self._table: tuple[tuple[str, int, str], TransitionTable] | None = None
 
     def head(self, content: str) -> ExplorationList:
@@ -396,9 +396,8 @@ class _Runner:
             else:
                 spec = self._specs.get(demand)
                 if spec is None:
-                    n = self.config.list_size
                     spec = ObjectiveSpec.build(
-                        self.front_page.ids, n, _demand_dist(demand, n),
+                        self.front_page.ids, self.config.list_size, self.dists[demand],
                         self.params, self.oracle,
                     )
                     self._specs[demand] = spec
@@ -409,10 +408,6 @@ class _Runner:
         return manifest
 
     def recommender(self, kind: str, capacity: int, demand: str) -> Recommender:
-        key = (kind, *self._placement_key(capacity, demand))
-        memoized = self._recommenders.get(key)
-        if memoized is not None:
-            return memoized
         cache = self.placement(capacity, demand)
         n = self.config.list_size
         if kind == "cabaret":
@@ -427,32 +422,30 @@ class _Runner:
         else:
             def rec(v: str) -> Any:
                 return reordered_recommender(v, n, cache, self.oracle)
-        memoized = lru_cache(maxsize=None)(rec)
-        self._recommenders[key] = memoized
-        return memoized
+        return rec
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:
-        """The transition table of one recommender, cache and demand."""
-        key = (kind, capacity, demand)
+        """The transition table of one recommender and the cache ``demand`` places."""
+        key = (kind, *self._placement_key(capacity, demand))
         if self._table is None or self._table[0] != key:
             rec = self.recommender(kind, capacity, demand)
-            dist = _demand_dist(demand, self.config.list_size)
-            self._table = (key, TransitionTable(self.front_page, rec, dist))
+            self._table = (key, TransitionTable(self.front_page, rec, self.config.list_size))
         return self._table[1]
 
     def evaluate(self, cell: CellSpec) -> dict[str, Any]:
         config = self.config
         table = self.table(cell.recommender, cell.capacity, cell.demand)
+        dist = self.dists[cell.demand]
         exact = config.evaluator == "exact" or (
             config.evaluator == "auto" and cell.session_length == 2
         )
         se = None
         if exact:
-            rates = table.hit_rates(cell.session_length)
+            rates = table.hit_rates(dist, cell.session_length)
             report = ChrReport.from_exact(rates, cell.session_length)
         else:
             rng = np.random.Generator(np.random.PCG64(derive_cell_seed(config.seed, cell)))
-            hits = table.sample(cell.session_length, config.sessions, rng)
+            hits = table.sample(dist, cell.session_length, config.sessions, rng)
             report = ChrReport.from_hits(hits)
             # One sample leaves the standard error undefined: the field stays blank.
             if config.sessions > 1:

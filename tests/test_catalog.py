@@ -69,6 +69,19 @@ class TestCatalog:
         with pytest.raises(DatasetFormatError, match="'a' contains duplicate entry 'c'"):
             Catalog({"a": ["b", "c", "c", "b", "a"]})
 
+    # An empty id would be saved to a file that the loaders reject.
+    def test_rejects_empty_related_entry(self):
+        with pytest.raises(ParameterError, match="related list of 'a' holds an empty id"):
+            Catalog({"a": [""]})
+
+    def test_rejects_empty_content_id(self):
+        with pytest.raises(ParameterError, match="content id must be non-empty, got ''"):
+            Catalog({"": ["a"]})
+
+    def test_rejects_empty_popularity_id(self):
+        with pytest.raises(ParameterError, match="popularity id must be non-empty, got ''"):
+            Catalog({"a": ["b"]}, {"": 1.0})
+
     def test_leaves_follow_first_reference_order(self):
         cat = Catalog({"a": ["z", "b"], "b": ["y", "z", "a"]}, {"p": 1.0, "a": 2.0})
         assert list(cat._related) == ["a", "b", "z", "y", "p"]

@@ -294,9 +294,9 @@ class TestTransitionTable:
         reference_exact_hit_rates(front, expected_calls[0], dist, long)
         for order in ([short, long], [long, short]):
             table_rec, calls = recording(rec)
-            table = TransitionTable(front, table_rec, dist)
+            table = TransitionTable(front, table_rec, dist.n)
             for k in order:
-                assert table.hit_rates(k) == reference_exact_hit_rates(front, rec, dist, k)
+                assert table.hit_rates(dist, k) == reference_exact_hit_rates(front, rec, dist, k)
             # The table asks about the same states in the same order.
             assert calls == expected_calls[1]
 
@@ -339,13 +339,14 @@ class TestTransitionTable:
                 return rec(v)
 
             for order in (range(2, 10), range(9, 1, -1)):
-                table = TransitionTable(front, raising, dist)
+                table = TransitionTable(front, raising, dist.n)
                 for k in order:
                     if k > j:
                         with pytest.raises(ValueError, match="no list"):
-                            table.hit_rates(k)
+                            table.hit_rates(dist, k)
                     else:
-                        assert table.hit_rates(k) == reference_exact_hit_rates(front, rec, dist, k)
+                        expected = reference_exact_hit_rates(front, rec, dist, k)
+                        assert table.hit_rates(dist, k) == expected
 
     def test_states_reached_with_zero_mass_are_visited(self):
         # The second position has probability 2**-1000, so "e" is reached
@@ -359,7 +360,7 @@ class TestTransitionTable:
         reference, reference_calls = recording(
             lambda v: recommend(v, 2, cache, BfsParams(1, 2), oracle)
         )
-        assert TransitionTable(front, rec, dist).hit_rates(5) == reference_exact_hit_rates(
+        assert TransitionTable(front, rec, dist.n).hit_rates(dist, 5) == reference_exact_hit_rates(
             front, reference, dist, 5
         )
         assert calls == reference_calls
@@ -373,7 +374,7 @@ class TestTransitionTable:
         dist = position_probs("uniform", n=10)
         expected = reference_exact_hit_rates(front, rec, dist, 2)
         assert expected == (0.9999999999999999,)
-        assert TransitionTable(front, rec, dist).hit_rates(2) == expected
+        assert TransitionTable(front, rec, dist.n).hit_rates(dist, 2) == expected
 
     def test_entries_past_the_law_are_never_picked(self):
         # Only "a" and "b" fall within the two-position law; "c" and "d" are
@@ -389,21 +390,75 @@ class TestTransitionTable:
         expected = reference_exact_hit_rates(front, rec, dist, 3)
         assert expected == (0.5, 0.0)
         table_rec, calls = recording(rec)
-        assert TransitionTable(front, table_rec, dist).hit_rates(3) == expected
+        assert TransitionTable(front, table_rec, dist.n).hit_rates(dist, 3) == expected
         assert calls == ["p", "a", "b"]
 
     def test_lost_mass_pads_with_zeros_after_a_shorter_prefix(self):
         cat = Catalog({"p": ["d"], "d": []})
         oracle = RelationOracle(cat)
         cache = CacheManifest.from_ids(["d"])
+        dist = position_probs("uniform", n=3)
         table = TransitionTable(
             PopularityRegion(("p",)),
             lambda v: recommend(v, 3, cache, BfsParams(1, 3), oracle),
-            position_probs("uniform", n=3),
+            dist.n,
         )
-        assert table.hit_rates(2) == (1.0,)
-        assert table.hit_rates(5) == (1.0, 0.0, 0.0, 0.0)
-        assert table.hit_rates(3) == (1.0, 0.0)
+        assert table.hit_rates(dist, 2) == (1.0,)
+        assert table.hit_rates(dist, 5) == (1.0, 0.0, 0.0, 0.0)
+        assert table.hit_rates(dist, 3) == (1.0, 0.0)
+
+    @settings(max_examples=100, deadline=None)
+    @given(scenario=markov_scenarios(), alpha=st.floats(0.0, 3.0), data=st.data())
+    def test_one_table_reads_several_laws_as_separate_tables_do(self, scenario, alpha, data):
+        front, rec, dist, _ = scenario
+        n = dist.n
+        laws = data.draw(st.lists(
+            st.sampled_from([
+                position_probs("uniform", n=n),
+                position_probs("zipf", alpha, n),
+                position_probs("zipf", 1000.0, n),
+            ]),
+            min_size=2, max_size=3, unique=True,
+        ))
+        reads = data.draw(st.lists(
+            st.tuples(
+                st.integers(0, len(laws) - 1),
+                st.sampled_from(["hit_rates", "walk"]),
+                st.integers(2, 8),
+                st.integers(0, 2**32 - 1),
+            ),
+            min_size=1, max_size=8,
+        ))
+        table_rec, calls = recording(rec)
+        table = TransitionTable(front, table_rec, n)
+        alone = [TransitionTable(front, rec, n) for _ in laws]
+        for i, read, length, seed in reads:
+            law = laws[i]
+            if read == "hit_rates":
+                assert table.hit_rates(law, length) == alone[i].hit_rates(law, length)
+            else:
+                rng = np.random.Generator(np.random.PCG64(seed))
+                starts = rng.integers(len(front.ids), size=20)
+                shape = (20, length - 1)
+                uniforms = np.where(
+                    rng.random(shape) < 0.5, rng.choice(tie_draws(law), shape), rng.random(shape)
+                )
+                got = table.walk(law, starts, uniforms)
+                assert np.array_equal(got, alone[i].walk(law, starts, uniforms))
+        # Every state's list is asked for once, whichever law reaches it first.
+        assert len(calls) == len(set(calls))
+
+    def test_law_of_another_size_rejected(self):
+        rec = fixed_list_recommender(["a", "b"], [True, False])
+        table = TransitionTable(PopularityRegion(("p",)), rec, 2)
+        rng = np.random.Generator(np.random.PCG64(0))
+        with pytest.raises(ParameterError, match="law has n=3, the table n=2"):
+            table.hit_rates(position_probs("uniform", n=3), 2)
+        with pytest.raises(ParameterError, match="law has n=1, the table n=2"):
+            table.sample(position_probs("zipf", 1.0, 1), 3, 4, rng)
+        with pytest.raises(ParameterError, match="law has n=3, the table n=2"):
+            table.walk(position_probs("uniform", n=3), np.array([0]), np.array([[0.5]]))
+        assert table.hit_rates(position_probs("uniform", n=2), 2) == (0.5,)
 
 
 def tie_draws(dist):
@@ -439,13 +494,13 @@ class TestBatchedSampler:
             rng.random(shape) < edge_share, rng.choice(tie_draws(dist), shape), rng.random(shape)
         )
         table_rec, calls = recording(rec)
-        table = TransitionTable(front, table_rec, dist)
+        table = TransitionTable(front, table_rec, dist.n)
         # Exact cells may have built rows of the same table first.
         if exact_first > 1:
-            table.hit_rates(exact_first)
+            table.hit_rates(dist, exact_first)
         asked = set(calls)
         del calls[:]
-        hits = table.walk(starts, uniforms)
+        hits = table.walk(dist, starts, uniforms)
 
         walks = [
             reference_walk(length, int(start), row, front, rec, dist, cache)
@@ -476,9 +531,9 @@ class TestBatchedSampler:
         # The order of an ``auto`` sweep whose sampled K comes before K = 2.
         front, rec, dist, _ = scenario
         table_rec, calls = recording(rec)
-        table = TransitionTable(front, table_rec, dist)
-        table.sample(walked, sessions, np.random.Generator(np.random.PCG64(seed)))
-        assert table.hit_rates(length) == reference_exact_hit_rates(front, rec, dist, length)
+        table = TransitionTable(front, table_rec, dist.n)
+        table.sample(dist, walked, sessions, np.random.Generator(np.random.PCG64(seed)))
+        assert table.hit_rates(dist, length) == reference_exact_hit_rates(front, rec, dist, length)
         # Rows the walk built are read, not rebuilt.
         assert len(calls) == len(set(calls))
 
@@ -491,13 +546,13 @@ class TestBatchedSampler:
     )
     def test_sample_draws_starts_then_one_uniform_per_step(self, scenario, length, sessions, seed):
         front, rec, dist, _ = scenario
-        got = TransitionTable(front, rec, dist).sample(
-            length, sessions, np.random.Generator(np.random.PCG64(seed))
+        got = TransitionTable(front, rec, dist.n).sample(
+            dist, length, sessions, np.random.Generator(np.random.PCG64(seed))
         )
         rng = np.random.Generator(np.random.PCG64(seed))
         starts = rng.integers(len(front.ids), size=sessions)
         uniforms = np.stack([rng.random(sessions) for _ in range(length - 1)], axis=1)
-        want = TransitionTable(front, rec, dist).walk(starts, uniforms)
+        want = TransitionTable(front, rec, dist.n).walk(dist, starts, uniforms)
         assert got.shape == (sessions, length - 1)
         assert np.array_equal(got, want)
 
@@ -510,7 +565,8 @@ class TestBatchedSampler:
                 raise ValueError("no list for d")
             return recommend(v, 1, CacheManifest.from_ids([]), BfsParams(1, 1), oracle)
 
-        table = TransitionTable(PopularityRegion(("p",)), rec, position_probs("uniform", n=1))
-        assert table.sample(2, 5, np.random.Generator(np.random.PCG64(0))).shape == (5, 1)
+        dist = position_probs("uniform", n=1)
+        table = TransitionTable(PopularityRegion(("p",)), rec, dist.n)
+        assert table.sample(dist, 2, 5, np.random.Generator(np.random.PCG64(0))).shape == (5, 1)
         with pytest.raises(ValueError, match="no list"):
-            table.sample(3, 5, np.random.Generator(np.random.PCG64(0)))
+            table.sample(dist, 3, 5, np.random.Generator(np.random.PCG64(0)))

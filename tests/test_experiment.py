@@ -382,6 +382,30 @@ class TestRunExperiment:
         assert sorted(f["k"] for f in result.failures) == [4, 5, 6]
         assert sorted(r["k"] for r in result.rows) == [2, 3]
 
+    def test_each_list_is_built_once_per_recommender_and_cache(self, monkeypatch):
+        # Top placement gives every demand the same cache, so one table
+        # serves the three demands' exact and sampled cells.
+        config = config_from_mapping(tiny_mapping(
+            demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 4, 3],
+        ))
+        built: dict[tuple[str, int, str], int] = {}
+        recommender = experiment._Runner.recommender
+
+        def counting(self, kind, capacity, demand):
+            inner = recommender(self, kind, capacity, demand)
+
+            def rec(v):
+                built[kind, capacity, v] = built.get((kind, capacity, v), 0) + 1
+                return inner(v)
+
+            return rec
+
+        monkeypatch.setattr(experiment._Runner, "recommender", counting)
+        result = run_experiment(config)
+        assert result.failures == []
+        assert {kind for kind, _, _ in built} == {"baseline", "reordered", "cabaret"}
+        assert set(built.values()) == {1}
+
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_hit_ratios_lie_in_unit_interval(self, data):
