@@ -37,6 +37,7 @@ from .errors import (
     DuplicateContentError,
     ParameterError,
     UnknownContentError,
+    utf8_errors,
 )
 
 ContentId = str
@@ -239,7 +240,7 @@ def load_related_file(path: str) -> dict[ContentId, tuple[ContentId, ...]]:
     """
     related: dict[ContentId, tuple[ContentId, ...]] = {}
     canon: dict[ContentId, ContentId] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open(path, encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
@@ -268,7 +269,7 @@ def _line_of(path: str, cid: ContentId) -> int | None:
 def load_popularity_file(path: str) -> dict[ContentId, float]:
     """Parse an ``id,weight`` CSV file into a popularity mapping."""
     popularity: dict[ContentId, float] = {}
-    with open(path, newline="", encoding="utf-8") as handle:
+    with open(path, newline="", encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
         reader = csv.reader(handle)
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["id", "weight"]:

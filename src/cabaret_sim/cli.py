@@ -228,7 +228,8 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SimulatorError as exc:
+    # An OSError names its file: a missing config, a directory given as a file.
+    except (SimulatorError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -1,5 +1,8 @@
 """Exception types shared across the simulator."""
 
+from contextlib import contextmanager
+from typing import Iterator
+
 
 class SimulatorError(Exception):
     """Base class for all cabaret-sim errors."""
@@ -49,3 +52,12 @@ class UndefinedMetricError(SimulatorError):
 
 class ConfigError(SimulatorError, ValueError):
     """An experiment configuration is invalid."""
+
+
+@contextmanager
+def utf8_errors(path: str, error: type[SimulatorError]) -> Iterator[None]:
+    """Turn a UTF-8 decode error inside the block into ``error`` naming ``path``."""
+    try:
+        yield
+    except UnicodeDecodeError as exc:
+        raise error(f"{path} is not UTF-8 text: {exc.reason}") from None

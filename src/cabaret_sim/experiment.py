@@ -8,16 +8,21 @@ hold either a scalar or a non-empty array; the experiment runs one
 scenario cell per element of their cross product, in that key order.  All
 other keys are scalars.
 
+Each demand's caches are prefixes of one selection order: the popularity
+ranking under ``top``, and under ``greedy`` the picks of one solve at the
+largest capacity.  ``exact`` optima are not nested, so it solves each
+capacity.  Every solve reads the front page's explorations, built once.
+
 ``auto`` evaluates two-request cells exactly (over all starting contents)
 and samples longer sessions; ``exact`` propagates the watched-content
 distribution exactly for every cell, which makes reruns and
 cross-recommender comparisons noise-free.  Both read one
-:class:`~cabaret_sim.demand.TransitionTable` per recommender and cache,
-under the cell's demand law, so cells sharing a cache share their rows
-and each list is built once; cells differing only in session length also
-share, in exact mode, their per-step rates.  A sampled cell walks all its
-sessions together and reads ``chr``, the per-step rates and ``chr_se``
-from their matrix of hit flags.
+:class:`~cabaret_sim.demand.TransitionTable` per recommender and cached
+set, under the cell's demand law, so cells whose caches hold the same
+contents share their rows and each list is built once; cells differing
+only in session length also share, in exact mode, their per-step rates.
+A sampled cell walks all its sessions together and reads ``chr``, the
+per-step rates and ``chr_se`` from their matrix of hit flags.
 
 Each cell's RNG seed is ``sha256("<seed>|recommender=<r>|capacity=<c>|``
 ``demand=<d>|k=<k>")``, first 8 bytes big-endian, so adding sweep values
@@ -48,7 +53,7 @@ from .demand import (
     position_probs,
     run_session,  # noqa: F401  (kept bound for bench/tracing.py)
 )
-from .errors import ConfigError
+from .errors import ConfigError, utf8_errors
 from .explore import BfsParams, ExplorationList, bfs
 from .metrics import ChrReport, chr_sequential  # noqa: F401  (kept bound for bench/tracing.py)
 from .placement import ObjectiveSpec, exact_placement, greedy_placement
@@ -275,7 +280,7 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
 def load_config(path: str) -> ExperimentConfig:
     """Load and validate a flat JSON config file."""
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle, utf8_errors(path, ConfigError):
             raw = json.load(handle)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
@@ -364,12 +369,15 @@ class _Runner:
             truncated=config.front_page_size > len(self.catalog),
         )
         self._heads: dict[str, ExplorationList] = {}
-        self._specs: dict[str, ObjectiveSpec] = {}
-        self._placements: dict[tuple[int, str], CacheManifest] = {}
+        self._explored: dict[str, frozenset[str]] = {}
+        # A cache is order[:capacity]: greedy solves once per demand, at the
+        # largest capacity, and exact once per capacity and demand.
+        self._orders: dict[tuple[int, str], tuple[str, ...]] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
-        # One table serves every demand sharing its cache.  Its cells are
-        # adjacent in sweep order (demand and K vary fastest): keep the latest.
-        self._table: tuple[tuple[str, int, str], TransitionTable] | None = None
+        # Rows depend only on the cached set, so one table serves every demand
+        # whose cache it is.  Those cells are adjacent in sweep order (demand
+        # and K vary fastest): keep the latest, keyed by kind and cached set.
+        self._table: tuple[tuple[str, frozenset[str]], TransitionTable] | None = None
 
     def head(self, content: str) -> ExplorationList:
         """The exploration around ``content`` but its last level, shared by every cache."""
@@ -382,30 +390,22 @@ class _Runner:
             self._heads[content] = head
         return head
 
-    def _placement_key(self, capacity: int, demand: str) -> tuple[int, str]:
-        # Top placement ignores demand; share it across demand values.
-        return (capacity, demand if self.config.cache_policy != "top" else "")
-
     def placement(self, capacity: int, demand: str) -> CacheManifest:
-        key = self._placement_key(capacity, demand)
-        manifest = self._placements.get(key)
-        if manifest is None:
-            policy = self.config.cache_policy
-            if policy == "top":
-                chosen = self.ranking[:capacity]
-            else:
-                spec = self._specs.get(demand)
-                if spec is None:
-                    spec = ObjectiveSpec.build(
-                        self.front_page.ids, self.config.list_size, self.dists[demand],
-                        self.params, self.oracle,
-                    )
-                    self._specs[demand] = spec
-                solve = greedy_placement if policy == "greedy" else exact_placement
-                chosen = solve(spec, capacity).chosen
-            manifest = CacheManifest.from_ids(chosen, capacity)
-            self._placements[key] = manifest
-        return manifest
+        """The first ``capacity`` contents of ``demand``'s selection order."""
+        policy = self.config.cache_policy
+        size = max(self.config.capacities) if policy == "greedy" else capacity
+        order = self.ranking if policy == "top" else self._orders.get((size, demand))
+        if order is None:
+            front = self.front_page.ids
+            if not self._explored:
+                self._explored = {
+                    v: frozenset(bfs(v, self.params, self.oracle).entries) for v in front
+                }
+            n, dist = self.config.list_size, self.dists[demand]
+            spec = ObjectiveSpec(front, [1.0] * len(front), n, dist, self._explored)
+            solve = greedy_placement if policy == "greedy" else exact_placement
+            order = self._orders[size, demand] = solve(spec, size).chosen
+        return CacheManifest.from_ids(order[:capacity], capacity)
 
     def recommender(self, kind: str, capacity: int, demand: str) -> Recommender:
         cache = self.placement(capacity, demand)
@@ -426,7 +426,7 @@ class _Runner:
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:
         """The transition table of one recommender and the cache ``demand`` places."""
-        key = (kind, *self._placement_key(capacity, demand))
+        key = (kind, self.placement(capacity, demand).ids)
         if self._table is None or self._table[0] != key:
             rec = self.recommender(kind, capacity, demand)
             self._table = (key, TransitionTable(self.front_page, rec, self.config.list_size))

@@ -97,19 +97,11 @@ class ObjectiveSpec:
         dist: PositionDistribution,
         params: BfsParams,
         oracle: RelationOracle,
-        weights: Mapping[ContentId, float] | None = None,
     ) -> "ObjectiveSpec":
-        """Explore every support content and assemble the spec.
-
-        ``weights=None`` means uniform demand over the support.
-        """
+        """Explore every support content and assemble the spec, under uniform demand."""
         support = tuple(support)
-        if weights is None:
-            w = [1.0] * len(support)
-        else:
-            w = [float(weights[v]) for v in support]
         table = {v: frozenset(bfs(v, params, oracle).entries) for v in support}
-        return cls(support, w, list_size, dist, table)
+        return cls(support, [1.0] * len(support), list_size, dist, table)
 
     def counts(self, cache_ids: Iterable[ContentId]) -> list[int]:
         """Per-support-row count of cached contents inside the exploration."""

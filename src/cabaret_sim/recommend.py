@@ -21,7 +21,7 @@ from itertools import chain, islice
 from typing import Iterable, Iterator, Sequence
 
 from .catalog import ContentId, RelationOracle
-from .errors import ParameterError
+from .errors import DatasetFormatError, ParameterError, utf8_errors
 from .explore import BfsParams, ExplorationList, bfs
 
 
@@ -56,7 +56,7 @@ class CacheManifest:
     @classmethod
     def from_file(cls, path: str, capacity: int | None = None) -> "CacheManifest":
         """Read a manifest from a text file holding one content id per line."""
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
             ids = [line.strip() for line in handle if line.strip()]
         return cls.from_ids(ids, capacity)
 

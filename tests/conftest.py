@@ -23,6 +23,7 @@ import pytest
 from cabaret_sim.catalog import Catalog, ContentId, PopularityRegion, RelationOracle
 from cabaret_sim.demand import PositionDistribution, Recommender, Session
 from cabaret_sim.errors import ParameterError
+from cabaret_sim.explore import bfs
 from cabaret_sim.placement import ObjectiveSpec
 from cabaret_sim.recommend import CacheManifest
 
@@ -56,6 +57,12 @@ def random_catalog(
     if with_weights:
         weights = {cid: float(rng.random()) for cid in ids}
     return Catalog(related, weights)
+
+
+def weighted_spec(support, weights, list_size, dist, params, oracle) -> ObjectiveSpec:
+    """``ObjectiveSpec.build`` under the demand ``weights`` (content -> weight)."""
+    table = {v: frozenset(bfs(v, params, oracle).entries) for v in support}
+    return ObjectiveSpec(support, [weights[v] for v in support], list_size, dist, table)
 
 
 def reference_bfs(seed, depth, width, oracle):

@@ -30,7 +30,7 @@ from cabaret_sim.placement import (
 from cabaret_sim.recommend import CacheManifest, recommend, select_from_exploration
 from cabaret_sim.synthetic import generate_synthetic
 
-from conftest import check_submodularity, random_catalog
+from conftest import check_submodularity, random_catalog, weighted_spec
 
 GREEDY_BOUND = 1.0 - 1.0 / math.e
 
@@ -157,9 +157,7 @@ def small_random_spec(rng):
     weights = {v: float(rng.random()) + 0.05 for v in support}
     list_size = int(rng.integers(1, 5))
     dist = position_probs("zipf", float(rng.random() * 1.5), list_size)
-    return ObjectiveSpec.build(
-        support, list_size, dist, BfsParams(2, 3), oracle, weights
-    )
+    return weighted_spec(support, weights, list_size, dist, BfsParams(2, 3), oracle)
 
 
 def test_criterion_2_greedy_bound():
@@ -205,9 +203,7 @@ def test_criterion_3_submodularity():
         weights = {v: float(rng.random()) + 0.05 for v in support}
         list_size = int(rng.integers(1, 6))
         dist = position_probs("zipf", float(rng.random() * 2), list_size)
-        spec = ObjectiveSpec.build(
-            support, list_size, dist, BfsParams(2, 4), oracle, weights
-        )
+        spec = weighted_spec(support, weights, list_size, dist, BfsParams(2, 4), oracle)
         outcome = check_submodularity(spec, trials=10_000, seed=1000 + i)
         total_violations += outcome.violations
     elapsed = time.perf_counter() - started

@@ -220,3 +220,65 @@ def test_missing_catalog_source_errors(capsys):
     code = main(["explore", "--seed-id", "x", "--depth", "1", "--width", "1"])
     assert code == 1
     assert "related-file" in capsys.readouterr().err
+
+
+NOT_UTF8 = b'{"id":"s","related":["\xff"]}\n'
+
+
+def _run_config(tmp_path, **over):
+    config = {
+        "seed": 1, "catalog_kind": "files", "recommender": "baseline",
+        "cache_capacity": 1, "demand": "uniform", "session_length": 2, **over,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config), encoding="utf-8")
+    return ["run", "--config", str(path), "--out", str(tmp_path / "out")]
+
+
+def _explore(related, popularity=None):
+    argv = ["explore", "--related-file", str(related), "--seed-id", "s", "--depth", "1",
+            "--width", "1"]
+    return argv + (["--popularity-file", str(popularity)] if popularity else [])
+
+
+def _recommend(related, cache):
+    return ["recommend", "--related-file", str(related), "--seed-id", "s", "-N", "2",
+            "--depth", "1", "--width", "2", "--cache-file", str(cache)]
+
+
+def _bad_input(tmp_path, dataset, case):
+    """The argv of ``case`` and the path its error must name."""
+    related, _ = dataset
+    bad = tmp_path / "bad"
+    bad.write_bytes(NOT_UTF8)
+    if case == "missing config":
+        missing = tmp_path / "nonexistent.json"
+        return ["run", "--config", str(missing), "--out", str(tmp_path / "out")], missing
+    if case == "config":
+        return ["run", "--config", str(bad), "--out", str(tmp_path / "out")], bad
+    if case == "run related":
+        return _run_config(tmp_path, catalog_related_file=str(bad)), bad
+    if case == "run popularity":
+        argv = _run_config(
+            tmp_path, catalog_related_file=str(related), catalog_popularity_file=str(bad)
+        )
+        return argv, bad
+    if case == "explore related":
+        return _explore(bad), bad
+    if case == "explore popularity":
+        return _explore(related, bad), bad
+    if case == "cache file":
+        return _recommend(related, bad), bad
+    return _recommend(related, tmp_path), tmp_path
+
+
+@pytest.mark.parametrize("case", [
+    "missing config", "config", "run related", "run popularity", "explore related",
+    "explore popularity", "cache file", "cache file is a directory",
+])
+def test_bad_input_file_names_its_path(dataset, tmp_path, capsys, case):
+    argv, path = _bad_input(tmp_path, dataset, case)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert str(path) in err

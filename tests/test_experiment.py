@@ -28,6 +28,7 @@ from cabaret_sim.experiment import (
     run_experiment,
 )
 from cabaret_sim.metrics import chr_sequential
+from cabaret_sim.placement import ObjectiveSpec, exact_placement, greedy_placement
 
 from conftest import reference_walk
 
@@ -404,6 +405,72 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert result.failures == []
         assert {kind for kind, _, _ in built} == {"baseline", "reordered", "cabaret"}
+        assert set(built.values()) == {1}
+
+    @pytest.mark.parametrize("policy, capacities", [
+        ("greedy", [1, 2, 5, 3]), ("exact", [1, 2]),
+    ])
+    def test_each_cache_equals_its_own_solve(self, policy, capacities):
+        # The one-solve-per-demand path against a fresh solve per cell.
+        config = config_from_mapping(tiny_mapping(
+            cache_policy=policy, cache_capacity=capacities, front_page_size=4, bfs_width=3,
+        ))
+        runner = experiment._Runner(config)
+        solve = greedy_placement if policy == "greedy" else exact_placement
+        for capacity in capacities:
+            for demand in config.demands:
+                spec = ObjectiveSpec.build(
+                    runner.front_page.ids, config.list_size, runner.dists[demand],
+                    runner.params, runner.oracle,
+                )
+                expected = solve(spec, capacity).chosen
+                assert runner.placement(capacity, demand).ordered == expected
+
+    def test_greedy_solves_once_per_demand(self, monkeypatch):
+        solved = []
+
+        def counting(spec, capacity):
+            solved.append(capacity)
+            return greedy_placement(spec, capacity)
+
+        monkeypatch.setattr(experiment, "greedy_placement", counting)
+        config = config_from_mapping(tiny_mapping(cache_policy="greedy", cache_capacity=[2, 5, 3]))
+        result = run_experiment(config)
+        assert result.failures == []
+        assert solved == [5] * len(config.demands)
+
+    def test_smaller_capacities_leave_the_larger_rows_unchanged(self):
+        def rows_at(capacities):
+            config = config_from_mapping(tiny_mapping(
+                cache_policy="greedy", cache_capacity=capacities,
+            ))
+            return [row for row in run_experiment(config).rows if row["cache_capacity"] == 5]
+
+        assert rows_at([5]) == rows_at([1, 5, 2])
+
+    def test_demands_with_equal_caches_share_their_lists(self, monkeypatch):
+        # zipf:0 is the uniform law, so greedy places one cache for both.
+        config = config_from_mapping(tiny_mapping(
+            cache_policy="greedy", demand=["uniform", "zipf:0"], session_length=[2, 3],
+        ))
+        built: dict[tuple[str, frozenset[str], str], int] = {}
+        recommender = experiment._Runner.recommender
+
+        def counting(self, kind, capacity, demand):
+            inner = recommender(self, kind, capacity, demand)
+            cache = self.placement(capacity, demand).ids
+            assert cache == self.placement(capacity, "uniform").ids
+
+            def rec(v):
+                built[kind, cache, v] = built.get((kind, cache, v), 0) + 1
+                return inner(v)
+
+            return rec
+
+        monkeypatch.setattr(experiment._Runner, "recommender", counting)
+        result = run_experiment(config)
+        assert result.failures == []
+        assert len({cache for _, cache, _ in built}) == len(config.capacities)
         assert set(built.values()) == {1}
 
     @settings(max_examples=60, deadline=None)

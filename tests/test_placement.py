@@ -18,7 +18,7 @@ from cabaret_sim.placement import (
 )
 from cabaret_sim.recommend import CacheManifest, recommend
 
-from conftest import check_submodularity, random_catalog
+from conftest import check_submodularity, random_catalog, weighted_spec
 
 
 def spec_of(table: dict, list_size: int, weights=None) -> ObjectiveSpec:
@@ -36,9 +36,7 @@ def random_spec(rng, size=10, degree=4, support_size=5, list_size=3) -> Objectiv
     support = [ids[i] for i in rng.choice(size, size=support_size, replace=False)]
     weights = {v: float(rng.random()) + 0.05 for v in support}
     dist = position_probs("zipf", float(rng.random() * 1.5), list_size)
-    return ObjectiveSpec.build(
-        support, list_size, dist, BfsParams(2, 3), oracle, weights
-    )
+    return weighted_spec(support, weights, list_size, dist, BfsParams(2, 3), oracle)
 
 
 def naive_greedy(spec, capacity):
@@ -155,7 +153,32 @@ class TestObjectiveIsTheEvaluatedRate:
         assert objective(spec, cached) == pytest.approx(rate, abs=1e-12)
 
 
+@st.composite
+def saturating_specs(draw):
+    """Few short rows over a small pool: greedy often fills zero-gain slots."""
+    pool = [f"x{i}" for i in range(draw(st.integers(1, 10)))]
+    rows = draw(st.lists(st.frozensets(st.sampled_from(pool)), min_size=1, max_size=5))
+    weights = draw(st.lists(st.floats(0.05, 2.0), min_size=len(rows), max_size=len(rows)))
+    list_size = draw(st.integers(1, 4))
+    dist = position_probs("zipf", draw(st.floats(0.0, 2.0)), list_size)
+    table = {f"v{i}": row for i, row in enumerate(rows)}
+    return ObjectiveSpec(tuple(table), weights, list_size, dist, table)
+
+
 class TestGreedy:
+    @settings(max_examples=300, deadline=None)
+    @given(saturating_specs(), st.integers(1, 12))
+    def test_smaller_capacities_are_prefixes(self, spec, top):
+        full = greedy_placement(spec, top)
+        picked = len(full) - full.filled
+        for c in range(1, top + 1):
+            part = greedy_placement(spec, c)
+            assert part.chosen == full.chosen[:c]
+            assert part.objective_values == full.objective_values[:c]
+            assert part.gains == full.gains[:c]
+            # A capacity past the universe keeps only what the universe holds.
+            assert part.filled == max(0, min(c, len(full)) - picked)
+
     def test_single_slot_is_argmax(self, rng):
         for _ in range(20):
             spec = random_spec(rng)
