@@ -24,7 +24,7 @@ from typing import Any, Iterable, Sequence
 from .catalog import Catalog, RelationOracle, load_dataset, save_dataset, top_popular
 from .csvio import write_csv
 from .errors import SimulatorError
-from .experiment import load_config, parse_demand, run_experiment
+from .experiment import SCHEMA, load_config, parse_demand, run_experiment
 from .explore import BfsParams, bfs
 from .metrics import eval_iv
 from .placement import ObjectiveSpec, exact_placement, greedy_placement, top_placement
@@ -32,6 +32,9 @@ from .recommend import CacheManifest, recommend
 from .demand import position_probs
 from .synthetic import generate_synthetic
 from .version import SCHEMA_VERSION, __version__
+
+#: Options that mirror a config key take its default.
+_DEFAULT = {key.name: key.default for key in SCHEMA}
 
 
 def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
@@ -47,7 +50,7 @@ def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
     )
     group.add_argument("--catalog-seed", type=int, default=0, help="generator seed")
     group.add_argument(
-        "--w-max", type=int, default=50, help="per-query related-list cap"
+        "--w-max", type=int, default=_DEFAULT["w_max"], help="per-query related-list cap"
     )
 
 
@@ -199,11 +202,11 @@ def build_parser() -> argparse.ArgumentParser:
     _add_catalog_options(p)
     p.add_argument("--method", choices=("top", "greedy", "exact"), required=True)
     p.add_argument("--capacity", type=int, required=True)
-    p.add_argument("-N", "--count", type=int, default=20)
-    p.add_argument("--depth", type=int, default=2)
-    p.add_argument("--width", type=int, default=50)
+    p.add_argument("-N", "--count", type=int, default=_DEFAULT["list_size"])
+    p.add_argument("--depth", type=int, default=_DEFAULT["bfs_depth"])
+    p.add_argument("--width", type=int, default=_DEFAULT["bfs_width"])
     p.add_argument("--demand", default="uniform", help="uniform or zipf:<alpha>")
-    p.add_argument("--front-page", type=int, default=50)
+    p.add_argument("--front-page", type=int, default=_DEFAULT["front_page_size"])
     p.add_argument("--manifest-out", required=True)
     p.add_argument("--trajectory-out")
     p.set_defaults(func=_cmd_optimize)

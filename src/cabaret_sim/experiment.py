@@ -1,12 +1,15 @@
 """Experiment orchestration: config parsing, scenario sweeps, CSV output.
 
-A configuration is a flat JSON object.  :data:`SCHEMA` lists every key
-with its type, default, allowed range and meaning, and drives parsing,
-validation, defaults and the ``config.json`` echo.  Sweep keys
-(``recommender``, ``cache_capacity``, ``demand``, ``session_length``) may
-hold either a scalar or a non-empty array; the experiment runs one
-scenario cell per element of their cross product, in that key order.  All
-other keys are scalars.
+A configuration is a flat JSON object.  Its keys are the fields of
+:class:`ExperimentConfig`: each field declares its key's type, default,
+allowed range and meaning once, and :data:`SCHEMA` reads those rows to
+drive parsing, validation, defaults, the CLI's shared defaults and the
+``config.json`` echo.  Sweep keys (``recommender``, ``cache_capacity``,
+``demand``, ``session_length``) may hold either a scalar or a non-empty
+array; the experiment runs one scenario cell per element of their cross
+product, in that key order.  All other keys are scalars.  A key that only
+the other catalog kind reads (``catalog_size`` in a ``files`` config, say)
+is rejected.
 
 Each demand's caches are prefixes of one selection order: the popularity
 ranking under ``top``, and under ``greedy`` the picks of one solve at the
@@ -37,13 +40,15 @@ import hashlib
 import json
 import math
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .catalog import Catalog, PopularityRegion, RelationOracle, load_dataset, top_popular
+from .catalog import (
+    DEFAULT_W_MAX, Catalog, PopularityRegion, RelationOracle, load_dataset, top_popular,
+)
 from .csvio import write_csv
 from .demand import (
     PositionDistribution,
@@ -101,17 +106,18 @@ REQUIRED = object()  # default of a key every config must set
 
 @dataclass(frozen=True)
 class ConfigKey:
-    """One row of the config schema.
+    """One row of the config schema, read from an :class:`ExperimentConfig` field.
 
     ``kind`` is ``int``, ``float`` (which takes ints too) or ``str``; a bool
     is never a number.  ``low`` and ``high`` bound numbers inclusively,
     ``choices`` restricts strings and ``check`` validates further.  A key
     whose default is ``None`` is optional and is left out of the
-    ``config.json`` echo while unset.  ``attr`` names the
-    :class:`ExperimentConfig` field when it differs from the key.
+    ``config.json`` echo while unset.  ``field`` names the config field,
+    which differs from the key only for the four sweeps.
     """
 
     name: str
+    field: str
     kind: type
     default: Any
     doc: str
@@ -120,11 +126,6 @@ class ConfigKey:
     choices: tuple[str, ...] = ()
     check: Callable[[Any], Any] | None = None
     sweep: bool = False
-    attr: str = ""
-
-    @property
-    def field(self) -> str:
-        return self.attr or self.name
 
     def describe(self) -> str:
         if self.choices:
@@ -155,76 +156,59 @@ class ConfigKey:
         return value
 
 
-#: The config keys, in canonical order.
-SCHEMA = (
-    ConfigKey("seed", int, REQUIRED, "master RNG seed"),
-    ConfigKey(
-        "catalog_kind", str, "synthetic", "generate the catalog or load it from files",
-        choices=("synthetic", "files"),
-    ),
-    ConfigKey("catalog_size", int, None, "synthetic: number of contents", low=1),
-    ConfigKey("catalog_out_degree", int, None, "synthetic: related-list length", low=1),
-    ConfigKey("catalog_overlap", float, None, "synthetic: depth-overlap target", low=0, high=1),
-    ConfigKey(
-        "catalog_seed", int, None, "synthetic: generator seed (derived from seed when unset)",
-        low=0,
-    ),
-    ConfigKey("catalog_related_file", str, None, "files: JSON-lines related lists path"),
-    ConfigKey("catalog_popularity_file", str, None, "files: id,weight CSV path (optional)"),
-    ConfigKey("w_max", int, 50, "per-query related-list cap", low=1),
-    ConfigKey("front_page_size", int, 50, "entry-page size", low=1),
-    ConfigKey(
-        "recommender", str, REQUIRED, "recommenders to compare",
-        choices=RECOMMENDER_KINDS, sweep=True, attr="recommenders",
-    ),
-    ConfigKey("bfs_depth", int, 2, "exploration depth", low=1),
-    ConfigKey("bfs_width", int, 50, "exploration width", low=1),
-    ConfigKey("list_size", int, 20, "recommendation-list length N", low=1),
-    ConfigKey("cache_policy", str, "top", "cache placement policy", choices=CACHE_POLICIES),
-    ConfigKey(
-        "cache_capacity", int, REQUIRED, "cache sizes", low=1, sweep=True, attr="capacities",
-    ),
-    ConfigKey(
-        "demand", str, REQUIRED, "position bias: 'uniform' or 'zipf:<alpha>'",
-        check=parse_demand, sweep=True, attr="demands",
-    ),
-    ConfigKey(
-        "session_length", int, REQUIRED, "requests per session K", low=2, sweep=True,
-        attr="session_lengths",
-    ),
-    ConfigKey("sessions", int, 1000, "Monte-Carlo sessions M per sampled cell", low=1),
-    ConfigKey("evaluator", str, "auto", "how cells are evaluated", choices=EVALUATORS),
-)
+def _key(kind: type, default: Any, doc: str, **row: Any) -> Any:
+    """A config field whose metadata is its schema row (``name`` defaults to the field's)."""
+    return field(metadata={"kind": kind, "default": default, "doc": doc, **row})
 
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Validated, normalized experiment configuration, one field per key.
+    """Validated, normalized experiment configuration.
 
-    Build it with :func:`config_from_mapping`, which fills the defaults of
-    :data:`SCHEMA`.
+    Each field declares one config key, in canonical order, and
+    :data:`SCHEMA` reads its rows from them.  Build a config with
+    :func:`config_from_mapping`, which fills the defaults.
     """
 
-    seed: int
-    catalog_kind: str
-    recommenders: tuple[str, ...]
-    capacities: tuple[int, ...]
-    demands: tuple[str, ...]
-    session_lengths: tuple[int, ...]
-    catalog_size: int | None
-    catalog_out_degree: int | None
-    catalog_overlap: float | None
-    catalog_seed: int | None
-    catalog_related_file: str | None
-    catalog_popularity_file: str | None
-    w_max: int
-    front_page_size: int
-    bfs_depth: int
-    bfs_width: int
-    list_size: int
-    cache_policy: str
-    sessions: int
-    evaluator: str
+    seed: int = _key(int, REQUIRED, "master RNG seed")
+    catalog_kind: str = _key(
+        str, "synthetic", "generate the catalog or load it from files",
+        choices=("synthetic", "files"),
+    )
+    catalog_size: int | None = _key(int, None, "synthetic: number of contents", low=1)
+    catalog_out_degree: int | None = _key(int, None, "synthetic: related-list length", low=1)
+    catalog_overlap: float | None = _key(
+        float, None, "synthetic: depth-overlap target", low=0, high=1
+    )
+    catalog_seed: int | None = _key(
+        int, None, "synthetic: generator seed (derived from seed when unset)", low=0
+    )
+    catalog_related_file: str | None = _key(str, None, "files: JSON-lines related lists path")
+    catalog_popularity_file: str | None = _key(
+        str, None, "files: id,weight CSV path (optional)"
+    )
+    w_max: int = _key(int, DEFAULT_W_MAX, "per-query related-list cap", low=1)
+    front_page_size: int = _key(int, 50, "entry-page size", low=1)
+    recommenders: tuple[str, ...] = _key(
+        str, REQUIRED, "recommenders to compare",
+        choices=RECOMMENDER_KINDS, sweep=True, name="recommender",
+    )
+    bfs_depth: int = _key(int, 2, "exploration depth", low=1)
+    bfs_width: int = _key(int, 50, "exploration width", low=1)
+    list_size: int = _key(int, 20, "recommendation-list length N", low=1)
+    cache_policy: str = _key(str, "top", "cache placement policy", choices=CACHE_POLICIES)
+    capacities: tuple[int, ...] = _key(
+        int, REQUIRED, "cache sizes", low=1, sweep=True, name="cache_capacity"
+    )
+    demands: tuple[str, ...] = _key(
+        str, REQUIRED, "position bias: 'uniform' or 'zipf:<alpha>'",
+        check=parse_demand, sweep=True, name="demand",
+    )
+    session_lengths: tuple[int, ...] = _key(
+        int, REQUIRED, "requests per session K", low=2, sweep=True, name="session_length"
+    )
+    sessions: int = _key(int, 1000, "Monte-Carlo sessions M per sampled cell", low=1)
+    evaluator: str = _key(str, "auto", "how cells are evaluated", choices=EVALUATORS)
 
     def to_mapping(self) -> dict[str, Any]:
         """The flat JSON form of this config (sweeps as arrays, unset keys left out)."""
@@ -234,6 +218,19 @@ class ExperimentConfig:
             if value is not None:
                 out[key.name] = list(value) if key.sweep else value
         return out
+
+
+#: The config keys, in canonical order: one row per :class:`ExperimentConfig` field.
+SCHEMA = tuple(
+    ConfigKey(**{"name": f.name, **f.metadata, "field": f.name})
+    for f in fields(ExperimentConfig)
+)
+
+#: Keys that only one catalog kind reads; a config of the other kind rejects them.
+_KIND_KEYS = {
+    "synthetic": ("catalog_size", "catalog_out_degree", "catalog_overlap", "catalog_seed"),
+    "files": ("catalog_related_file", "catalog_popularity_file"),
+}
 
 
 def _parse_key(key: ConfigKey, raw: Mapping[str, Any]) -> Any:
@@ -274,6 +271,13 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
             path = values[name]
             if path is not None and not Path(path).is_file():
                 raise ConfigError(f"{name} does not exist: {path}")
+    for kind, names in _KIND_KEYS.items():
+        for name in names:
+            if kind != values["catalog_kind"] and values[name] is not None:
+                raise ConfigError(
+                    f"{name} is a {kind} catalog key, but catalog_kind is "
+                    f"{values['catalog_kind']!r}"
+                )
     return ExperimentConfig(**values)
 
 

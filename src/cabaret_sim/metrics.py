@@ -99,7 +99,6 @@ class ChrReport:
     """
 
     chr: float
-    length: int
     per_step: tuple[float, ...]
     mode: str = "sampled"
     sessions: int | None = None
@@ -114,7 +113,6 @@ class ChrReport:
         per_step = tuple(h / sessions for h in hits.sum(axis=0).tolist())
         return cls(
             chr=ordered_sum(per_step) / steps,
-            length=steps + 1,
             per_step=per_step,
             mode="sampled",
             sessions=sessions,
@@ -127,7 +125,6 @@ class ChrReport:
             raise ParameterError("need one rate per step 2..length")
         return cls(
             chr=ordered_sum(per_step) / len(per_step),
-            length=length,
             per_step=per_step,
             mode="exact",
         )

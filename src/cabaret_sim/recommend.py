@@ -54,11 +54,11 @@ class CacheManifest:
         return cls(frozenset(ordered), cap, ordered)
 
     @classmethod
-    def from_file(cls, path: str, capacity: int | None = None) -> "CacheManifest":
+    def from_file(cls, path: str) -> "CacheManifest":
         """Read a manifest from a text file holding one content id per line."""
         with open(path, encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
             ids = [line.strip() for line in handle if line.strip()]
-        return cls.from_ids(ids, capacity)
+        return cls.from_ids(ids)
 
     def to_file(self, path: str) -> None:
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
@@ -70,9 +70,6 @@ class CacheManifest:
 
     def __len__(self) -> int:
         return len(self.ids)
-
-
-_EMPTY_CACHE = frozenset()
 
 
 @dataclass(frozen=True)
@@ -222,18 +219,16 @@ def baseline_recommender(
     seed: ContentId,
     count: int,
     oracle: RelationOracle,
-    cache: CacheManifest | None = None,
+    cache: CacheManifest,
 ) -> RecommendationList:
     """The provider's first ``count`` related contents, order unchanged.
 
-    Cached flags are annotated for metric computation only; ``cache=None``
-    flags nothing.
+    Cached flags are annotated for metric computation only.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
     entries = oracle.related(seed, count)
-    ids = cache.ids if cache is not None else _EMPTY_CACHE
-    return RecommendationList(entries, tuple(c in ids for c in entries))
+    return RecommendationList(entries, tuple(c in cache.ids for c in entries))
 
 
 def reordered_recommender(

@@ -37,9 +37,9 @@ def _community_sizes(total: int, count: int) -> list[int]:
     return [base + 1 if c < extra else base for c in range(count)]
 
 
-def _zipf_weights(count: int, exponent: float = 1.0) -> np.ndarray:
+def _zipf_weights(count: int) -> np.ndarray:
     ranks = np.arange(1, count + 1, dtype=np.float64)
-    weights = ranks**-exponent
+    weights = ranks**-1.0
     return weights / weights.sum()
 
 

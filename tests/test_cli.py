@@ -7,7 +7,8 @@ import json
 import pytest
 
 from cabaret_sim.catalog import load_dataset
-from cabaret_sim.cli import main
+from cabaret_sim.cli import build_parser, main
+from cabaret_sim.experiment import SCHEMA
 from cabaret_sim.synthetic import generate_synthetic
 from cabaret_sim.version import __version__
 
@@ -32,6 +33,17 @@ def test_version(capsys):
     out = capsys.readouterr().out
     assert __version__ in out
     assert "schema" in out
+
+
+def test_option_defaults_are_the_config_defaults():
+    default = {key.name: key.default for key in SCHEMA}
+    args = build_parser().parse_args(
+        ["optimize", "--method", "top", "--capacity", "1", "--manifest-out", "m.txt"]
+    )
+    assert (args.w_max, args.count, args.depth, args.width, args.front_page) == (
+        default["w_max"], default["list_size"], default["bfs_depth"],
+        default["bfs_width"], default["front_page_size"],
+    )
 
 
 def test_generate_matches_api(tmp_path):

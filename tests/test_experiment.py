@@ -5,6 +5,7 @@ import dataclasses
 import importlib.util
 import json
 import math
+import re
 import types
 from pathlib import Path
 
@@ -16,6 +17,7 @@ from cabaret_sim import experiment
 from cabaret_sim.catalog import Catalog, save_dataset
 from cabaret_sim.errors import ConfigError
 from cabaret_sim.experiment import (
+    REQUIRED,
     SCHEMA,
     CellSpec,
     ExperimentConfig,
@@ -95,9 +97,72 @@ def malformed(key):
     return bad
 
 
+#: The keys that only one catalog kind reads, and those it requires.
+KIND_KEYS = {
+    "synthetic": ("catalog_size", "catalog_out_degree", "catalog_overlap", "catalog_seed"),
+    "files": ("catalog_related_file", "catalog_popularity_file"),
+}
+KIND_REQUIRES = {
+    "synthetic": ("catalog_size", "catalog_out_degree", "catalog_overlap"),
+    "files": ("catalog_related_file",),
+}
+
+
+def valid(key):
+    """Values that the schema row ``key`` accepts."""
+    if key.choices:
+        one = st.sampled_from(key.choices)
+    elif key.name == "demand":
+        one = st.just("uniform") | st.floats(0, 1e3).map(lambda a: f"zipf:{a}")
+    elif key.kind is int:
+        one = st.integers(key.low, key.high)
+    elif key.kind is float:
+        one = st.integers(key.low, key.high) | st.floats(key.low, key.high)
+    else:
+        # The free-form strings are paths, which must name a file.
+        one = st.just(__file__)
+    return (one | st.lists(one, min_size=1, max_size=3)) if key.sweep else one
+
+
+@st.composite
+def valid_mappings(draw):
+    """A valid flat config: any subset of optional keys, one catalog kind."""
+    kind = draw(st.sampled_from(sorted(KIND_KEYS)))
+    other = {name for k, names in KIND_KEYS.items() if k != kind for name in names}
+    mapping = {}
+    for key in SCHEMA:
+        if key.name in other:
+            continue
+        required = key.default is REQUIRED or key.name in KIND_REQUIRES[kind]
+        if required or draw(st.booleans()):
+            mapping[key.name] = draw(valid(key))
+    mapping["catalog_kind"] = kind
+    if kind == "synthetic":
+        mapping["catalog_size"] = mapping["catalog_out_degree"] + draw(st.integers(1, 10**6))
+    return mapping
+
+
 class TestConfigValidation:
     def test_round_trips_through_mapping(self, tiny_config):
         assert config_from_mapping(tiny_config.to_mapping()) == tiny_config
+
+    @settings(max_examples=300, deadline=None)
+    @given(valid_mappings())
+    def test_every_valid_config_round_trips(self, mapping):
+        config = config_from_mapping(mapping)
+        echo = config.to_mapping()
+        assert config_from_mapping(echo) == config
+        assert config_from_mapping(json.loads(json.dumps(echo))) == config
+        # Unset optional keys stay out of the echo; every other key is in it.
+        assert set(echo) == {k.name for k in SCHEMA if getattr(config, k.field) is not None}
+        assert set(mapping) <= set(echo)
+
+    def test_readme_configs_parse(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        blocks = re.findall(r"```json\n(.*?)```", readme.read_text(encoding="utf-8"), re.S)
+        assert blocks
+        for block in blocks:
+            config_from_mapping(json.loads(block))
 
     def test_schema_lists_every_field_once(self):
         fields = [f.name for f in dataclasses.fields(ExperimentConfig)]
@@ -185,13 +250,45 @@ class TestConfigValidation:
             config_from_mapping(tiny_mapping(session_length=[1]))
 
     def test_files_kind_requires_existing_files(self, tmp_path):
-        with pytest.raises(ConfigError):
+        missing = tmp_path / "missing.jsonl"
+        match = re.escape(f"catalog_related_file does not exist: {missing}")
+        with pytest.raises(ConfigError, match=match):
             config_from_mapping(
                 tiny_mapping(
                     catalog_kind="files",
-                    catalog_related_file=str(tmp_path / "missing.jsonl"),
+                    catalog_related_file=str(missing),
+                    catalog_size=None,
+                    catalog_out_degree=None,
+                    catalog_overlap=None,
                 )
             )
+
+    @pytest.mark.parametrize(
+        "owner, key, value",
+        [
+            ("synthetic", "catalog_size", 10),
+            ("synthetic", "catalog_out_degree", 5),
+            ("synthetic", "catalog_overlap", 0.5),
+            ("synthetic", "catalog_seed", 3),
+            ("files", "catalog_related_file", "missing.jsonl"),
+            ("files", "catalog_popularity_file", "missing.csv"),
+        ],
+    )
+    def test_key_of_the_other_catalog_kind_is_rejected(self, tmp_path, owner, key, value):
+        # Each kind reads only its own keys: one set for the other kind would
+        # be echoed in config.json as if it had been used.
+        related = tmp_path / "rel.jsonl"
+        related.touch()
+        mapping = tiny_mapping()
+        if owner == "synthetic":
+            mapping.update(
+                catalog_kind="files", catalog_related_file=str(related),
+                catalog_size=None, catalog_out_degree=None, catalog_overlap=None,
+            )
+        else:
+            value = str(tmp_path / value)
+        with pytest.raises(ConfigError, match=f"^{key} is a {owner} catalog key"):
+            config_from_mapping({**mapping, key: value})
 
     def test_synthetic_requires_generator_params(self):
         mapping = tiny_mapping()

@@ -237,7 +237,7 @@ class TestProviderRecommenders:
             oracle = RelationOracle(cat)
             seed = cat.ids()[int(rng.integers(15))]
             ours = recommend(seed, 5, empty, BfsParams(1, 5), oracle)
-            base = baseline_recommender(seed, 5, oracle)
+            base = baseline_recommender(seed, 5, oracle, empty)
             assert ours.entries == base.entries
             assert not any(base.cached)
 
