@@ -12,7 +12,7 @@ Subcommands::
 Every subcommand that needs a catalog accepts either dataset files
 (``--related-file``/``--popularity-file``) or synthetic-generator
 parameters (``--synthetic-size``/``--synthetic-out-degree``/
-``--synthetic-overlap``/``--catalog-seed``).
+``--synthetic-overlap``/``--catalog-seed``), not both.
 """
 
 from __future__ import annotations
@@ -36,6 +36,15 @@ from .version import SCHEMA_VERSION, __version__
 #: Options that mirror a config key take its default.
 _DEFAULT = {key.name: key.default for key in SCHEMA}
 
+#: The generator's defaults, read by ``generate`` and the ``--synthetic-*`` options.
+DEFAULT_OUT_DEGREE = 50
+DEFAULT_OVERLAP = 0.9
+
+#: The synthetic-catalog options, in order; none of them may join ``--related-file``.
+_SYNTHETIC_OPTIONS = (
+    "--synthetic-size", "--synthetic-out-degree", "--synthetic-overlap", "--catalog-seed",
+)
+
 
 def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("catalog source")
@@ -43,26 +52,37 @@ def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--popularity-file", help="id,weight CSV file")
     group.add_argument("--synthetic-size", type=int, help="synthetic catalog size")
     group.add_argument(
-        "--synthetic-out-degree", type=int, default=50, help="related-list length"
+        "--synthetic-out-degree", type=int,
+        help=f"related-list length (default {DEFAULT_OUT_DEGREE})",
     )
     group.add_argument(
-        "--synthetic-overlap", type=float, default=0.9, help="depth-overlap target"
+        "--synthetic-overlap", type=float,
+        help=f"depth-overlap target (default {DEFAULT_OVERLAP})",
     )
-    group.add_argument("--catalog-seed", type=int, default=0, help="generator seed")
+    group.add_argument("--catalog-seed", type=int, help="generator seed (default 0)")
     group.add_argument(
         "--w-max", type=int, default=_DEFAULT["w_max"], help="per-query related-list cap"
     )
 
 
+def _or(value: Any, default: Any) -> Any:
+    return default if value is None else value
+
+
 def _load_catalog(args: argparse.Namespace) -> Catalog:
     if args.related_file:
+        for option in _SYNTHETIC_OPTIONS:
+            if getattr(args, option[2:].replace("-", "_")) is not None:
+                raise SimulatorError(f"{option} cannot be given with --related-file")
         return load_dataset(args.related_file, args.popularity_file)
     if args.synthetic_size:
+        if args.popularity_file:
+            raise SimulatorError("--popularity-file needs --related-file")
         return generate_synthetic(
             args.synthetic_size,
-            args.synthetic_out_degree,
-            args.synthetic_overlap,
-            args.catalog_seed,
+            _or(args.synthetic_out_degree, DEFAULT_OUT_DEGREE),
+            _or(args.synthetic_overlap, DEFAULT_OVERLAP),
+            _or(args.catalog_seed, 0),
         )
     raise SimulatorError("give --related-file or --synthetic-size")
 
@@ -173,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic catalog")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--out-degree", type=int, default=50)
-    p.add_argument("--overlap", type=float, default=0.9)
+    p.add_argument("--out-degree", type=int, default=DEFAULT_OUT_DEGREE)
+    p.add_argument("--overlap", type=float, default=DEFAULT_OVERLAP)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--related-out", required=True)
     p.add_argument("--popularity-out", required=True)

@@ -15,6 +15,13 @@ Each demand's caches are prefixes of one selection order: the popularity
 ranking under ``top``, and under ``greedy`` the picks of one solve at the
 largest capacity.  ``exact`` optima are not nested, so it solves each
 capacity.  Every solve reads the front page's explorations, built once.
+The caches cut from one order make a *family*: the whole run under
+``top``, one demand under ``greedy``, each cache alone under ``exact``.
+A family keeps, for the run, one :class:`~cabaret_sim.recommend.CacheIndex`
+of its largest cache and one discovery per content of that cache's
+entries, and each cabaret list filters the discovery by its own cache.
+Baseline and reordered lists read each content's provider list once per
+run, whatever the cache.
 
 ``auto`` evaluates two-request cells exactly (over all starting contents)
 and samples longer sessions; ``exact`` propagates the watched-content
@@ -42,7 +49,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Mapping, NamedTuple
 
 import numpy as np
 
@@ -67,6 +74,7 @@ from .recommend import (
     CacheManifest,
     baseline_recommender,
     cabaret_list,
+    cached_discovery,
     reordered_recommender,
     select_from_exploration,  # noqa: F401  (kept bound for bench/tracing.py)
 )
@@ -355,6 +363,41 @@ class ExperimentResult:
     wall_clock: float
 
 
+class _Family(NamedTuple):
+    """Nested caches that share their cabaret lists' discovery.
+
+    ``index`` is the largest cache's, every cache of the family holds
+    ``floor``, and ``found`` maps a content to its
+    :func:`~cabaret_sim.recommend.cached_discovery`.
+    """
+
+    index: CacheIndex
+    floor: frozenset[str]
+    found: dict[str, tuple[str, ...]]
+
+
+class _ProviderLists(dict):
+    """The provider's width-``width`` related list of each content, queried once.
+
+    Baseline and reordered lists read it in place of the oracle: their
+    entries do not depend on the cache, so every cache shares one query.
+    """
+
+    __slots__ = ("oracle", "width")
+
+    def __init__(self, oracle: RelationOracle, width: int):
+        super().__init__()
+        self.oracle = oracle
+        self.width = width
+
+    def __missing__(self, content: str) -> tuple[str, ...]:
+        found = self[content] = self.oracle.related(content, self.width)
+        return found
+
+    def related(self, content: str, width: int) -> tuple[str, ...]:
+        return self[content] if width == self.width else self.oracle.related(content, width)
+
+
 class _Runner:
     """Shared immutable state for evaluating scenario cells."""
 
@@ -363,6 +406,7 @@ class _Runner:
         self.catalog = build_catalog(config)
         self.oracle = RelationOracle(self.catalog, config.w_max)
         self.params = BfsParams(config.bfs_depth, config.bfs_width)
+        self.provider = _ProviderLists(self.oracle, config.list_size)
         # One popularity ranking serves the front page and every top placement.
         ranked = config.front_page_size
         if config.cache_policy == "top":
@@ -377,6 +421,9 @@ class _Runner:
         # A cache is order[:capacity]: greedy solves once per demand, at the
         # largest capacity, and exact once per capacity and demand.
         self._orders: dict[tuple[int, str], tuple[str, ...]] = {}
+        # Keyed by the family's largest and smallest cached sets: demands
+        # whose greedy orders meet at the largest capacity may part below it.
+        self._families: dict[tuple[frozenset[str], frozenset[str]], _Family] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
         # Rows depend only on the cached set, so one table serves every demand
         # whose cache it is.  Those cells are adjacent in sweep order (demand
@@ -394,11 +441,13 @@ class _Runner:
             self._heads[content] = head
         return head
 
-    def placement(self, capacity: int, demand: str) -> CacheManifest:
-        """The first ``capacity`` contents of ``demand``'s selection order."""
+    def _order(self, capacity: int, demand: str) -> tuple[tuple[str, ...], int, int]:
+        """The selection order of the cache, and its family's least and largest capacity."""
         policy = self.config.cache_policy
-        size = max(self.config.capacities) if policy == "greedy" else capacity
-        order = self.ranking if policy == "top" else self._orders.get((size, demand))
+        low, high = capacity, capacity
+        if policy != "exact":
+            low, high = min(self.config.capacities), max(self.config.capacities)
+        order = self.ranking if policy == "top" else self._orders.get((high, demand))
         if order is None:
             front = self.front_page.ids
             if not self._explored:
@@ -408,24 +457,43 @@ class _Runner:
             n, dist = self.config.list_size, self.dists[demand]
             spec = ObjectiveSpec(front, [1.0] * len(front), n, dist, self._explored)
             solve = greedy_placement if policy == "greedy" else exact_placement
-            order = self._orders[size, demand] = solve(spec, size).chosen
+            order = self._orders[high, demand] = solve(spec, high).chosen
+        return order, low, high
+
+    def placement(self, capacity: int, demand: str) -> CacheManifest:
+        """The first ``capacity`` contents of ``demand``'s selection order."""
+        order = self._order(capacity, demand)[0]
         return CacheManifest.from_ids(order[:capacity], capacity)
+
+    def family(self, capacity: int, demand: str) -> _Family:
+        """The family of the cache ``demand`` places at ``capacity``."""
+        order, low, high = self._order(capacity, demand)
+        key = (frozenset(order[:high]), frozenset(order[:low]))
+        family = self._families.get(key)
+        if family is None:
+            index = CacheIndex(key[0], self.oracle, self.params.width)
+            family = self._families[key] = _Family(index, key[1], {})
+        return family
 
     def recommender(self, kind: str, capacity: int, demand: str) -> Recommender:
         cache = self.placement(capacity, demand)
         n = self.config.list_size
         if kind == "cabaret":
-            index = CacheIndex(cache, self.oracle, self.params.width)
-            depth = self.params.depth
+            index, floor, discovered = self.family(capacity, demand)
+            depth, cached = self.params.depth, cache.ids
 
             def rec(v: str) -> Any:
-                return cabaret_list(self.head(v), depth, n, index)
+                head = self.head(v)
+                found = discovered.get(v)
+                if found is None:
+                    found = discovered[v] = cached_discovery(head, depth, n, index, floor)
+                return cabaret_list(head, depth, n, found, cached, index)
         elif kind == "baseline":
             def rec(v: str) -> Any:
-                return baseline_recommender(v, n, self.oracle, cache)
+                return baseline_recommender(v, n, self.provider, cache)
         else:
             def rec(v: str) -> Any:
-                return reordered_recommender(v, n, cache, self.oracle)
+                return reordered_recommender(v, n, cache, self.provider)
         return rec
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:

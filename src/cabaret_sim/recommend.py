@@ -4,9 +4,14 @@ Three recommenders share one output type:
 
 * :func:`recommend` is the cache-aware list: explore around the seed, put
   explored-and-cached contents first (in exploration order), then fill from
-  the head of the exploration.  :func:`cabaret_list` builds it without
-  materialising the exploration's last level: a :class:`CacheIndex` gives
-  the cached entries of each last-level parent's related list.
+  the head of the exploration.  It is built in two parts, and the
+  exploration's last level is never materialised.
+  :func:`cached_discovery` lists a cache's entries in the exploration, in
+  discovery order, reading each last-level parent's cached entries from a
+  :class:`CacheIndex`.  :func:`cabaret_list` filters that list by the
+  cache the list is for and tops it up.  Nested caches (a *family*) share
+  the first part: one index and one discovery per content, made for the
+  largest cache, serve every cache of the family.
 * :func:`baseline_recommender` is the provider's top-N related list, order
   untouched.
 * :func:`reordered_recommender` is the provider's top-N list with cached
@@ -104,12 +109,13 @@ def select_from_exploration(
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
+    cached = cache.ids
     picked: list[ContentId] = []
     flags: list[bool] = []
     for content in explored:
         if len(picked) >= count:
             break
-        if content in cache:
+        if content in cached:
             picked.append(content)
             flags.append(True)
     if len(picked) < count:
@@ -133,9 +139,9 @@ class CacheIndex(dict):
 
     __slots__ = ("ids", "oracle", "width")
 
-    def __init__(self, cache: CacheManifest, oracle: RelationOracle, width: int):
+    def __init__(self, ids: frozenset[ContentId], oracle: RelationOracle, width: int):
         super().__init__()
-        self.ids = cache.ids
+        self.ids = ids
         self.oracle = oracle
         self.width = width
 
@@ -143,6 +149,48 @@ class CacheIndex(dict):
         related = self.oracle.related(content, self.width)
         found = self[content] = tuple(filter(self.ids.__contains__, related))
         return found
+
+
+def _last_level_parents(head: ExplorationList, depth: int) -> tuple[ContentId, ...]:
+    """The contents whose related lists make the depth-``depth`` level ``head`` lacks."""
+    if depth == 1:
+        return (head.seed,)
+    return head.entries[bisect_left(head.depths, depth - 1):]
+
+
+def cached_discovery(
+    head: ExplorationList,
+    depth: int,
+    count: int,
+    index: CacheIndex,
+    floor: frozenset[ContentId],
+) -> tuple[ContentId, ...]:
+    """The entries of ``index.ids`` in the exploration ``head`` begins, in discovery order.
+
+    ``head`` holds the first ``depth - 1`` levels of the exploration around
+    ``head.seed`` (no entries at depth 1); the last level, of width
+    ``index.width``, is read from ``index`` one parent at a time.  Reading
+    stops at the parent after which ``count`` entries lie in ``floor``, a
+    subset of ``index.ids``.  The result is then a prefix of the full list
+    that holds the first ``count`` entries of every cache between ``floor``
+    and ``index.ids``, so :func:`cabaret_list` reads the same list from it
+    for each of them.
+    """
+    found = [c for c in head.entries if c in index.ids]
+    short = count - sum(map(floor.__contains__, found))
+    if short > 0:
+        # Only the seed and the head's cached entries can repeat a cached
+        # entry of the last level before it is found there.
+        seen = {head.seed, *found}
+        for parent in _last_level_parents(head, depth):
+            for content in index[parent]:
+                if content not in seen:
+                    seen.add(content)
+                    found.append(content)
+                    short -= content in floor
+            if short <= 0:
+                break
+    return tuple(found)
 
 
 def _unseen(entries: Iterable[ContentId], seen: set[ContentId]) -> Iterator[ContentId]:
@@ -154,42 +202,37 @@ def _unseen(entries: Iterable[ContentId], seen: set[ContentId]) -> Iterator[Cont
 
 
 def cabaret_list(
-    head: ExplorationList, depth: int, count: int, index: CacheIndex
+    head: ExplorationList,
+    depth: int,
+    count: int,
+    found: Sequence[ContentId],
+    cached: frozenset[ContentId],
+    index: CacheIndex,
 ) -> RecommendationList:
-    """The cache-aware list over the depth-``depth`` exploration ``head`` begins.
+    """The cache-aware list for ``cached``, from the discovery ``found`` of its family.
 
-    ``head`` holds the first ``depth - 1`` levels of the exploration around
-    ``head.seed`` (no entries at depth 1).  The result equals
-    :func:`select_from_exploration` over the full exploration of width
-    ``index.width``, but the last level is never materialised.  Phase 1
-    takes the cached entries of the head, then those of the last level in
-    discovery order, read from ``index`` one parent at a time.  The top-up
-    takes the head's uncached entries, and only when they run out queries
-    the parents' lists for the last level's uncached entries.
+    ``found`` is :func:`cached_discovery` of ``head`` over ``index``, whose
+    cache holds ``cached``, with a floor inside ``cached``.  The result
+    equals :func:`select_from_exploration` over the full exploration of
+    width ``index.width``.  Phase 1 takes the entries of ``found`` that
+    ``cached`` holds.  The top-up takes the head's uncached entries, and
+    only when they run out queries the parents' lists for the last level's
+    uncached entries.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    cached = index.ids
-    picked = [c for c in head.entries if c in cached][:count]
+    picked = list(islice(filter(cached.__contains__, found), count))
     n_cached = len(picked)
     if n_cached < count:
-        last = bisect_left(head.depths, depth - 1)
-        parents = head.entries[last:] if depth > 1 else (head.seed,)
-        # Phase 1 took every cached head entry, so only the picks and the
-        # seed can repeat a cached entry of the last level.
-        seen = {head.seed, *picked}
-        found = chain.from_iterable(map(index.__getitem__, parents))
-        picked += islice(_unseen(found, seen), count - n_cached)
-        n_cached = len(picked)
-        if n_cached < count:
-            picked += islice((c for c in head.entries if c not in cached), count - n_cached)
-            if len(picked) < count:
-                # Phase 1 ran through the whole last level, so ``seen``
-                # holds its cached entries and discovery yields the rest.
-                seen.update(head.entries)
-                oracle, width = index.oracle, index.width
-                lists = chain.from_iterable(oracle.related(p, width) for p in parents)
-                picked += islice(_unseen(lists, seen), count - len(picked))
+        picked += islice((c for c in head.entries if c not in cached), count - n_cached)
+        if len(picked) < count:
+            # Phase 1 fell short, so ``found`` is whole and the picks hold
+            # every cached entry of the last level; discovery yields the rest.
+            seen = {head.seed, *head.entries, *picked}
+            oracle, width = index.oracle, index.width
+            parents = _last_level_parents(head, depth)
+            lists = chain.from_iterable(oracle.related(p, width) for p in parents)
+            picked += islice(_unseen(lists, seen), count - len(picked))
     flags = (True,) * n_cached + (False,) * (len(picked) - n_cached)
     return RecommendationList(tuple(picked), flags)
 
@@ -204,15 +247,16 @@ def recommend(
     """Build the cache-aware recommendation list for ``seed``.
 
     Explores the first ``params.depth - 1`` levels around the seed and
-    reads the last one through a :class:`CacheIndex`; see
-    :func:`cabaret_list`.  An empty exploration yields an empty (flagged,
-    non-error) list.
+    reads the last one through a :class:`CacheIndex`; the cache is a family
+    of one (see :func:`cached_discovery` and :func:`cabaret_list`).  An
+    empty exploration yields an empty (flagged, non-error) list.
     """
     head = ExplorationList(seed, (), ())
     if params.depth > 1:
         head = bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
-    index = CacheIndex(cache, oracle, params.width)
-    return cabaret_list(head, params.depth, count, index)
+    index = CacheIndex(cache.ids, oracle, params.width)
+    found = cached_discovery(head, params.depth, count, index, cache.ids)
+    return cabaret_list(head, params.depth, count, found, cache.ids, index)
 
 
 def baseline_recommender(

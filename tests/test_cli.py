@@ -46,6 +46,44 @@ def test_option_defaults_are_the_config_defaults():
     )
 
 
+def test_generate_and_synthetic_options_share_the_generator_defaults(tmp_path, capsys):
+    # The same catalog, generated to files with generate's defaults and
+    # in memory with the --synthetic-* defaults, explores the same.
+    related, weights = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
+    assert main(["generate", "--size", "300", "--seed", "0", "--related-out", str(related),
+                 "--popularity-out", str(weights)]) == 0
+    seed = load_dataset(str(related), str(weights)).ids()[0]
+    explore = ["explore", "--seed-id", seed, "--depth", "2", "--width", "60"]
+    assert main([*explore, "--related-file", str(related)]) == 0
+    from_files = capsys.readouterr().out
+    assert main([*explore, "--synthetic-size", "300"]) == 0
+    assert capsys.readouterr().out == from_files
+    assert from_files.count("\n") > 60
+
+
+@pytest.mark.parametrize("extra, named", [
+    (["--synthetic-size", "10", "--synthetic-overlap", "5"], "--synthetic-size"),
+    (["--synthetic-overlap", "0.5", "--synthetic-out-degree", "3"], "--synthetic-out-degree"),
+    (["--catalog-seed", "0"], "--catalog-seed"),
+])
+def test_synthetic_options_next_to_a_related_file_are_rejected(dataset, capsys, extra, named):
+    related, _ = dataset
+    argv = ["explore", "--related-file", str(related), *extra,
+            "--seed-id", "s", "--depth", "1", "--width", "2"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {named} cannot be given with --related-file\n"
+
+
+def test_popularity_file_without_a_related_file_is_rejected(dataset, capsys):
+    _, weights = dataset
+    argv = ["explore", "--synthetic-size", "60", "--popularity-file", str(weights),
+            "--seed-id", "v00", "--depth", "1", "--width", "2"]
+    assert main(argv) == 1
+    assert "--popularity-file needs --related-file" in capsys.readouterr().err
+
+
 def test_generate_matches_api(tmp_path):
     related = tmp_path / "rel.jsonl"
     weights = tmp_path / "pop.csv"

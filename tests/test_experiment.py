@@ -29,8 +29,10 @@ from cabaret_sim.experiment import (
     read_results_csv,
     run_experiment,
 )
+from cabaret_sim.explore import bfs
 from cabaret_sim.metrics import chr_sequential
 from cabaret_sim.placement import ObjectiveSpec, exact_placement, greedy_placement
+from cabaret_sim.recommend import CacheIndex, select_from_exploration
 
 from conftest import reference_walk
 
@@ -536,14 +538,67 @@ class TestRunExperiment:
         assert result.failures == []
         assert solved == [5] * len(config.demands)
 
-    def test_smaller_capacities_leave_the_larger_rows_unchanged(self):
+    @pytest.mark.parametrize("policy", ["top", "greedy", "exact"])
+    def test_smaller_capacities_leave_the_larger_rows_unchanged(self, policy):
         def rows_at(capacities):
             config = config_from_mapping(tiny_mapping(
-                cache_policy="greedy", cache_capacity=capacities,
+                cache_policy=policy, cache_capacity=capacities,
+                **({"front_page_size": 4, "bfs_width": 3} if policy == "exact" else {}),
             ))
             return [row for row in run_experiment(config).rows if row["cache_capacity"] == 5]
 
         assert rows_at([5]) == rows_at([1, 5, 2])
+
+    @pytest.mark.parametrize("policy, per_content", [("top", 1), ("greedy", 3)])
+    def test_a_family_looks_each_content_up_once(self, monkeypatch, policy, per_content):
+        # Under top the run is one family; under greedy each demand is.
+        config = config_from_mapping(tiny_mapping(
+            recommender="cabaret", cache_policy=policy, cache_capacity=[1, 2, 5],
+            demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 3],
+        ))
+        misses: dict[str, int] = {}
+        missing = CacheIndex.__missing__
+
+        def counting(index, content):
+            misses[content] = misses.get(content, 0) + 1
+            return missing(index, content)
+
+        monkeypatch.setattr(CacheIndex, "__missing__", counting)
+        result = run_experiment(config)
+        assert result.failures == []
+        assert misses
+        assert max(misses.values()) <= per_content
+
+    def test_demands_whose_largest_caches_match_keep_their_own_families(
+        self, monkeypatch, tmp_path
+    ):
+        # Two demands' orders hold one set at the largest capacity and
+        # another at the smallest.  A family built for the first demand
+        # reads no parent of s, since s's head holds its smallest cache; the
+        # second demand's smallest cache lies in p's list.
+        related = tmp_path / "rel.jsonl"
+        save_dataset(Catalog({"s": ["a", "b", "p"], "p": ["x", "y"]}), str(related))
+        orders = iter([("a", "b", "x", "y"), ("y", "x", "b", "a")])
+
+        def fixed(spec, capacity):
+            return dataclasses.replace(greedy_placement(spec, capacity), chosen=next(orders))
+
+        monkeypatch.setattr(experiment, "greedy_placement", fixed)
+        config = config_from_mapping(tiny_mapping(
+            catalog_kind="files", catalog_related_file=str(related), catalog_size=None,
+            catalog_out_degree=None, catalog_overlap=None, front_page_size=6,
+            cache_policy="greedy", cache_capacity=[2, 4], demand=["uniform", "zipf:1"],
+            list_size=2,
+        ))
+        runner = experiment._Runner(config)
+        for capacity in config.capacities:
+            for demand in config.demands:
+                cache = runner.placement(capacity, demand)
+                rec = runner.recommender("cabaret", capacity, demand)
+                for v in runner.catalog.ids():
+                    explored = bfs(v, runner.params, runner.oracle).entries
+                    assert rec(v) == select_from_exploration(explored, 2, cache)
+        assert runner.recommender("cabaret", 2, "zipf:1")("s").entries == ("x", "y")
 
     def test_demands_with_equal_caches_share_their_lists(self, monkeypatch):
         # zipf:0 is the uniform law, so greedy places one cache for both.

@@ -14,6 +14,7 @@ from cabaret_sim.recommend import (
     RecommendationList,
     baseline_recommender,
     cabaret_list,
+    cached_discovery,
     recommend,
     reordered_recommender,
     select_from_exploration,
@@ -122,6 +123,13 @@ def small_catalogs(draw):
     return Catalog(related)
 
 
+def head_of(seed, params, oracle):
+    """The first ``params.depth - 1`` levels of the exploration around ``seed``."""
+    if params.depth == 1:
+        return ExplorationList(seed, (), ())
+    return bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
+
+
 class TestCabaretList:
     """The D-1 levels plus cache index path against the full exploration."""
 
@@ -138,14 +146,41 @@ class TestCabaretList:
         params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
         count = data.draw(st.integers(1, 14))
         # One index serves every seed, as it does in the runner.
-        index = CacheIndex(cache, oracle, params.width)
+        index = CacheIndex(cache.ids, oracle, params.width)
         for seed in ids:
             want = select_from_exploration(bfs(seed, params, oracle).entries, count, cache)
             assert recommend(seed, count, cache, params, oracle) == want
-            head = ExplorationList(seed, (), ())
-            if params.depth > 1:
-                head = bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
-            assert cabaret_list(head, params.depth, count, index) == want
+            head = head_of(seed, params, oracle)
+            found = cached_discovery(head, params.depth, count, index, cache.ids)
+            assert cabaret_list(head, params.depth, count, found, cache.ids, index) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_discovery_serves_every_cache_of_a_family(self, data):
+        # A family is the caches cut from one order: each holds the smallest
+        # and lies inside the largest, whose index and discovery they share.
+        cat = data.draw(small_catalogs())
+        ids = cat.ids()
+        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        # Two ids outside the catalog let a cache miss every exploration.
+        order = data.draw(st.permutations(ids + ["x0", "x1"]))
+        sizes = data.draw(st.lists(st.integers(0, len(order)), min_size=1, max_size=4))
+        # Add the empty cache, the full one, or both.
+        sizes += data.draw(st.sampled_from([[], [0], [len(order)], [0, len(order)]]))
+        sizes = sorted(set(sizes))
+        caches = [CacheManifest.from_ids(order[:size]) for size in sizes]
+        params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
+        count = data.draw(st.integers(1, 14))
+        index = CacheIndex(caches[-1].ids, oracle, params.width)
+        floor = caches[0].ids
+        for seed in ids:
+            explored = bfs(seed, params, oracle).entries
+            head = head_of(seed, params, oracle)
+            found = cached_discovery(head, params.depth, count, index, floor)
+            for cache in caches:
+                want = select_from_exploration(explored, count, cache)
+                got = cabaret_list(head, params.depth, count, found, cache.ids, index)
+                assert got == want
 
     def test_rejects_zero_count(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
