@@ -70,14 +70,14 @@ def _or(value: Any, default: Any) -> Any:
 
 
 def _load_catalog(args: argparse.Namespace) -> Catalog:
-    if args.related_file:
+    if args.related_file is not None:
         for option in _SYNTHETIC_OPTIONS:
             if getattr(args, option[2:].replace("-", "_")) is not None:
                 raise SimulatorError(f"{option} cannot be given with --related-file")
         return load_dataset(args.related_file, args.popularity_file)
-    if args.synthetic_size:
-        if args.popularity_file:
-            raise SimulatorError("--popularity-file needs --related-file")
+    if args.popularity_file is not None:
+        raise SimulatorError("--popularity-file needs --related-file")
+    if args.synthetic_size is not None:
         return generate_synthetic(
             args.synthetic_size,
             _or(args.synthetic_out_degree, DEFAULT_OUT_DEGREE),

@@ -10,11 +10,18 @@ the distribution's last position are never selected.
 
 Because every content's list is fixed, a session is a Markov chain over
 contents.  A :class:`TransitionTable` holds that chain for one front page
-and recommender in one row store: padded arrays indexed by state number,
-each row built once on the state's first visit.  A row holds what the
-recommender said: the list's width, the cached flags and the entries'
-state numbers.  The position law is the user's, so each read names it,
-and both evaluators read the rows through the law truncated to each width:
+in one row store: padded arrays indexed by state number, each row built
+once on the state's first visit.  A row holds what the recommender said:
+the list's width, the cached flags and the entries' state numbers.  A
+:class:`StateNumbers` numbers the states, and tables that share one read
+each other's numbers as they are.  A table builds its rows from a *row
+source*, which returns the rows of a batch of states at once.  The source
+of a recommender that returns lists asks it once per state
+(:meth:`TransitionTable.from_recommender`); a source may instead derive
+its rows from another table's with array operations, as the runner does
+for baseline and reordered lists (see :mod:`cabaret_sim.experiment`).
+The position law is the user's, so each read names it, and both
+evaluators read the rows through the law truncated to each width:
 
 * :meth:`TransitionTable.hit_rates` propagates the watched-content
   distribution step by step with numpy, giving exact per-step hit rates.
@@ -135,24 +142,86 @@ def _check_session(length: int, front_page: PopularityRegion) -> None:
         raise ParameterError("front page is empty")
 
 
-class TransitionTable:
-    """The session Markov chain of one front page and recommender.
+class StateNumbers:
+    """A numbering of contents as chain states, shared by the tables of a run.
 
-    States are numbered on discovery and a row is built on a state's first
-    visit, so the table asks the recommender about exactly the states an
-    evaluator reaches: a sampled session about the states it walks
-    through, and exact rates for ``K`` requests about every state within
-    ``K - 2`` steps of the front page, in sorted-id order within a step.
-    Rows hold no position law, so one table serves every law of ``n``
-    positions.  A recommender error propagates and leaves the table as it was.
+    A content keeps its number for the run.  Numbers follow first sight, so
+    they never order anything that reaches output; the tables order by id.
     """
 
-    def __init__(self, front_page: PopularityRegion, recommender: Recommender, n: int):
+    __slots__ = ("number", "ids")
+
+    def __init__(self) -> None:
+        self.number: dict[ContentId, int] = {}
+        self.ids: list[ContentId] = []
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def numbers(self, contents: list[ContentId]) -> list[int]:
+        """The state numbers of ``contents``, numbering new states in order."""
+        number = self.number
+        new = [c for c in dict.fromkeys(contents) if c not in number]
+        if new:
+            first = len(self.ids)
+            number.update(zip(new, range(first, first + len(new))))
+            self.ids += new
+        return [number[c] for c in contents]
+
+
+#: The rows of a batch of states: widths, and padded cached flags and entry states.
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Builds the rows of states given by number, in sorted-id order.
+RowSource = Callable[[list[int]], Rows]
+
+
+def _list_rows(recommender: Recommender, n: int, states: StateNumbers) -> RowSource:
+    """The row source of a recommender that returns lists.
+
+    A row keeps the first ``n`` entries of the list, as many as a law has
+    positions, and numbers them.  The recommender is asked once per state,
+    in the order given; an error it raises propagates before any content
+    is numbered.
+    """
+    columns = np.arange(n)
+
+    def rows(fresh: list[int]) -> Rows:
+        shown = [recommender(states.ids[s]) for s in fresh]
+        widths = [min(len(rec), n) for rec in shown]
+        width = np.array(widths, dtype=np.intp)
+        filled = columns < width[:, None]
+        cached = np.zeros(filled.shape, dtype=bool)
+        cached[filled] = [hit for rec, w in zip(shown, widths) for hit in rec.cached[:w]]
+        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries[filled] = states.numbers(
+            [c for rec, w in zip(shown, widths) for c in rec.entries[:w]]
+        )
+        return width, cached, entries
+
+    return rows
+
+
+class TransitionTable:
+    """The session Markov chain of one front page and row source.
+
+    A row is built on a state's first visit, so the table asks its row
+    source about exactly the states an evaluator reaches: a sampled session
+    about the states it walks through, and exact rates for ``K`` requests
+    about every state within ``K - 2`` steps of the front page, in sorted-id
+    order within a step.  Rows hold no position law, so one table serves
+    every law of ``n`` positions.  States are numbered by ``states``, which
+    tables and row sources may share.  A row-source error propagates and
+    leaves the table as it was.
+    """
+
+    def __init__(
+        self, front_page: PopularityRegion, rows: RowSource, n: int, states: StateNumbers
+    ):
         self.front_page = front_page
-        self.recommender = recommender
         self.n = n
-        self._number: dict[ContentId, int] = {}
-        self._ids: list[ContentId] = []
+        self.states = states
+        self._rows = rows
         # One padded row per state number: the first ``_width`` entries of
         # its list (-1 until built), their cached flags and state numbers.
         self._columns = np.arange(n)
@@ -160,6 +229,25 @@ class TransitionTable:
         self._cached = np.empty((0, n), dtype=bool)
         self._next = np.empty((0, n), dtype=np.intp)
         self._laws: dict[PositionDistribution, _Law] = {}
+
+    @classmethod
+    def from_recommender(
+        cls,
+        front_page: PopularityRegion,
+        recommender: Recommender,
+        n: int,
+        states: StateNumbers | None = None,
+    ) -> TransitionTable:
+        """The table of a recommender that returns lists, numbered by ``states``."""
+        states = StateNumbers() if states is None else states
+        return cls(front_page, _list_rows(recommender, n, states), n, states)
+
+    def rows(self, states: list[int]) -> Rows:
+        """The rows of ``states``, building those not built yet."""
+        at = np.array(states, dtype=np.intp)
+        self._reserve()
+        self._load(at)
+        return self._width[at], self._cached[at], self._next[at]
 
     def hit_rates(self, dist: PositionDistribution, length: int) -> tuple[float, ...]:
         """Exact per-step cache-hit rates for sessions of ``length`` requests under ``dist``.
@@ -212,7 +300,7 @@ class TransitionTable:
         empty list is truncated and misses at every remaining step.
 
         Before each step the rows of the states the live sessions sit on
-        are built, so the recommender is asked about exactly the states the
+        are built, so the row source is asked about exactly the states the
         walks reach.  A pick counts the cumulative sums for the row's width
         at or below the draw, which is ``bisect_right`` with the same float
         operations; its temporary holds ``len(starts)`` × ``n`` booleans.
@@ -245,45 +333,30 @@ class TransitionTable:
         return law
 
     def _load(self, states: np.ndarray) -> None:
-        """Build the rows of ``states`` not built yet, in sorted-id order.
-
-        A row keeps the first ``n`` entries of the list, as many as a law
-        has positions, and numbers them.
-        """
+        """Build the rows of ``states`` not built yet, in sorted-id order."""
         fresh = states[self._width[states] < 0].tolist()
         if not fresh:
             return
-        fresh.sort(key=self._ids.__getitem__)
+        fresh.sort(key=self.states.ids.__getitem__)
         # The only call that can raise; nothing has changed before it.
-        shown = [self.recommender(self._ids[s]) for s in fresh]
-        widths = [min(len(rec), self.n) for rec in shown]
-        numbers = self._numbers([c for rec, w in zip(shown, widths) for c in rec.entries[:w]])
-        filled = self._columns < np.array(widths)[:, None]
-        cached = np.zeros(filled.shape, dtype=bool)
-        cached[filled] = [hit for rec, w in zip(shown, widths) for hit in rec.cached[:w]]
-        entries = np.full(filled.shape, -1, dtype=np.intp)
-        entries[filled] = numbers
-        self._width[fresh] = widths
+        width, cached, entries = self._rows(fresh)
+        self._reserve()
+        self._width[fresh] = width
         self._cached[fresh] = cached
         self._next[fresh] = entries
 
     def _numbers(self, contents: list[ContentId]) -> list[int]:
-        """The state numbers of ``contents``, numbering new states in order."""
-        number = self._number
-        new = [c for c in dict.fromkeys(contents) if c not in number]
-        if new:
-            first = len(self._ids)
-            number.update(zip(new, range(first, first + len(new))))
-            self._ids += new
-            self._reserve()
-        return [number[c] for c in contents]
+        """The state numbers of ``contents``, with a row slot for each."""
+        numbers = self.states.numbers(contents)
+        self._reserve()
+        return numbers
 
     def _reserve(self) -> None:
         """Grow the row store to cover every numbered state."""
-        have = len(self._width)
-        if have >= len(self._ids):
+        have, need = len(self._width), len(self.states)
+        if have >= need:
             return
-        extra = max(len(self._ids), 2 * have) - have
+        extra = max(need, 2 * have) - have
         self._width = np.concatenate((self._width, np.full(extra, -1, dtype=np.intp)))
         self._cached = np.concatenate((self._cached, np.zeros((extra, self.n), dtype=bool)))
         self._next = np.concatenate((self._next, np.full((extra, self.n), -1, dtype=np.intp)))
@@ -307,12 +380,13 @@ class TransitionTable:
         # Summation error can push a full-cache rate just past 1.
         law.rates.append(min(float(rate), 1.0))
         dst = self._next[states][filled]
-        n = len(self._ids)
+        n = len(self.states)
         weights = (law.mass[:, None] * p)[filled]
         mass = np.bincount(dst, weights=weights, minlength=n)
         # A state whose mass underflows to 0.0 is still reached.
         reached = np.flatnonzero(np.bincount(dst, minlength=n))
-        law.states = np.array(sorted(reached.tolist(), key=self._ids.__getitem__), dtype=np.intp)
+        ids = self.states.ids.__getitem__
+        law.states = np.array(sorted(reached.tolist(), key=ids), dtype=np.intp)
         law.mass = mass[law.states]
 
 
@@ -384,4 +458,6 @@ def exact_hit_rates(
     length: int,
 ) -> tuple[float, ...]:
     """Exact per-step cache-hit rates; see :meth:`TransitionTable.hit_rates`."""
-    return TransitionTable(front_page, recommender, dist.n).hit_rates(dist, length)
+    return TransitionTable.from_recommender(front_page, recommender, dist.n).hit_rates(
+        dist, length
+    )

@@ -20,8 +20,16 @@ The caches cut from one order make a *family*: the whole run under
 A family keeps, for the run, one :class:`~cabaret_sim.recommend.CacheIndex`
 of its largest cache and one discovery per content of that cache's
 entries, and each cabaret list filters the discovery by its own cache.
-Baseline and reordered lists read each content's provider list once per
-run, whatever the cache.
+
+Every table of a run numbers its states with one shared
+:class:`~cabaret_sim.demand.StateNumbers`.  The provider's own table, the
+baseline list of each content under an empty cache, is built once per run
+by :func:`~cabaret_sim.recommend.baseline_recommender`, in sorted-id
+order.  Baseline and reordered tables derive every cache's rows from it
+with numpy: a baseline row flags the entries whose numbers the cache
+holds, and a reordered row also moves the flagged entries first with a
+stable sort, which is the two-phase selection over the provider's list.
+No baseline or reordered list is built per cache.
 
 ``auto`` evaluates two-request cells exactly (over all starting contents)
 and samples longer sessions; ``exact`` propagates the watched-content
@@ -60,6 +68,9 @@ from .csvio import write_csv
 from .demand import (
     PositionDistribution,
     Recommender,
+    RowSource,
+    Rows,
+    StateNumbers,
     TransitionTable,
     exact_hit_rates,  # noqa: F401  (kept bound for bench/tracing.py)
     position_probs,
@@ -75,7 +86,7 @@ from .recommend import (
     baseline_recommender,
     cabaret_list,
     cached_discovery,
-    reordered_recommender,
+    reordered_recommender,  # noqa: F401  (kept bound for bench/tracing.py)
     select_from_exploration,  # noqa: F401  (kept bound for bench/tracing.py)
 )
 from .synthetic import generate_synthetic
@@ -376,28 +387,6 @@ class _Family(NamedTuple):
     found: dict[str, tuple[str, ...]]
 
 
-class _ProviderLists(dict):
-    """The provider's width-``width`` related list of each content, queried once.
-
-    Baseline and reordered lists read it in place of the oracle: their
-    entries do not depend on the cache, so every cache shares one query.
-    """
-
-    __slots__ = ("oracle", "width")
-
-    def __init__(self, oracle: RelationOracle, width: int):
-        super().__init__()
-        self.oracle = oracle
-        self.width = width
-
-    def __missing__(self, content: str) -> tuple[str, ...]:
-        found = self[content] = self.oracle.related(content, self.width)
-        return found
-
-    def related(self, content: str, width: int) -> tuple[str, ...]:
-        return self[content] if width == self.width else self.oracle.related(content, width)
-
-
 class _Runner:
     """Shared immutable state for evaluating scenario cells."""
 
@@ -406,7 +395,6 @@ class _Runner:
         self.catalog = build_catalog(config)
         self.oracle = RelationOracle(self.catalog, config.w_max)
         self.params = BfsParams(config.bfs_depth, config.bfs_width)
-        self.provider = _ProviderLists(self.oracle, config.list_size)
         # One popularity ranking serves the front page and every top placement.
         ranked = config.front_page_size
         if config.cache_policy == "top":
@@ -425,6 +413,16 @@ class _Runner:
         # whose greedy orders meet at the largest capacity may part below it.
         self._families: dict[tuple[frozenset[str], frozenset[str]], _Family] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
+        # Every table of the run numbers states alike, so baseline and
+        # reordered rows are the provider's rows, flagged per cache.
+        self.states = StateNumbers()
+        n, no_cache = config.list_size, CacheManifest(frozenset(), 1)
+        self.provider = TransitionTable.from_recommender(
+            self.front_page,
+            lambda v: baseline_recommender(v, n, self.oracle, no_cache),
+            n,
+            self.states,
+        )
         # Rows depend only on the cached set, so one table serves every demand
         # whose cache it is.  Those cells are adjacent in sweep order (demand
         # and K vary fastest): keep the latest, keyed by kind and cached set.
@@ -475,33 +473,56 @@ class _Runner:
             family = self._families[key] = _Family(index, key[1], {})
         return family
 
-    def recommender(self, kind: str, capacity: int, demand: str) -> Recommender:
-        cache = self.placement(capacity, demand)
-        n = self.config.list_size
-        if kind == "cabaret":
-            index, floor, discovered = self.family(capacity, demand)
-            depth, cached = self.params.depth, cache.ids
+    def cabaret(self, capacity: int, demand: str) -> Recommender:
+        """The cabaret recommender of the cache ``demand`` places at ``capacity``."""
+        index, floor, discovered = self.family(capacity, demand)
+        depth, n = self.params.depth, self.config.list_size
+        cached = self.placement(capacity, demand).ids
 
-            def rec(v: str) -> Any:
-                head = self.head(v)
-                found = discovered.get(v)
-                if found is None:
-                    found = discovered[v] = cached_discovery(head, depth, n, index, floor)
-                return cabaret_list(head, depth, n, found, cached, index)
-        elif kind == "baseline":
-            def rec(v: str) -> Any:
-                return baseline_recommender(v, n, self.provider, cache)
-        else:
-            def rec(v: str) -> Any:
-                return reordered_recommender(v, n, cache, self.provider)
+        def rec(v: str) -> Any:
+            head = self.head(v)
+            found = discovered.get(v)
+            if found is None:
+                found = discovered[v] = cached_discovery(head, depth, n, index, floor)
+            return cabaret_list(head, depth, n, found, cached, index)
+
         return rec
+
+    def provider_rows(self, kind: str, cached: frozenset[str]) -> RowSource:
+        """The baseline or reordered rows of the cache ``cached``, from the provider's rows.
+
+        A baseline row flags the provider's entries that ``cached`` holds;
+        a reordered row moves those first, keeping both parts in order,
+        which is :func:`~cabaret_sim.recommend.select_from_exploration` over
+        the provider's list.  Padding is never flagged, so it stays last.
+        """
+        flagged = np.array(self.states.numbers(sorted(cached)), dtype=np.intp)
+
+        def rows(fresh: list[int]) -> Rows:
+            width, _, entries = self.provider.rows(fresh)
+            hits = np.isin(entries, flagged)
+            if kind == "reordered":
+                order = np.argsort(~hits, axis=1, kind="stable")
+                entries = np.take_along_axis(entries, order, axis=1)
+                hits = np.take_along_axis(hits, order, axis=1)
+            return width, hits, entries
+
+        return rows
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:
         """The transition table of one recommender and the cache ``demand`` places."""
-        key = (kind, self.placement(capacity, demand).ids)
+        cached = self.placement(capacity, demand).ids
+        key = (kind, cached)
         if self._table is None or self._table[0] != key:
-            rec = self.recommender(kind, capacity, demand)
-            self._table = (key, TransitionTable(self.front_page, rec, self.config.list_size))
+            n = self.config.list_size
+            if kind == "cabaret":
+                rec = self.cabaret(capacity, demand)
+                table = TransitionTable.from_recommender(self.front_page, rec, n, self.states)
+            else:
+                table = TransitionTable(
+                    self.front_page, self.provider_rows(kind, cached), n, self.states
+                )
+            self._table = (key, table)
         return self._table[1]
 
     def evaluate(self, cell: CellSpec) -> dict[str, Any]:

@@ -345,7 +345,7 @@ def test_criterion_7_sampling_agreement():
         if not 0.02 < expected < 0.98:
             continue
         gen = np.random.Generator(np.random.PCG64(int(rng.integers(1 << 62))))
-        hits = TransitionTable(front, rec, dist.n).sample(dist, 2, draws, gen)
+        hits = TransitionTable.from_recommender(front, rec, dist.n).sample(dist, 2, draws, gen)
         estimate = ChrReport.from_hits(hits).chr
         stderr = math.sqrt(expected * (1 - expected) / draws)
         deviation = abs(estimate - expected) / stderr

@@ -76,12 +76,21 @@ def test_synthetic_options_next_to_a_related_file_are_rejected(dataset, capsys, 
     assert captured.err == f"error: {named} cannot be given with --related-file\n"
 
 
-def test_popularity_file_without_a_related_file_is_rejected(dataset, capsys):
+@pytest.mark.parametrize("extra", [
+    ["--synthetic-size", "60"], ["--synthetic-size", "0"], [],
+], ids=["synthetic", "synthetic-size-0", "alone"])
+def test_popularity_file_without_a_related_file_is_rejected(dataset, capsys, extra):
     _, weights = dataset
-    argv = ["explore", "--synthetic-size", "60", "--popularity-file", str(weights),
+    argv = ["explore", *extra, "--popularity-file", str(weights),
             "--seed-id", "v00", "--depth", "1", "--width", "2"]
     assert main(argv) == 1
-    assert "--popularity-file needs --related-file" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: --popularity-file needs --related-file\n"
+
+
+def test_synthetic_size_zero_reports_the_generator_error(capsys):
+    argv = ["explore", "--synthetic-size", "0", "--seed-id", "v00", "--depth", "1", "--width", "2"]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: size must be at least out_degree + 1")
 
 
 def test_generate_matches_api(tmp_path):

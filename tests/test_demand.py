@@ -294,7 +294,7 @@ class TestTransitionTable:
         reference_exact_hit_rates(front, expected_calls[0], dist, long)
         for order in ([short, long], [long, short]):
             table_rec, calls = recording(rec)
-            table = TransitionTable(front, table_rec, dist.n)
+            table = TransitionTable.from_recommender(front, table_rec, dist.n)
             for k in order:
                 assert table.hit_rates(dist, k) == reference_exact_hit_rates(front, rec, dist, k)
             # The table asks about the same states in the same order.
@@ -339,7 +339,7 @@ class TestTransitionTable:
                 return rec(v)
 
             for order in (range(2, 10), range(9, 1, -1)):
-                table = TransitionTable(front, raising, dist.n)
+                table = TransitionTable.from_recommender(front, raising, dist.n)
                 for k in order:
                     if k > j:
                         with pytest.raises(ValueError, match="no list"):
@@ -360,7 +360,7 @@ class TestTransitionTable:
         reference, reference_calls = recording(
             lambda v: recommend(v, 2, cache, BfsParams(1, 2), oracle)
         )
-        assert TransitionTable(front, rec, dist.n).hit_rates(dist, 5) == reference_exact_hit_rates(
+        assert TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, 5) == reference_exact_hit_rates(
             front, reference, dist, 5
         )
         assert calls == reference_calls
@@ -374,7 +374,7 @@ class TestTransitionTable:
         dist = position_probs("uniform", n=10)
         expected = reference_exact_hit_rates(front, rec, dist, 2)
         assert expected == (0.9999999999999999,)
-        assert TransitionTable(front, rec, dist.n).hit_rates(dist, 2) == expected
+        assert TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, 2) == expected
 
     def test_entries_past_the_law_are_never_picked(self):
         # Only "a" and "b" fall within the two-position law; "c" and "d" are
@@ -390,7 +390,7 @@ class TestTransitionTable:
         expected = reference_exact_hit_rates(front, rec, dist, 3)
         assert expected == (0.5, 0.0)
         table_rec, calls = recording(rec)
-        assert TransitionTable(front, table_rec, dist.n).hit_rates(dist, 3) == expected
+        assert TransitionTable.from_recommender(front, table_rec, dist.n).hit_rates(dist, 3) == expected
         assert calls == ["p", "a", "b"]
 
     def test_lost_mass_pads_with_zeros_after_a_shorter_prefix(self):
@@ -398,7 +398,7 @@ class TestTransitionTable:
         oracle = RelationOracle(cat)
         cache = CacheManifest.from_ids(["d"])
         dist = position_probs("uniform", n=3)
-        table = TransitionTable(
+        table = TransitionTable.from_recommender(
             PopularityRegion(("p",)),
             lambda v: recommend(v, 3, cache, BfsParams(1, 3), oracle),
             dist.n,
@@ -430,8 +430,8 @@ class TestTransitionTable:
             min_size=1, max_size=8,
         ))
         table_rec, calls = recording(rec)
-        table = TransitionTable(front, table_rec, n)
-        alone = [TransitionTable(front, rec, n) for _ in laws]
+        table = TransitionTable.from_recommender(front, table_rec, n)
+        alone = [TransitionTable.from_recommender(front, rec, n) for _ in laws]
         for i, read, length, seed in reads:
             law = laws[i]
             if read == "hit_rates":
@@ -450,7 +450,7 @@ class TestTransitionTable:
 
     def test_law_of_another_size_rejected(self):
         rec = fixed_list_recommender(["a", "b"], [True, False])
-        table = TransitionTable(PopularityRegion(("p",)), rec, 2)
+        table = TransitionTable.from_recommender(PopularityRegion(("p",)), rec, 2)
         rng = np.random.Generator(np.random.PCG64(0))
         with pytest.raises(ParameterError, match="law has n=3, the table n=2"):
             table.hit_rates(position_probs("uniform", n=3), 2)
@@ -494,7 +494,7 @@ class TestBatchedSampler:
             rng.random(shape) < edge_share, rng.choice(tie_draws(dist), shape), rng.random(shape)
         )
         table_rec, calls = recording(rec)
-        table = TransitionTable(front, table_rec, dist.n)
+        table = TransitionTable.from_recommender(front, table_rec, dist.n)
         # Exact cells may have built rows of the same table first.
         if exact_first > 1:
             table.hit_rates(dist, exact_first)
@@ -531,7 +531,7 @@ class TestBatchedSampler:
         # The order of an ``auto`` sweep whose sampled K comes before K = 2.
         front, rec, dist, _ = scenario
         table_rec, calls = recording(rec)
-        table = TransitionTable(front, table_rec, dist.n)
+        table = TransitionTable.from_recommender(front, table_rec, dist.n)
         table.sample(dist, walked, sessions, np.random.Generator(np.random.PCG64(seed)))
         assert table.hit_rates(dist, length) == reference_exact_hit_rates(front, rec, dist, length)
         # Rows the walk built are read, not rebuilt.
@@ -546,13 +546,13 @@ class TestBatchedSampler:
     )
     def test_sample_draws_starts_then_one_uniform_per_step(self, scenario, length, sessions, seed):
         front, rec, dist, _ = scenario
-        got = TransitionTable(front, rec, dist.n).sample(
+        got = TransitionTable.from_recommender(front, rec, dist.n).sample(
             dist, length, sessions, np.random.Generator(np.random.PCG64(seed))
         )
         rng = np.random.Generator(np.random.PCG64(seed))
         starts = rng.integers(len(front.ids), size=sessions)
         uniforms = np.stack([rng.random(sessions) for _ in range(length - 1)], axis=1)
-        want = TransitionTable(front, rec, dist.n).walk(dist, starts, uniforms)
+        want = TransitionTable.from_recommender(front, rec, dist.n).walk(dist, starts, uniforms)
         assert got.shape == (sessions, length - 1)
         assert np.array_equal(got, want)
 
@@ -566,7 +566,7 @@ class TestBatchedSampler:
             return recommend(v, 1, CacheManifest.from_ids([]), BfsParams(1, 1), oracle)
 
         dist = position_probs("uniform", n=1)
-        table = TransitionTable(PopularityRegion(("p",)), rec, dist.n)
+        table = TransitionTable.from_recommender(PopularityRegion(("p",)), rec, dist.n)
         assert table.sample(dist, 2, 5, np.random.Generator(np.random.PCG64(0))).shape == (5, 1)
         with pytest.raises(ValueError, match="no list"):
             table.sample(dist, 3, 5, np.random.Generator(np.random.PCG64(0)))

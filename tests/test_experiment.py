@@ -6,6 +6,7 @@ import importlib.util
 import json
 import math
 import re
+import tempfile
 import types
 from pathlib import Path
 
@@ -32,7 +33,12 @@ from cabaret_sim.experiment import (
 from cabaret_sim.explore import bfs
 from cabaret_sim.metrics import chr_sequential
 from cabaret_sim.placement import ObjectiveSpec, exact_placement, greedy_placement
-from cabaret_sim.recommend import CacheIndex, select_from_exploration
+from cabaret_sim.recommend import (
+    CacheIndex,
+    baseline_recommender,
+    reordered_recommender,
+    select_from_exploration,
+)
 
 from conftest import reference_walk
 
@@ -63,6 +69,16 @@ def tiny_mapping(**over):
 @pytest.fixture
 def tiny_config():
     return config_from_mapping(tiny_mapping())
+
+
+def oracle_recommender(runner, kind, capacity, demand):
+    """The lists a cell's table must hold, built one at a time for its cache."""
+    if kind == "cabaret":
+        return runner.cabaret(capacity, demand)
+    cache, n = runner.placement(capacity, demand), runner.config.list_size
+    if kind == "baseline":
+        return lambda v: baseline_recommender(v, n, runner.oracle, cache)
+    return lambda v: reordered_recommender(v, n, cache, runner.oracle)
 
 
 _JUNK = st.booleans() | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2)
@@ -402,7 +418,7 @@ class TestRunExperiment:
                 reference_walk(
                     cell.session_length, int(start), [u[m] for u in uniforms],
                     runner.front_page,
-                    runner.recommender(cell.recommender, cell.capacity, cell.demand),
+                    oracle_recommender(runner, cell.recommender, cell.capacity, cell.demand),
                     experiment._demand_dist(cell.demand, config.list_size),
                     runner.placement(cell.capacity, cell.demand),
                 )
@@ -454,7 +470,7 @@ class TestRunExperiment:
             session_length=[6, 2, 4, 3, 5], evaluator="exact",
         ))
         runner = experiment._Runner(config)
-        rec = runner.recommender("cabaret", 5, "zipf:1")
+        rec = runner.cabaret(5, "zipf:1")
         # The request at which each content can first be watched.
         request = {runner.front_page.ids[0]: 1}
         level = list(request)
@@ -465,10 +481,10 @@ class TestRunExperiment:
             request.update(dict.fromkeys(level, depth))
         target = min(c for c, r in request.items() if r == 3)
 
-        recommender = experiment._Runner.recommender
+        cabaret = experiment._Runner.cabaret
 
-        def raising(self, kind, capacity, demand):
-            inner = recommender(self, kind, capacity, demand)
+        def raising(self, capacity, demand):
+            inner = cabaret(self, capacity, demand)
 
             def rec(v):
                 if v == target:
@@ -477,34 +493,94 @@ class TestRunExperiment:
 
             return rec
 
-        monkeypatch.setattr(experiment._Runner, "recommender", raising)
+        monkeypatch.setattr(experiment._Runner, "cabaret", raising)
         result = run_experiment(config)
         assert sorted(f["k"] for f in result.failures) == [4, 5, 6]
         assert sorted(r["k"] for r in result.rows) == [2, 3]
 
     def test_each_list_is_built_once_per_recommender_and_cache(self, monkeypatch):
         # Top placement gives every demand the same cache, so one table
-        # serves the three demands' exact and sampled cells.
+        # serves the three demands' exact and sampled cells.  Baseline and
+        # reordered rows derive from one provider list per content and run.
         config = config_from_mapping(tiny_mapping(
             demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 4, 3],
         ))
-        built: dict[tuple[str, int, str], int] = {}
-        recommender = experiment._Runner.recommender
+        built: dict[tuple[int, str], int] = {}
+        provided: dict[str, int] = {}
+        cabaret = experiment._Runner.cabaret
+        baseline = experiment.baseline_recommender
 
-        def counting(self, kind, capacity, demand):
-            inner = recommender(self, kind, capacity, demand)
+        def counting(self, capacity, demand):
+            inner = cabaret(self, capacity, demand)
 
             def rec(v):
-                built[kind, capacity, v] = built.get((kind, capacity, v), 0) + 1
+                built[capacity, v] = built.get((capacity, v), 0) + 1
                 return inner(v)
 
             return rec
 
-        monkeypatch.setattr(experiment._Runner, "recommender", counting)
+        def providing(v, *args):
+            provided[v] = provided.get(v, 0) + 1
+            return baseline(v, *args)
+
+        def reordering(*args):
+            raise AssertionError("reordered lists derive from the provider's rows")
+
+        monkeypatch.setattr(experiment._Runner, "cabaret", counting)
+        monkeypatch.setattr(experiment, "baseline_recommender", providing)
+        monkeypatch.setattr(experiment, "reordered_recommender", reordering)
         result = run_experiment(config)
         assert result.failures == []
-        assert {kind for kind, _, _ in built} == {"baseline", "reordered", "cabaret"}
+        assert {capacity for capacity, _ in built} == set(config.capacities)
         assert set(built.values()) == {1}
+        assert provided
+        assert set(provided.values()) == {1}
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_provider_rows_equal_the_lists_built_for_each_cache(self, data):
+        # Every row a baseline or reordered table derives from the provider's
+        # rows against the list built for that cache alone.  Drawn catalogs
+        # hold empty related lists and lists shorter than N, and w_max may
+        # cut the provider's list below N.
+        size = data.draw(st.integers(2, 12), label="size")
+        ids = [f"c{i:02d}" for i in range(size)]
+        related = {
+            v: data.draw(st.lists(st.sampled_from([c for c in ids if c != v]), unique=True))
+            for v in ids
+        }
+        weights = {v: float(data.draw(st.integers(1, 4))) for v in ids}
+        policy = data.draw(st.sampled_from(["top", "greedy", "exact"]), label="policy")
+        capacities = data.draw(
+            st.lists(st.integers(1, size), min_size=1, max_size=3, unique=True), label="caps"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            related_file, weights_file = Path(tmp, "rel.jsonl"), Path(tmp, "pop.csv")
+            save_dataset(Catalog(related, weights), str(related_file), str(weights_file))
+            config = config_from_mapping(tiny_mapping(
+                catalog_kind="files", catalog_related_file=str(related_file),
+                catalog_popularity_file=str(weights_file), catalog_size=None,
+                catalog_out_degree=None, catalog_overlap=None,
+                front_page_size=data.draw(st.integers(1, 4), label="front"),
+                bfs_width=data.draw(st.integers(1, 4), label="width"),
+                list_size=data.draw(st.integers(1, 8), label="N"),
+                w_max=data.draw(st.integers(1, 8), label="w_max"),
+                cache_policy=policy, cache_capacity=capacities,
+            ))
+            runner = experiment._Runner(config)
+        contents = sorted(ids)
+        for kind in ("baseline", "reordered"):
+            for capacity in capacities:
+                for demand in config.demands:
+                    table = runner.table(kind, capacity, demand)
+                    width, cached, entries = table.rows(runner.states.numbers(contents))
+                    want = oracle_recommender(runner, kind, capacity, demand)
+                    for v, w, flags, row in zip(contents, width, cached, entries):
+                        shown = want(v)
+                        assert w == len(shown)
+                        assert tuple(runner.states.ids[s] for s in row[:w]) == shown.entries
+                        assert tuple(flags[:w].tolist()) == shown.cached
+                        assert not flags[w:].any() and (row[w:] == -1).all()
 
     @pytest.mark.parametrize("policy, capacities", [
         ("greedy", [1, 2, 5, 3]), ("exact", [1, 2]),
@@ -594,35 +670,35 @@ class TestRunExperiment:
         for capacity in config.capacities:
             for demand in config.demands:
                 cache = runner.placement(capacity, demand)
-                rec = runner.recommender("cabaret", capacity, demand)
+                rec = runner.cabaret(capacity, demand)
                 for v in runner.catalog.ids():
                     explored = bfs(v, runner.params, runner.oracle).entries
                     assert rec(v) == select_from_exploration(explored, 2, cache)
-        assert runner.recommender("cabaret", 2, "zipf:1")("s").entries == ("x", "y")
+        assert runner.cabaret(2, "zipf:1")("s").entries == ("x", "y")
 
     def test_demands_with_equal_caches_share_their_lists(self, monkeypatch):
         # zipf:0 is the uniform law, so greedy places one cache for both.
         config = config_from_mapping(tiny_mapping(
             cache_policy="greedy", demand=["uniform", "zipf:0"], session_length=[2, 3],
         ))
-        built: dict[tuple[str, frozenset[str], str], int] = {}
-        recommender = experiment._Runner.recommender
+        built: dict[tuple[frozenset[str], str], int] = {}
+        cabaret = experiment._Runner.cabaret
 
-        def counting(self, kind, capacity, demand):
-            inner = recommender(self, kind, capacity, demand)
+        def counting(self, capacity, demand):
+            inner = cabaret(self, capacity, demand)
             cache = self.placement(capacity, demand).ids
             assert cache == self.placement(capacity, "uniform").ids
 
             def rec(v):
-                built[kind, cache, v] = built.get((kind, cache, v), 0) + 1
+                built[cache, v] = built.get((cache, v), 0) + 1
                 return inner(v)
 
             return rec
 
-        monkeypatch.setattr(experiment._Runner, "recommender", counting)
+        monkeypatch.setattr(experiment._Runner, "cabaret", counting)
         result = run_experiment(config)
         assert result.failures == []
-        assert len({cache for _, cache, _ in built}) == len(config.capacities)
+        assert len({cache for cache, _ in built}) == len(config.capacities)
         assert set(built.values()) == {1}
 
     @settings(max_examples=60, deadline=None)
