@@ -18,8 +18,8 @@ each other's numbers as they are.  A table builds its rows from a *row
 source*, which returns the rows of a batch of states at once.  The source
 of a recommender that returns lists asks it once per state
 (:meth:`TransitionTable.from_recommender`); a source may instead derive
-its rows from another table's with array operations, as the runner does
-for baseline and reordered lists (see :mod:`cabaret_sim.experiment`).
+its rows from stored data with array operations, as the runner does for
+every list kind (see :mod:`cabaret_sim.experiment`).
 The position law is the user's, so each read names it, and both
 evaluators read the rows through the law truncated to each width:
 
@@ -44,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate
+from itertools import accumulate, filterfalse
 from operator import add
 from typing import Callable, Iterable
 
@@ -161,12 +161,12 @@ class StateNumbers:
     def numbers(self, contents: list[ContentId]) -> list[int]:
         """The state numbers of ``contents``, numbering new states in order."""
         number = self.number
-        new = [c for c in dict.fromkeys(contents) if c not in number]
+        new = dict.fromkeys(filterfalse(number.__contains__, contents))
         if new:
             first = len(self.ids)
             number.update(zip(new, range(first, first + len(new))))
             self.ids += new
-        return [number[c] for c in contents]
+        return list(map(number.__getitem__, contents))
 
 
 #: The rows of a batch of states: widths, and padded cached flags and entry states.

@@ -17,9 +17,11 @@ largest capacity.  ``exact`` optima are not nested, so it solves each
 capacity.  Every solve reads the front page's explorations, built once.
 The caches cut from one order make a *family*: the whole run under
 ``top``, one demand under ``greedy``, each cache alone under ``exact``.
-A family keeps, for the run, one :class:`~cabaret_sim.recommend.CacheIndex`
-of its largest cache and one discovery per content of that cache's
-entries, and each cabaret list filters the discovery by its own cache.
+Families whose largest caches hold the same set share one
+:class:`~cabaret_sim.recommend.CacheIndex` of it.  A family stores each
+content's cabaret candidates once, as ranks in its order, and a cabaret
+table derives every row from them with one stable argsort (see
+:class:`_Family`).
 
 Every table of a run numbers its states with one shared
 :class:`~cabaret_sim.demand.StateNumbers`.  The provider's own table, the
@@ -27,9 +29,9 @@ baseline list of each content under an empty cache, is built once per run
 by :func:`~cabaret_sim.recommend.baseline_recommender`, in sorted-id
 order.  Baseline and reordered tables derive every cache's rows from it
 with numpy: a baseline row flags the entries whose numbers the cache
-holds, and a reordered row also moves the flagged entries first with a
-stable sort, which is the two-phase selection over the provider's list.
-No baseline or reordered list is built per cache.
+holds, and a reordered row also moves the flagged entries first with
+the stable argsort cabaret rows use, which is the two-phase selection
+over the provider's list.  No list is built per cache.
 
 ``auto`` evaluates two-request cells exactly (over all starting contents)
 and samples longer sessions; ``exact`` propagates the watched-content
@@ -56,8 +58,10 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
+from functools import partial
+from itertools import chain, repeat
 from pathlib import Path
-from typing import Any, Callable, Mapping, NamedTuple
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
@@ -67,7 +71,6 @@ from .catalog import (
 from .csvio import write_csv
 from .demand import (
     PositionDistribution,
-    Recommender,
     RowSource,
     Rows,
     StateNumbers,
@@ -374,17 +377,167 @@ class ExperimentResult:
     wall_clock: float
 
 
-class _Family(NamedTuple):
-    """Nested caches that share their cabaret lists' discovery.
+def _cached_first(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cached-first selection in every row of ``keys``, cut to ``n`` columns.
 
-    ``index`` is the largest cache's, every cache of the family holds
-    ``floor``, and ``found`` maps a content to its
-    :func:`~cabaret_sim.recommend.cached_discovery`.
+    A row takes its columns keyed 0, then those keyed 1, each in column
+    order, and drops those keyed 2.  Returns the columns taken (dropped
+    ones pad the rest), whether each is keyed 0, and each row's width.
+    """
+    if keys.shape[1] < n:
+        keys = np.pad(keys, ((0, 0), (0, n - keys.shape[1])), constant_values=2)
+    picked = np.argsort(keys, axis=1, kind="stable")[:, :n]
+    kept = np.take_along_axis(keys, picked, axis=1)
+    return picked, kept == 0, (kept < 2).sum(axis=1)
+
+
+def _leads(marks: np.ndarray, lengths: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The prefix of each segment of ``marks`` through its ``count``-th mark.
+
+    ``marks`` lays segments of ``lengths`` end to end; a segment with fewer
+    marks is kept whole.  Returns the mask of the kept elements and each
+    segment's kept length.
+    """
+    segment = np.repeat(np.arange(len(lengths)), lengths)
+    seen = np.concatenate(([0], np.cumsum(marks)))
+    keep = seen[:-1] - seen[np.cumsum(lengths) - lengths][segment] < count
+    return keep, np.bincount(segment, weights=keep, minlength=len(lengths)).astype(np.intp)
+
+
+class _Family:
+    """Nested caches cut from one selection order, and their cabaret rows' candidates.
+
+    ``order`` is the family's largest cache in selection order, and
+    ``index`` that cache's :class:`~cabaret_sim.recommend.CacheIndex`.  A
+    content's *rank* is its position in ``order``, or the largest capacity
+    ``high`` outside it, so the cache of capacity ``c`` holds the ranks
+    below ``c``.  Every cache of the family holds ``floor``, the first
+    ``low`` contents.
+
+    A content's candidates are its
+    :func:`~cabaret_sim.recommend.cached_discovery` through the ``n``-th
+    entry that ``floor`` holds, and its head through the ``n``-th entry
+    outside ``order``: every cabaret row of the family takes its cached
+    entries from the first and its top-up from the second.  They are
+    stored once per content, as ranks in one flat array, beside the state
+    number of each candidate (-1 until a row holds it).
     """
 
-    index: CacheIndex
-    floor: frozenset[str]
-    found: dict[str, tuple[str, ...]]
+    def __init__(
+        self, order: tuple[str, ...], low: int, high: int, index: CacheIndex, runner: _Runner
+    ):
+        self.order = order
+        self.ids = np.array(order, dtype=object)
+        self.rank = {content: rank for rank, content in enumerate(order)}
+        self.low = low
+        self.high = high
+        self.index = index
+        self.floor = frozenset(order[:low])
+        self.head = runner.head
+        self.states = runner.states
+        self.depth = runner.params.depth
+        self.n = runner.config.list_size
+        # Per state: where its discovery and head candidates start in the
+        # store, and how many there are (-1 until stored).
+        self.at = np.full((0, 4), -1, dtype=np.intp)
+        self.ranks = np.empty(0, dtype=np.int32)
+        self.numbers = np.empty(0, dtype=np.int32)
+
+    def add(self, fresh: list[int]) -> None:
+        """Store the candidates of the states ``fresh`` not stored yet.
+
+        An error while exploring or discovering propagates before the
+        store changes.
+        """
+        if len(self.at) < len(self.states):
+            grown = np.full((len(self.states), 4), -1, dtype=np.intp)
+            grown[: len(self.at)] = self.at
+            self.at = grown
+        fresh = [s for s, stored in zip(fresh, self.at[fresh, 1] >= 0) if not stored]
+        if not fresh:
+            return
+        heads = [self.head(self.states.ids[s]) for s in fresh]
+        found = [cached_discovery(h, self.depth, self.n, self.index, self.floor) for h in heads]
+        found_len = np.fromiter(map(len, found), np.intp, len(found))
+        found_rank = np.fromiter(
+            map(self.rank.__getitem__, chain.from_iterable(found)), np.int32, found_len.sum()
+        )
+        head_len = np.fromiter((len(h.entries) for h in heads), np.intp, len(heads))
+        entries = chain.from_iterable(h.entries for h in heads)
+        head_rank = np.fromiter(
+            map(self.rank.get, entries, repeat(self.high)), np.int32, head_len.sum()
+        )
+        found_keep, found_n = _leads(found_rank < self.low, found_len, self.n)
+        head_keep, head_n = _leads(head_rank == self.high, head_len, self.n)
+        added = np.concatenate((found_rank[found_keep], head_rank[head_keep]))
+        start = len(self.ranks)
+        self.at[fresh, 0] = start + np.cumsum(found_n) - found_n
+        self.at[fresh, 1] = found_n
+        self.at[fresh, 2] = start + found_n.sum() + np.cumsum(head_n) - head_n
+        self.at[fresh, 3] = head_n
+        self.ranks = np.concatenate((self.ranks, added))
+        self.numbers = np.concatenate((self.numbers, np.full(len(added), -1, dtype=np.int32)))
+
+    def rows(self, fresh: list[int], capacity: int) -> Rows:
+        """The cabaret rows of the states ``fresh`` for the cache of ``capacity``.
+
+        Phase 1 is the first ``n`` discovery candidates the cache holds, the
+        top-up the head candidates it does not, each in order: one
+        cached-first selection over both.  A row left shorter than ``n``
+        needs the last level's uncached entries, so
+        :func:`~cabaret_sim.recommend.cabaret_list` builds it.
+        """
+        self.add(fresh)
+        n, states = self.n, self.states
+        found_at, found_n, head_at, head_n = self.at[fresh].T
+        wide = found_n.max(initial=0)
+        columns = np.arange(wide + head_n.max(initial=0))
+        is_found = columns < wide
+        offset = np.where(is_found, columns, columns - wide)
+        flat = np.where(is_found, found_at[:, None], head_at[:, None]) + offset
+        valid = offset < np.where(is_found, found_n[:, None], head_n[:, None])
+        held = np.zeros(flat.shape, dtype=bool)
+        held[valid] = self.ranks[flat[valid]] < capacity
+        keys = np.full(flat.shape, 2, dtype=np.int8)
+        keys[valid & is_found & held] = 0
+        keys[valid & ~is_found & ~held] = 1
+        picked, cached, width = _cached_first(keys, n)
+        filled = np.arange(n) < width[:, None]
+        row, column = np.nonzero(filled)[0], picked[filled]
+        taken = flat[row, column]
+        cached_ids = frozenset(self.order[:capacity])
+        short = {
+            b: cabaret_list(
+                self.head(states.ids[fresh[b]]),
+                self.depth,
+                n,
+                self.ids[self.ranks[found_at[b] : found_at[b] + found_n[b]]].tolist(),
+                cached_ids,
+                self.index,
+            )
+            for b in np.flatnonzero(width < n).tolist()
+        }
+        # Number the candidates no row has held yet: an entry of ``order``
+        # by its rank, any other by its place in its content's head.
+        unseen = self.numbers[taken] < 0
+        rank = self.ranks[taken[unseen]]
+        inside = rank < len(self.order)
+        ids = np.empty(len(rank), dtype=object)
+        ids[inside] = self.ids[rank[inside]]
+        owner, head_row = np.unique(row[unseen][~inside], return_inverse=True)
+        heads = [self.head(states.ids[fresh[b]]).entries for b in owner.tolist()]
+        head_len = np.fromiter(map(len, heads), np.intp, len(heads))
+        head_ids = np.fromiter(chain.from_iterable(heads), object, head_len.sum())
+        start = (np.cumsum(head_len) - head_len)[head_row]
+        ids[~inside] = head_ids[start + column[unseen][~inside] - wide]
+        self.numbers[taken[unseen]] = states.numbers(ids.tolist())
+        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries[filled] = self.numbers[taken]
+        for b, shown in short.items():
+            width[b] = len(shown)
+            cached[b] = np.arange(n) < sum(shown.cached)
+            entries[b, : len(shown)] = states.numbers(list(shown.entries))
+        return width, cached, entries
 
 
 class _Runner:
@@ -409,9 +562,12 @@ class _Runner:
         # A cache is order[:capacity]: greedy solves once per demand, at the
         # largest capacity, and exact once per capacity and demand.
         self._orders: dict[tuple[int, str], tuple[str, ...]] = {}
-        # Keyed by the family's largest and smallest cached sets: demands
-        # whose greedy orders meet at the largest capacity may part below it.
-        self._families: dict[tuple[frozenset[str], frozenset[str]], _Family] = {}
+        # Keyed by the family's largest cache in selection order and its
+        # least capacity: demands whose greedy orders meet at the largest
+        # capacity may part below it.  Families whose largest caches hold
+        # the same set share its index.
+        self._families: dict[tuple[tuple[str, ...], int], _Family] = {}
+        self._indexes: dict[frozenset[str], CacheIndex] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
         # Every table of the run numbers states alike, so baseline and
         # reordered rows are the provider's rows, flagged per cache.
@@ -466,27 +622,16 @@ class _Runner:
     def family(self, capacity: int, demand: str) -> _Family:
         """The family of the cache ``demand`` places at ``capacity``."""
         order, low, high = self._order(capacity, demand)
-        key = (frozenset(order[:high]), frozenset(order[:low]))
+        key = (order[:high], low)
         family = self._families.get(key)
         if family is None:
-            index = CacheIndex(key[0], self.oracle, self.params.width)
-            family = self._families[key] = _Family(index, key[1], {})
+            largest = frozenset(key[0])
+            index = self._indexes.get(largest)
+            if index is None:
+                index = CacheIndex(largest, self.oracle, self.params.width)
+                self._indexes[largest] = index
+            family = self._families[key] = _Family(key[0], low, high, index, self)
         return family
-
-    def cabaret(self, capacity: int, demand: str) -> Recommender:
-        """The cabaret recommender of the cache ``demand`` places at ``capacity``."""
-        index, floor, discovered = self.family(capacity, demand)
-        depth, n = self.params.depth, self.config.list_size
-        cached = self.placement(capacity, demand).ids
-
-        def rec(v: str) -> Any:
-            head = self.head(v)
-            found = discovered.get(v)
-            if found is None:
-                found = discovered[v] = cached_discovery(head, depth, n, index, floor)
-            return cabaret_list(head, depth, n, found, cached, index)
-
-        return rec
 
     def provider_rows(self, kind: str, cached: frozenset[str]) -> RowSource:
         """The baseline or reordered rows of the cache ``cached``, from the provider's rows.
@@ -502,9 +647,9 @@ class _Runner:
             width, _, entries = self.provider.rows(fresh)
             hits = np.isin(entries, flagged)
             if kind == "reordered":
-                order = np.argsort(~hits, axis=1, kind="stable")
-                entries = np.take_along_axis(entries, order, axis=1)
-                hits = np.take_along_axis(hits, order, axis=1)
+                keys = np.where(entries < 0, 2, ~hits).astype(np.int8)
+                picked, hits, _ = _cached_first(keys, self.config.list_size)
+                entries = np.take_along_axis(entries, picked, axis=1)
             return width, hits, entries
 
         return rows
@@ -514,14 +659,12 @@ class _Runner:
         cached = self.placement(capacity, demand).ids
         key = (kind, cached)
         if self._table is None or self._table[0] != key:
-            n = self.config.list_size
             if kind == "cabaret":
-                rec = self.cabaret(capacity, demand)
-                table = TransitionTable.from_recommender(self.front_page, rec, n, self.states)
+                family = self.family(capacity, demand)
+                rows = partial(family.rows, capacity=capacity)
             else:
-                table = TransitionTable(
-                    self.front_page, self.provider_rows(kind, cached), n, self.states
-                )
+                rows = self.provider_rows(kind, cached)
+            table = TransitionTable(self.front_page, rows, self.config.list_size, self.states)
             self._table = (key, table)
         return self._table[1]
 

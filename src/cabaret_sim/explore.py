@@ -49,15 +49,19 @@ class ExplorationList:
 def bfs(seed: ContentId, params: BfsParams, oracle: RelationOracle) -> ExplorationList:
     """Explore contents related to ``seed`` in level order.
 
-    Level 1 is the seed's own related list in oracle order; level ``d + 1``
-    appends, for each level-``d`` content in list order, its related list
-    with already-seen contents (including the seed) skipped.
+    Level 1 is the seed's own related list in oracle order, taken as it
+    is: a catalog rejects a related list that repeats an entry or holds
+    its own content.  Level ``d + 1`` appends, for each level-``d``
+    content in list order, its related list with already-seen contents
+    (including the seed) skipped.
     """
-    seen = {seed}
-    entries: list[ContentId] = []
-    depths: list[int] = []
-    frontier: list[ContentId] = [seed]
-    for depth in range(1, params.depth + 1):
+    frontier = oracle.related(seed, params.width)
+    if params.depth == 1:
+        return ExplorationList(seed, frontier, (1,) * len(frontier))
+    entries = list(frontier)
+    depths = [1] * len(entries)
+    seen = {seed, *frontier}
+    for depth in range(2, params.depth + 1):
         next_frontier: list[ContentId] = []
         for content in frontier:
             for found in oracle.related(content, params.width):

@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from typing import Iterable, Iterator, Sequence
 
 from .catalog import ContentId, RelationOracle
@@ -224,7 +224,7 @@ def cabaret_list(
     picked = list(islice(filter(cached.__contains__, found), count))
     n_cached = len(picked)
     if n_cached < count:
-        picked += islice((c for c in head.entries if c not in cached), count - n_cached)
+        picked += islice(filterfalse(cached.__contains__, head.entries), count - n_cached)
         if len(picked) < count:
             # Phase 1 fell short, so ``found`` is whole and the picks hold
             # every cached entry of the last level; discovery yields the rest.

@@ -36,6 +36,7 @@ from cabaret_sim.placement import ObjectiveSpec, exact_placement, greedy_placeme
 from cabaret_sim.recommend import (
     CacheIndex,
     baseline_recommender,
+    recommend,
     reordered_recommender,
     select_from_exploration,
 )
@@ -73,9 +74,9 @@ def tiny_config():
 
 def oracle_recommender(runner, kind, capacity, demand):
     """The lists a cell's table must hold, built one at a time for its cache."""
-    if kind == "cabaret":
-        return runner.cabaret(capacity, demand)
     cache, n = runner.placement(capacity, demand), runner.config.list_size
+    if kind == "cabaret":
+        return lambda v: recommend(v, n, cache, runner.params, runner.oracle)
     if kind == "baseline":
         return lambda v: baseline_recommender(v, n, runner.oracle, cache)
     return lambda v: reordered_recommender(v, n, cache, runner.oracle)
@@ -470,7 +471,7 @@ class TestRunExperiment:
             session_length=[6, 2, 4, 3, 5], evaluator="exact",
         ))
         runner = experiment._Runner(config)
-        rec = runner.cabaret(5, "zipf:1")
+        rec = oracle_recommender(runner, "cabaret", 5, "zipf:1")
         # The request at which each content can first be watched.
         request = {runner.front_page.ids[0]: 1}
         level = list(request)
@@ -480,59 +481,65 @@ class TestRunExperiment:
             level = list(dict.fromkeys(reached))
             request.update(dict.fromkeys(level, depth))
         target = min(c for c, r in request.items() if r == 3)
+        # Only the target's own row explores around it.
+        head = experiment._Runner.head
 
-        cabaret = experiment._Runner.cabaret
+        def raising(self, content):
+            if content == target:
+                raise ValueError("no list")
+            return head(self, content)
 
-        def raising(self, capacity, demand):
-            inner = cabaret(self, capacity, demand)
-
-            def rec(v):
-                if v == target:
-                    raise ValueError("no list")
-                return inner(v)
-
-            return rec
-
-        monkeypatch.setattr(experiment._Runner, "cabaret", raising)
+        monkeypatch.setattr(experiment._Runner, "head", raising)
         result = run_experiment(config)
         assert sorted(f["k"] for f in result.failures) == [4, 5, 6]
         assert sorted(r["k"] for r in result.rows) == [2, 3]
 
     def test_each_list_is_built_once_per_recommender_and_cache(self, monkeypatch):
         # Top placement gives every demand the same cache, so one table
-        # serves the three demands' exact and sampled cells.  Baseline and
-        # reordered rows derive from one provider list per content and run.
+        # serves the three demands' exact and sampled cells.  Cabaret rows
+        # derive from one candidate store per family (the whole run under
+        # top), and baseline and reordered rows from one provider list per
+        # content and run.
         config = config_from_mapping(tiny_mapping(
             demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 4, 3],
         ))
         built: dict[tuple[int, str], int] = {}
+        discovered: dict[str, int] = {}
         provided: dict[str, int] = {}
-        cabaret = experiment._Runner.cabaret
+        rows = experiment._Family.rows
+        discovery = experiment.cached_discovery
         baseline = experiment.baseline_recommender
 
-        def counting(self, capacity, demand):
-            inner = cabaret(self, capacity, demand)
-
-            def rec(v):
+        def counting(self, fresh, capacity):
+            for v in map(self.states.ids.__getitem__, fresh):
                 built[capacity, v] = built.get((capacity, v), 0) + 1
-                return inner(v)
+            return rows(self, fresh, capacity)
 
-            return rec
+        def discovering(head, *args):
+            discovered[head.seed] = discovered.get(head.seed, 0) + 1
+            return discovery(head, *args)
 
         def providing(v, *args):
             provided[v] = provided.get(v, 0) + 1
             return baseline(v, *args)
 
+        def building(*args):
+            raise AssertionError("every head holds N uncached entries: no row needs a list")
+
         def reordering(*args):
             raise AssertionError("reordered lists derive from the provider's rows")
 
-        monkeypatch.setattr(experiment._Runner, "cabaret", counting)
+        monkeypatch.setattr(experiment._Family, "rows", counting)
+        monkeypatch.setattr(experiment, "cached_discovery", discovering)
+        monkeypatch.setattr(experiment, "cabaret_list", building)
         monkeypatch.setattr(experiment, "baseline_recommender", providing)
         monkeypatch.setattr(experiment, "reordered_recommender", reordering)
         result = run_experiment(config)
         assert result.failures == []
         assert {capacity for capacity, _ in built} == set(config.capacities)
         assert set(built.values()) == {1}
+        assert set(discovered) == {v for _, v in built}
+        assert set(discovered.values()) == {1}
         assert provided
         assert set(provided.values()) == {1}
 
@@ -581,6 +588,90 @@ class TestRunExperiment:
                         assert tuple(runner.states.ids[s] for s in row[:w]) == shown.entries
                         assert tuple(flags[:w].tolist()) == shown.cached
                         assert not flags[w:].any() and (row[w:] == -1).all()
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_cabaret_rows_equal_the_lists_built_for_each_cache(self, data):
+        # Every row a cabaret table derives from its family's candidates
+        # against recommend() for that cache alone.  Drawn catalogs hold
+        # empty related lists and lists shorter than N, w_max may cut a
+        # query below N, and N may exceed the exploration, so that rows
+        # fall back on the last level's uncached entries.
+        size = data.draw(st.integers(2, 12), label="size")
+        ids = [f"c{i:02d}" for i in range(size)]
+        related = {
+            v: data.draw(st.lists(st.sampled_from([c for c in ids if c != v]), unique=True))
+            for v in ids
+        }
+        weights = {v: float(data.draw(st.integers(1, 4))) for v in ids}
+        policy = data.draw(st.sampled_from(["top", "greedy", "exact"]), label="policy")
+        capacities = data.draw(
+            st.lists(st.integers(1, size), min_size=1, max_size=3, unique=True), label="caps"
+        )
+        with tempfile.TemporaryDirectory() as tmp:
+            related_file, weights_file = Path(tmp, "rel.jsonl"), Path(tmp, "pop.csv")
+            save_dataset(Catalog(related, weights), str(related_file), str(weights_file))
+            config = config_from_mapping(tiny_mapping(
+                catalog_kind="files", catalog_related_file=str(related_file),
+                catalog_popularity_file=str(weights_file), catalog_size=None,
+                catalog_out_degree=None, catalog_overlap=None,
+                front_page_size=data.draw(st.integers(1, 4), label="front"),
+                bfs_depth=data.draw(st.integers(1, 3), label="depth"),
+                bfs_width=data.draw(st.integers(1, 4), label="width"),
+                list_size=data.draw(st.integers(1, 8), label="N"),
+                w_max=data.draw(st.integers(1, 8), label="w_max"),
+                cache_policy=policy, cache_capacity=capacities,
+            ))
+            runner = experiment._Runner(config)
+        contents = sorted(ids)
+        for capacity in capacities:
+            for demand in config.demands:
+                table = runner.table("cabaret", capacity, demand)
+                width, cached, entries = table.rows(runner.states.numbers(contents))
+                want = oracle_recommender(runner, "cabaret", capacity, demand)
+                for v, w, flags, row in zip(contents, width, cached, entries):
+                    shown = want(v)
+                    assert w == len(shown)
+                    assert tuple(runner.states.ids[s] for s in row[:w]) == shown.entries
+                    assert tuple(flags[:w].tolist()) == shown.cached
+                    assert not flags[w:].any() and (row[w:] == -1).all()
+
+    def test_every_numbered_state_is_on_the_front_page_or_in_a_row(self, monkeypatch):
+        # A state number costs a row slot in every table, so the runner
+        # numbers only what some built row holds.
+        config = config_from_mapping(tiny_mapping(
+            cache_policy="greedy", cache_capacity=[1, 2, 5], session_length=[2, 4], list_size=2,
+            catalog_overlap=0.0,
+        ))
+        tables: dict[int, experiment.TransitionTable] = {}
+        table = experiment._Runner.table
+
+        def keeping(self, *args):
+            built = tables[id(built)] = table(self, *args)
+            return built
+
+        monkeypatch.setattr(experiment._Runner, "table", keeping)
+        runner = experiment._Runner(config)
+        for cell in iter_cells(config):
+            runner.evaluate(cell)
+        held = set(runner.states.numbers(list(runner.front_page.ids)))
+        for built in [runner.provider, *tables.values()]:
+            rows = built._next[: len(built._width)][built._width >= 0]
+            held.update(rows[rows >= 0].tolist())
+        assert held == set(range(len(runner.states)))
+
+    def test_the_readme_greedy_sweep_numbers_as_many_states_as_before(self):
+        # 1,379 states at seed 1: the contents that the greedy sweep's rows
+        # hold, with the front page.
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        spec = importlib.util.spec_from_file_location("bench_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(workloads)
+        config = config_from_mapping(workloads.config_for("readme-exact-greedy", 1, None))
+        runner = experiment._Runner(config)
+        for cell in iter_cells(config):
+            runner.evaluate(cell)
+        assert len(runner.states) == 1379
 
     @pytest.mark.parametrize("policy, capacities", [
         ("greedy", [1, 2, 5, 3]), ("exact", [1, 2]),
@@ -667,14 +758,19 @@ class TestRunExperiment:
             list_size=2,
         ))
         runner = experiment._Runner(config)
+        contents = sorted(runner.catalog.ids())
         for capacity in config.capacities:
             for demand in config.demands:
                 cache = runner.placement(capacity, demand)
-                rec = runner.cabaret(capacity, demand)
-                for v in runner.catalog.ids():
+                table = runner.table("cabaret", capacity, demand)
+                width, cached, entries = table.rows(runner.states.numbers(contents))
+                for v, w, flags, row in zip(contents, width, cached, entries):
                     explored = bfs(v, runner.params, runner.oracle).entries
-                    assert rec(v) == select_from_exploration(explored, 2, cache)
-        assert runner.cabaret(2, "zipf:1")("s").entries == ("x", "y")
+                    want = select_from_exploration(explored, 2, cache)
+                    assert tuple(runner.states.ids[s] for s in row[:w]) == want.entries
+                    assert tuple(flags[:w].tolist()) == want.cached
+                    if (capacity, demand, v) == (2, "zipf:1", "s"):
+                        assert want.entries == ("x", "y")
 
     def test_demands_with_equal_caches_share_their_lists(self, monkeypatch):
         # zipf:0 is the uniform law, so greedy places one cache for both.
@@ -682,20 +778,18 @@ class TestRunExperiment:
             cache_policy="greedy", demand=["uniform", "zipf:0"], session_length=[2, 3],
         ))
         built: dict[tuple[frozenset[str], str], int] = {}
-        cabaret = experiment._Runner.cabaret
+        rows = experiment._Family.rows
 
-        def counting(self, capacity, demand):
-            inner = cabaret(self, capacity, demand)
-            cache = self.placement(capacity, demand).ids
-            assert cache == self.placement(capacity, "uniform").ids
-
-            def rec(v):
+        def counting(self, fresh, capacity):
+            cache = frozenset(self.order[:capacity])
+            for v in map(self.states.ids.__getitem__, fresh):
                 built[cache, v] = built.get((cache, v), 0) + 1
-                return inner(v)
+            return rows(self, fresh, capacity)
 
-            return rec
-
-        monkeypatch.setattr(experiment._Runner, "cabaret", counting)
+        runner = experiment._Runner(config)
+        for capacity in config.capacities:
+            assert runner.placement(capacity, "zipf:0") == runner.placement(capacity, "uniform")
+        monkeypatch.setattr(experiment._Family, "rows", counting)
         result = run_experiment(config)
         assert result.failures == []
         assert len({cache for cache, _ in built}) == len(config.capacities)

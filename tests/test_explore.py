@@ -30,6 +30,13 @@ class TestBfs:
         assert result.entries == oracle.related("s", 3)
         assert result.depths == (1, 1, 1)
 
+    def test_depth_one_is_one_query_taken_as_it_is(self):
+        oracle = CountingOracle(fig2_catalog())
+        result = bfs("s", BfsParams(1, 2), oracle)
+        assert oracle.queries == 1
+        assert result.entries == ("a", "b")
+        assert result.depths == (1, 1)
+
     def test_two_levels_no_sharing(self):
         # depth 2, width 3, disjoint lists: 3 + 9 = 12 entries.
         oracle = RelationOracle(fig2_catalog())
