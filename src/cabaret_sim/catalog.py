@@ -28,7 +28,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain
+from itertools import chain, islice
 from typing import Mapping, Sequence
 
 from .csvio import write_csv
@@ -54,8 +54,8 @@ class Catalog:
     frontier-truncated crawl loads cleanly.
 
     Args:
-        related: mapping from content id to its ordered related ids; no
-            id may be empty.
+        related: mapping from content id to its ordered related ids; every
+            id is a non-empty string.
         popularity: optional mapping from content id to a finite weight
             >= 0.  Ids present here but not in ``related`` also become
             leaves.
@@ -70,8 +70,13 @@ class Catalog:
     ):
         rel: dict[ContentId, tuple[ContentId, ...]] = {}
         for cid, lst in related.items():
+            if isinstance(lst, str):
+                raise ParameterError(f"related list of {cid!r} is a string, not a sequence of ids")
             entries = tuple(lst)
-            distinct = set(entries)
+            try:
+                distinct = set(entries)
+            except TypeError:
+                raise ParameterError(f"related list of {cid!r} holds an unhashable id") from None
             if cid in distinct or len(distinct) != len(entries):
                 _reject_related_list(cid, entries)
             # A saved empty id could not be loaded again.
@@ -102,6 +107,11 @@ class Catalog:
                 if cid not in rel:
                     rel[cid] = ()
                 pop[cid] = w
+        # Every entry and popularity id is a key by now.
+        if not set(map(type, rel)) <= {str}:
+            for cid in rel:
+                if not isinstance(cid, str):
+                    raise ParameterError(f"content id must be a string, got {cid!r}")
         self._related = rel
         self._popularity = {cid: pop.get(cid, 0.0) for cid in rel}
 
@@ -212,7 +222,11 @@ def top_popular(catalog: Catalog, count: int) -> PopularityRegion:
     )
 
 
-def _parse_related_line(line: str, lineno: int) -> tuple[ContentId, list[ContentId]]:
+_NOT_STRINGS = '"related" must be an array of strings'
+
+
+def _parse_related_line(line: str, lineno: int) -> tuple[ContentId, list]:
+    """The id and the raw related array of one line; entries are unchecked."""
     try:
         record = json.loads(line)
     except json.JSONDecodeError as exc:
@@ -225,10 +239,8 @@ def _parse_related_line(line: str, lineno: int) -> tuple[ContentId, list[Content
     rel = record["related"]
     if not isinstance(cid, str) or not cid:
         raise DatasetFormatError('"id" must be a non-empty string', line=lineno)
-    if not isinstance(rel, list) or not set(map(type, rel)) <= {str}:
-        raise DatasetFormatError('"related" must be an array of strings', line=lineno)
-    if "" in rel:
-        raise DatasetFormatError('"related" must not hold an empty id', line=lineno)
+    if not isinstance(rel, list):
+        raise DatasetFormatError(_NOT_STRINGS, line=lineno)
     return cid, rel
 
 
@@ -236,20 +248,34 @@ def load_related_file(path: str) -> dict[ContentId, tuple[ContentId, ...]]:
     """Parse a JSON-lines related-lists file into an ordered mapping.
 
     Every occurrence of an id, as a key or in a list, is one shared string
-    object, so the parser's strings are freed line by line.
+    object, so the parser's strings are freed line by line.  Each distinct
+    entry is checked once, on the first line that holds it.
     """
     related: dict[ContentId, tuple[ContentId, ...]] = {}
+    # Every key of ``canon`` is a non-empty string, so an entry that is not
+    # one is always new to it and is checked on its line.
     canon: dict[ContentId, ContentId] = {}
     with open(path, encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
         for lineno, line in enumerate(handle, start=1):
             if not line.strip():
                 continue
             cid, rel = _parse_related_line(line, lineno)
+            known = len(canon)
+            try:
+                entries = tuple(map(canon.setdefault, rel, rel))
+            except TypeError:  # an array or object entry cannot be a key
+                raise DatasetFormatError(_NOT_STRINGS, line=lineno) from None
+            if len(canon) > known:
+                new = list(islice(reversed(canon), len(canon) - known))
+                if not set(map(type, new)) <= {str}:
+                    raise DatasetFormatError(_NOT_STRINGS, line=lineno)
+                if "" in new:
+                    raise DatasetFormatError('"related" must not hold an empty id', line=lineno)
             if cid in related:
                 raise DuplicateContentError(
                     f"content {cid!r} defined more than once", line=lineno
                 )
-            related[canon.setdefault(cid, cid)] = tuple(map(canon.setdefault, rel, rel))
+            related[canon.setdefault(cid, cid)] = entries
     return related
 
 

@@ -56,8 +56,7 @@ def _ring_catalog(size: int, degree: int, rng: np.random.Generator) -> Catalog:
 
 def _make_ids(size: int, rng: np.random.Generator) -> list[ContentId]:
     width = len(str(size - 1))
-    perm = rng.permutation(size)
-    return [f"v{perm[i]:0{width}d}" for i in range(size)]
+    return [f"v{p:0{width}d}" for p in rng.permutation(size).tolist()]
 
 
 def generate_synthetic(
@@ -102,12 +101,10 @@ def generate_synthetic(
     sizes = _community_sizes(size, n_comm)
 
     starts = np.cumsum([0] + sizes[:-1])
-    cores = [list(range(s, s + core_size)) for s in starts]
-    heads = [list(range(s, s + head_size)) for s in starts]
-    pools = [
-        list(range(s + head_size, s + sz)) for s, sz in zip(starts, sizes)
-    ]
-    pool_flat: list[int] = [m for pool in pools for m in pool]
+    core = starts[:, None] + np.arange(core_size)
+    # Every community has a pool: it holds more than ``head_size`` members.
+    pools = [np.arange(s + head_size, s + sz) for s, sz in zip(starts, sizes)]
+    pool_flat = np.concatenate(pools)
     pool_len = len(pool_flat)
 
     # Private far segments: one disjoint slice of the global pool per core
@@ -116,60 +113,52 @@ def generate_synthetic(
     # to wrapped (possibly shared) slices.
     seg_bases = rng.integers(0, max(1, pool_len), size=n_comm)
 
-    def core_far(c: int, j: int) -> list[int]:
-        if n_out == 0:
-            return []
-        if pool_len >= n_out:
-            base = (int(seg_bases[c]) + j * n_out) % pool_len
-            idx = [(base + t) % pool_len for t in range(n_out)]
-            return [pool_flat[i] for i in idx]
-        picked = list(pool_flat)
-        for m in heads[(c + 1) % n_comm]:
-            if len(picked) >= n_out:
-                break
-            picked.append(m)
-        return picked[:n_out]
-
-    related_idx: dict[int, list[int]] = {}
-    for c in range(n_comm):
-        core = cores[c]
-        core_set = set(core)
-        next_head = heads[(c + 1) % n_comm][:n_out]
-        members = range(starts[c], starts[c] + sizes[c])
-        for m in members:
-            others = [x for x in core if x != m]
-            if others:
-                rot = int(rng.integers(0, len(others)))
-                others = others[rot:] + others[:rot]
-            within = others[:n_in]
-            if m in core_set:
-                far = core_far(c, core.index(m))
-            else:
-                far = next_head
-            related_idx[m] = within + far
+    # Each member's list opens with a random rotation of the core members
+    # other than itself: n_in of them for a core member, all core_size for
+    # anyone else.  A member with none to rotate draws nothing, and one
+    # call draws what a scalar call per member, in member order, would.
+    lengths = np.full(size, core_size)
+    lengths[core] = n_in
+    rot = np.zeros(size, dtype=np.int64)
+    draws = lengths > 0
+    rot[draws] = rng.integers(0, lengths[draws])
 
     # Popularity rank order: cores first, cycling across communities in
     # blocks of two, so the front page is spread over communities while
     # every popular content keeps one popular sibling inside its own
     # related list (pure round-robin would leave the provider's own lists
     # with no cached entries at all).  Shared zones and pools follow.
-    rank_order: list[int] = []
     block = min(2, core_size)
-    for b in range(0, core_size, block):
-        for c in range(n_comm):
-            for j in range(b, min(b + block, core_size)):
-                rank_order.append(cores[c][j])
-    for j in range(zone_size):
-        for c in range(n_comm):
-            rank_order.append(starts[c] + core_size + j)
-    max_pool = max((len(p) for p in pools), default=0)
-    for j in range(max_pool):
-        for pool in pools:
-            if j < len(pool):
-                rank_order.append(pool[j])
+    core_blocks = [core[:, b : b + block].ravel() for b in range(0, core_size, block)]
+    zones = (starts + core_size + np.arange(zone_size)[:, None]).ravel()
+    # Pools in round robin: a stable sort by position within the pool.
+    pool_pos = np.concatenate([np.arange(len(p)) for p in pools])
+    round_robin = pool_flat[np.argsort(pool_pos, kind="stable")]
+    rank_order = np.concatenate([*core_blocks, zones, round_robin])
 
-    ids = _make_ids(size, rng)
+    ids = np.array(_make_ids(size, rng), dtype=object)
     weights = _zipf_weights(size)
-    popularity = {ids[m]: float(weights[r]) for r, m in enumerate(rank_order)}
-    related = {ids[m]: [ids[x] for x in lst] for m, lst in related_idx.items()}
+    popularity = dict(zip(ids[rank_order].tolist(), weights.tolist()))
+
+    # A related list is n_in rotated core members, then n_out far entries:
+    # a core member's private pool segment, or for anyone else the head of
+    # the next community.  Lists are built one community at a time, as an
+    # index block mapped through ``ids``, so every entry is one shared id.
+    t_in = np.arange(n_in)
+    t_out = np.arange(n_out)
+    j = np.arange(core_size)[:, None]
+    related: dict[ContentId, list[ContentId]] = {}
+    for c, (s, sz) in enumerate(zip(starts, sizes)):
+        next_head = starts[(c + 1) % n_comm] + t_out
+        lists = np.empty((sz, out_degree), dtype=np.int64)
+        if n_in:
+            k = (rot[s : s + core_size, None] + t_in) % n_in
+            lists[:core_size, :n_in] = s + k + (k >= j)  # core member j skips itself
+            lists[core_size:, :n_in] = s + (rot[s + core_size : s + sz, None] + t_in) % core_size
+        if pool_len >= n_out:
+            lists[:core_size, n_in:] = pool_flat[(seg_bases[c] + j * n_out + t_out) % pool_len]
+        else:
+            lists[:core_size, n_in:] = np.concatenate((pool_flat, next_head[: n_out - pool_len]))
+        lists[core_size:, n_in:] = next_head
+        related.update(zip(ids[s : s + sz].tolist(), ids[lists].tolist()))
     return Catalog(related, popularity)

@@ -9,10 +9,14 @@ dicts and lists, and ``reference_walk`` runs one session from given random
 numbers; they are the oracles for ``TransitionTable``.
 ``check_submodularity`` samples nested cache sets to test the placement
 objective's monotonicity and diminishing returns.
+``reference_generate_synthetic`` builds synthetic lists member by member,
+and ``reference_load_related_file`` checks every entry of every line; they
+are the oracles for ``generate_synthetic`` and ``load_related_file``.
 """
 
 from __future__ import annotations
 
+import json
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -22,10 +26,16 @@ import pytest
 
 from cabaret_sim.catalog import Catalog, ContentId, PopularityRegion, RelationOracle
 from cabaret_sim.demand import PositionDistribution, Recommender, Session
-from cabaret_sim.errors import ParameterError
+from cabaret_sim.errors import (
+    DatasetFormatError,
+    DuplicateContentError,
+    ParameterError,
+    utf8_errors,
+)
 from cabaret_sim.explore import bfs
 from cabaret_sim.placement import ObjectiveSpec
 from cabaret_sim.recommend import CacheManifest
+from cabaret_sim.synthetic import _TARGET_COMMUNITY_SIZE, _community_sizes, _zipf_weights
 
 
 class CountingOracle(RelationOracle):
@@ -278,6 +288,179 @@ def check_submodularity(
             violations += 1
         worst = max(worst, gap)
     return SubmodularityReport(trials, violations, worst, tolerance)
+
+
+def _reference_ring_catalog(size: int, degree: int, rng: np.random.Generator) -> Catalog:
+    ids = _reference_make_ids(size, rng)
+    related = {
+        ids[i]: [ids[(i + j) % size] for j in range(1, degree + 1)]
+        for i in range(size)
+    }
+    weights = _zipf_weights(size)
+    popularity = {ids[i]: float(weights[i]) for i in range(size)}
+    return Catalog(related, popularity)
+
+
+def _reference_make_ids(size: int, rng: np.random.Generator) -> list[ContentId]:
+    width = len(str(size - 1))
+    perm = rng.permutation(size)
+    return [f"v{perm[i]:0{width}d}" for i in range(size)]
+
+
+def reference_generate_synthetic(
+    size: int, out_degree: int, overlap: float, seed: int
+) -> Catalog:
+    """The synthetic generator as a per-member loop: the oracle for ``generate_synthetic``.
+
+    Args:
+        size: number of contents (must be at least ``out_degree + 1``).
+        out_degree: length of every related list.
+        overlap: target fraction, in [0, 1], of a popular seed's direct
+            neighbors re-found among its two-hop neighbors.
+        seed: RNG seed; identical arguments produce identical catalogs.
+
+    Raises:
+        ParameterError: on an infeasible parameter combination.
+    """
+    if out_degree < 1:
+        raise ParameterError(f"out_degree must be >= 1, got {out_degree}")
+    if size < out_degree + 1:
+        raise ParameterError(
+            f"size must be at least out_degree + 1 ({out_degree + 1}), got {size}"
+        )
+    if not 0.0 <= overlap <= 1.0:
+        raise ParameterError(f"overlap must be in [0, 1], got {overlap}")
+
+    rng = np.random.Generator(np.random.PCG64(seed))
+
+    min_community = out_degree + 2
+    if size < 2 * min_community:
+        return _reference_ring_catalog(size, out_degree, rng)
+
+    n_in = round(overlap * out_degree)
+    n_out = out_degree - n_in
+    core_size = n_in + 1
+    zone_size = max(0, n_out - core_size)
+    head_size = core_size + zone_size  # == max(core_size, n_out)
+
+    n_comm = max(2, round(size / _TARGET_COMMUNITY_SIZE))
+    if size // n_comm < min_community:
+        n_comm = max(2, size // min_community)
+    sizes = _community_sizes(size, n_comm)
+
+    starts = np.cumsum([0] + sizes[:-1])
+    cores = [list(range(s, s + core_size)) for s in starts]
+    heads = [list(range(s, s + head_size)) for s in starts]
+    pools = [
+        list(range(s + head_size, s + sz)) for s, sz in zip(starts, sizes)
+    ]
+    pool_flat: list[int] = [m for pool in pools for m in pool]
+    pool_len = len(pool_flat)
+
+    # Private far segments: one disjoint slice of the global pool per core
+    # member, at a per-community random base.  Disjointness holds whenever
+    # the pool can host core_size * n_out slots; smaller catalogs degrade
+    # to wrapped (possibly shared) slices.
+    seg_bases = rng.integers(0, max(1, pool_len), size=n_comm)
+
+    def core_far(c: int, j: int) -> list[int]:
+        if n_out == 0:
+            return []
+        if pool_len >= n_out:
+            base = (int(seg_bases[c]) + j * n_out) % pool_len
+            idx = [(base + t) % pool_len for t in range(n_out)]
+            return [pool_flat[i] for i in idx]
+        picked = list(pool_flat)
+        for m in heads[(c + 1) % n_comm]:
+            if len(picked) >= n_out:
+                break
+            picked.append(m)
+        return picked[:n_out]
+
+    related_idx: dict[int, list[int]] = {}
+    for c in range(n_comm):
+        core = cores[c]
+        core_set = set(core)
+        next_head = heads[(c + 1) % n_comm][:n_out]
+        members = range(starts[c], starts[c] + sizes[c])
+        for m in members:
+            others = [x for x in core if x != m]
+            if others:
+                rot = int(rng.integers(0, len(others)))
+                others = others[rot:] + others[:rot]
+            within = others[:n_in]
+            if m in core_set:
+                far = core_far(c, core.index(m))
+            else:
+                far = next_head
+            related_idx[m] = within + far
+
+    # Popularity rank order: cores first, cycling across communities in
+    # blocks of two, so the front page is spread over communities while
+    # every popular content keeps one popular sibling inside its own
+    # related list (pure round-robin would leave the provider's own lists
+    # with no cached entries at all).  Shared zones and pools follow.
+    rank_order: list[int] = []
+    block = min(2, core_size)
+    for b in range(0, core_size, block):
+        for c in range(n_comm):
+            for j in range(b, min(b + block, core_size)):
+                rank_order.append(cores[c][j])
+    for j in range(zone_size):
+        for c in range(n_comm):
+            rank_order.append(starts[c] + core_size + j)
+    max_pool = max((len(p) for p in pools), default=0)
+    for j in range(max_pool):
+        for pool in pools:
+            if j < len(pool):
+                rank_order.append(pool[j])
+
+    ids = _reference_make_ids(size, rng)
+    weights = _zipf_weights(size)
+    popularity = {ids[m]: float(weights[r]) for r, m in enumerate(rank_order)}
+    related = {ids[m]: [ids[x] for x in lst] for m, lst in related_idx.items()}
+    return Catalog(related, popularity)
+
+
+def reference_parse_related_line(line: str, lineno: int) -> tuple[ContentId, list[ContentId]]:
+    try:
+        record = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise DatasetFormatError(f"invalid JSON ({exc.msg})", line=lineno) from None
+    if not isinstance(record, dict):
+        raise DatasetFormatError("record is not an object", line=lineno)
+    if "id" not in record or "related" not in record:
+        raise DatasetFormatError('record must have "id" and "related" keys', line=lineno)
+    cid = record["id"]
+    rel = record["related"]
+    if not isinstance(cid, str) or not cid:
+        raise DatasetFormatError('"id" must be a non-empty string', line=lineno)
+    if not isinstance(rel, list) or not set(map(type, rel)) <= {str}:
+        raise DatasetFormatError('"related" must be an array of strings', line=lineno)
+    if "" in rel:
+        raise DatasetFormatError('"related" must not hold an empty id', line=lineno)
+    return cid, rel
+
+
+def reference_load_related_file(path: str) -> dict[ContentId, tuple[ContentId, ...]]:
+    """The loader checking every entry of every line: the oracle for ``load_related_file``.
+
+    Every occurrence of an id, as a key or in a list, is one shared string
+    object, so the parser's strings are freed line by line.
+    """
+    related: dict[ContentId, tuple[ContentId, ...]] = {}
+    canon: dict[ContentId, ContentId] = {}
+    with open(path, encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
+        for lineno, line in enumerate(handle, start=1):
+            if not line.strip():
+                continue
+            cid, rel = reference_parse_related_line(line, lineno)
+            if cid in related:
+                raise DuplicateContentError(
+                    f"content {cid!r} defined more than once", line=lineno
+                )
+            related[canon.setdefault(cid, cid)] = tuple(map(canon.setdefault, rel, rel))
+    return related
 
 
 @pytest.fixture

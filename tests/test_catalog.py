@@ -26,7 +26,7 @@ from cabaret_sim.errors import (
     UnknownContentError,
 )
 
-from conftest import random_catalog
+from conftest import random_catalog, reference_load_related_file
 
 # Printable ids, biased toward the CSV and JSON metacharacters and line breaks.
 _IDS = st.text(
@@ -35,6 +35,38 @@ _IDS = st.text(
     max_size=6,
 )
 
+
+
+# Entries that are not ids: each must fail its line as the reference does.
+_BAD_ENTRIES = [1, 1.5, None, True, False, ["v1"], {"a": 1}, "", float("nan")]
+# Whole lines that break a structural rule.
+_BAD_LINES = ["{oops", "[1]", '{"id":"v1"}', '{"id":1,"related":[]}', '{"id":"","related":[]}',
+              '{"id":"v9","related":"v1"}']
+
+
+@st.composite
+def _related_files(draw):
+    """JSON-lines text over a few ids, with bad entries, bad and blank lines."""
+    ids = ["v1", "v2", "v3", "v4", "w5"]
+    entry = st.one_of(st.sampled_from(ids), st.sampled_from(ids), st.sampled_from(_BAD_ENTRIES))
+    lines = []
+    for _ in range(draw(st.integers(1, 8))):
+        kind = draw(st.sampled_from(["record"] * 4 + ["blank", "bad"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", "  ", "\t"])))
+        elif kind == "bad":
+            lines.append(draw(st.sampled_from(_BAD_LINES)))
+        else:
+            related = draw(st.lists(entry, max_size=6))
+            lines.append(json.dumps({"id": draw(st.sampled_from(ids)), "related": related}))
+    return "".join(line + "\n" for line in lines)
+
+
+def _outcome(load, path):
+    try:
+        return load(path)
+    except Exception as exc:  # compared with the reference's outcome
+        return exc
 
 
 def stream_dumps_related(catalog):
@@ -91,6 +123,21 @@ class TestCatalog:
         for weight in (-1.0, math.nan, math.inf, -math.inf):
             with pytest.raises(ParameterError):
                 Catalog({"a": ["b"]}, {"a": weight})
+
+    # A non-string id would fail later, in the first sort by id.
+    def test_rejects_non_string_entry(self):
+        with pytest.raises(ParameterError, match="content id must be a string, got 1"):
+            Catalog({"a": [1, "b"]})
+        with pytest.raises(ParameterError, match="related list of 'a' holds an unhashable id"):
+            Catalog({"a": [["b"]]})
+
+    def test_rejects_non_string_popularity_id(self):
+        with pytest.raises(ParameterError, match="content id must be a string, got 3"):
+            Catalog({"a": [], "b": []}, {3: 1.0})
+
+    def test_rejects_bare_string_list(self):
+        with pytest.raises(ParameterError, match="related list of 'a' is a string"):
+            Catalog({"a": "bc"})
 
     def test_popularity_ids_become_leaves(self):
         cat = Catalog({"a": ["b"]}, {"z": 3.0})
@@ -263,6 +310,25 @@ class TestDatasetFiles:
         occurrences = keys + [x for cid in keys for x in cat.related_list(cid)]
         assert len({id(x) for x in occurrences}) == len(cat) == 4
         assert cat == Catalog({r["id"]: list(r["related"]) for r in lines})
+
+    # Bad values repeat across lines, a duplicate id may share a line with a
+    # bad entry, and a bad line may follow one.
+    @settings(max_examples=200, deadline=None)
+    @given(_related_files())
+    def test_loader_matches_reference(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = str(Path(tmp) / "rel.jsonl")
+            Path(path).write_text(text, encoding="utf-8")
+            got = _outcome(load_related_file, path)
+            want = _outcome(reference_load_related_file, path)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert got.line == want.line
+        else:
+            assert list(got.items()) == list(want.items())
+            occurrences = list(got) + [x for lst in got.values() for x in lst]
+            assert len({id(x) for x in occurrences}) == len(set(occurrences))
 
     def test_catalog_keeps_the_loaders_tuples(self, tmp_path):
         path = tmp_path / "rel.jsonl"

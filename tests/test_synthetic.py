@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import hashlib
+
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from cabaret_sim.catalog import RelationOracle, dumps_popularity, dumps_related, top_popular
 from cabaret_sim.errors import ParameterError
 from cabaret_sim.metrics import eval_iv
 from cabaret_sim.synthetic import generate_synthetic
+
+from conftest import reference_generate_synthetic
 
 
 def measured_overlap(size, degree, overlap, seed, seeds=50):
@@ -61,6 +66,45 @@ class TestDeterminism:
         a = generate_synthetic(1000, 50, 0.9, 7)
         b = generate_synthetic(1000, 50, 0.9, 8)
         assert dumps_related(a) != dumps_related(b)
+
+
+@st.composite
+def _generator_args(draw):
+    degree = draw(st.integers(1, 60))
+    size = draw(st.integers(degree + 1, 3000))
+    overlap = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    return size, degree, overlap, draw(st.integers(0, 2**64 - 1))
+
+
+class TestAgainstReference:
+    @settings(max_examples=40, deadline=None)
+    @given(_generator_args())
+    # Overlaps 0 and 1 (n_in = 0, n_out = 0), the smallest catalog past the
+    # ring fallback, whose pool is shorter than n_out, and the ring itself.
+    @example((1000, 50, 0.0, 1))
+    @example((1000, 50, 1.0, 1))
+    @example((104, 50, 0.0, 3))
+    @example((103, 50, 0.5, 4))
+    def test_matches_member_loop(self, args):
+        cat = generate_synthetic(*args)
+        ref = reference_generate_synthetic(*args)
+        assert cat == ref
+        assert dumps_related(cat) == dumps_related(ref)
+        assert dumps_popularity(cat) == dumps_popularity(ref)
+        keys = cat.ids()
+        occurrences = keys + [x for cid in keys for x in cat.related_list(cid)]
+        assert len({id(x) for x in occurrences}) == len(cat)
+
+    def test_pinned_catalog(self):
+        cat = generate_synthetic(2000, 50, 0.92, 7)
+        digest = {
+            name: hashlib.sha256(dump(cat).encode()).hexdigest()
+            for name, dump in (("related", dumps_related), ("popularity", dumps_popularity))
+        }
+        assert digest == {
+            "related": "6f6718e59410a99df57b92320e6d29033c4713a36a65ab6469ec359c25eccdf9",
+            "popularity": "8178cf5cb5965affc5fce1cdef64879c2f26ad75dfb601e4107b1c61f5b83c7f",
+        }
 
 
 class TestCalibration:
