@@ -99,7 +99,12 @@ class Catalog:
             for cid, weight in popularity.items():
                 if cid == "":
                     raise ParameterError(f"popularity id must be non-empty, got {cid!r}")
-                w = float(weight)
+                try:
+                    w = float(weight)
+                except (TypeError, ValueError, OverflowError):
+                    raise ParameterError(
+                        f"popularity weight for {cid!r} must be a number, got {weight!r}"
+                    ) from None
                 if not (math.isfinite(w) and w >= 0):
                     raise ParameterError(
                         f"popularity weight for {cid!r} must be finite and >= 0, got {w}"

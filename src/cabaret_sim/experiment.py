@@ -19,9 +19,10 @@ The caches cut from one order make a *family*: the whole run under
 ``top``, one demand under ``greedy``, each cache alone under ``exact``.
 Families whose largest caches hold the same set share one
 :class:`~cabaret_sim.recommend.CacheIndex` of it.  A family stores each
-content's cabaret candidates once, as ranks in its order, and a cabaret
-table derives every row from them with one stable argsort (see
-:class:`_Family`).
+content's cabaret candidates once, as ranks in its order beside their
+ids: its cached discovery, and its exploration through the ``N``-th entry
+outside the largest cache.  A cabaret table derives every row from them,
+at any depth, with one stable argsort (see :class:`_Family`).
 
 Every table of a run numbers its states with one shared
 :class:`~cabaret_sim.demand.StateNumbers`.  The provider's own table, the
@@ -87,10 +88,10 @@ from .recommend import (
     CacheIndex,
     CacheManifest,
     baseline_recommender,
-    cabaret_list,
     cached_discovery,
     reordered_recommender,  # noqa: F401  (kept bound for bench/tracing.py)
     select_from_exploration,  # noqa: F401  (kept bound for bench/tracing.py)
+    top_up_candidates,
 )
 from .synthetic import generate_synthetic
 from .version import __version__
@@ -391,19 +392,6 @@ def _cached_first(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return picked, kept == 0, (kept < 2).sum(axis=1)
 
 
-def _leads(marks: np.ndarray, lengths: np.ndarray, count: int) -> tuple[np.ndarray, np.ndarray]:
-    """The prefix of each segment of ``marks`` through its ``count``-th mark.
-
-    ``marks`` lays segments of ``lengths`` end to end; a segment with fewer
-    marks is kept whole.  Returns the mask of the kept elements and each
-    segment's kept length.
-    """
-    segment = np.repeat(np.arange(len(lengths)), lengths)
-    seen = np.concatenate(([0], np.cumsum(marks)))
-    keep = seen[:-1] - seen[np.cumsum(lengths) - lengths][segment] < count
-    return keep, np.bincount(segment, weights=keep, minlength=len(lengths)).astype(np.intp)
-
-
 class _Family:
     """Nested caches cut from one selection order, and their cabaret rows' candidates.
 
@@ -416,20 +404,20 @@ class _Family:
 
     A content's candidates are its
     :func:`~cabaret_sim.recommend.cached_discovery` through the ``n``-th
-    entry that ``floor`` holds, and its head through the ``n``-th entry
-    outside ``order``: every cabaret row of the family takes its cached
-    entries from the first and its top-up from the second.  They are
-    stored once per content, as ranks in one flat array, beside the state
-    number of each candidate (-1 until a row holds it).
+    entry that ``floor`` holds, and its
+    :func:`~cabaret_sim.recommend.top_up_candidates`, the exploration
+    through the ``n``-th entry outside ``order``: every cabaret row of the
+    family takes its cached entries from the first and its top-up from the
+    second.  They are stored once per content, as ranks in one flat array,
+    beside a list of their ids and the state number of each candidate (-1
+    until a row holds it).
     """
 
     def __init__(
         self, order: tuple[str, ...], low: int, high: int, index: CacheIndex, runner: _Runner
     ):
         self.order = order
-        self.ids = np.array(order, dtype=object)
         self.rank = {content: rank for rank, content in enumerate(order)}
-        self.low = low
         self.high = high
         self.index = index
         self.floor = frozenset(order[:low])
@@ -437,11 +425,12 @@ class _Family:
         self.states = runner.states
         self.depth = runner.params.depth
         self.n = runner.config.list_size
-        # Per state: where its discovery and head candidates start in the
-        # store, and how many there are (-1 until stored).
-        self.at = np.full((0, 4), -1, dtype=np.intp)
+        # Per state: where its candidates start in the store, and how many
+        # discovery and top-up candidates follow (-1 until stored).
+        self.at = np.full((0, 3), -1, dtype=np.intp)
         self.ranks = np.empty(0, dtype=np.int32)
         self.numbers = np.empty(0, dtype=np.int32)
+        self.cands: list[str] = []
 
     def add(self, fresh: list[int]) -> None:
         """Store the candidates of the states ``fresh`` not stored yet.
@@ -450,7 +439,7 @@ class _Family:
         store changes.
         """
         if len(self.at) < len(self.states):
-            grown = np.full((len(self.states), 4), -1, dtype=np.intp)
+            grown = np.full((len(self.states), 3), -1, dtype=np.intp)
             grown[: len(self.at)] = self.at
             self.at = grown
         fresh = [s for s, stored in zip(fresh, self.at[fresh, 1] >= 0) if not stored]
@@ -458,85 +447,47 @@ class _Family:
             return
         heads = [self.head(self.states.ids[s]) for s in fresh]
         found = [cached_discovery(h, self.depth, self.n, self.index, self.floor) for h in heads]
-        found_len = np.fromiter(map(len, found), np.intp, len(found))
-        found_rank = np.fromiter(
-            map(self.rank.__getitem__, chain.from_iterable(found)), np.int32, found_len.sum()
-        )
-        head_len = np.fromiter((len(h.entries) for h in heads), np.intp, len(heads))
-        entries = chain.from_iterable(h.entries for h in heads)
-        head_rank = np.fromiter(
-            map(self.rank.get, entries, repeat(self.high)), np.int32, head_len.sum()
-        )
-        found_keep, found_n = _leads(found_rank < self.low, found_len, self.n)
-        head_keep, head_n = _leads(head_rank == self.high, head_len, self.n)
-        added = np.concatenate((found_rank[found_keep], head_rank[head_keep]))
-        start = len(self.ranks)
-        self.at[fresh, 0] = start + np.cumsum(found_n) - found_n
+        tops = [top_up_candidates(h, self.depth, self.n, self.index) for h in heads]
+        added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
+        ranks = np.fromiter(map(self.rank.get, added, repeat(self.high)), np.int32, len(added))
+        found_n = np.fromiter(map(len, found), np.intp, len(found))
+        top_n = np.fromiter(map(len, tops), np.intp, len(tops))
+        self.at[fresh, 0] = len(self.cands) + np.cumsum(found_n + top_n) - found_n - top_n
         self.at[fresh, 1] = found_n
-        self.at[fresh, 2] = start + found_n.sum() + np.cumsum(head_n) - head_n
-        self.at[fresh, 3] = head_n
-        self.ranks = np.concatenate((self.ranks, added))
+        self.at[fresh, 2] = top_n
+        self.ranks = np.concatenate((self.ranks, ranks))
         self.numbers = np.concatenate((self.numbers, np.full(len(added), -1, dtype=np.int32)))
+        self.cands += added
 
     def rows(self, fresh: list[int], capacity: int) -> Rows:
         """The cabaret rows of the states ``fresh`` for the cache of ``capacity``.
 
         Phase 1 is the first ``n`` discovery candidates the cache holds, the
-        top-up the head candidates it does not, each in order: one
-        cached-first selection over both.  A row left shorter than ``n``
-        needs the last level's uncached entries, so
-        :func:`~cabaret_sim.recommend.cabaret_list` builds it.
+        top-up the top-up candidates it does not, each in order: one
+        cached-first selection over both.  A row is shorter than ``n`` only
+        when the exploration holds fewer than ``n`` entries.
         """
         self.add(fresh)
-        n, states = self.n, self.states
-        found_at, found_n, head_at, head_n = self.at[fresh].T
+        start, found_n, top_n = self.at[fresh].T
         wide = found_n.max(initial=0)
-        columns = np.arange(wide + head_n.max(initial=0))
+        columns = np.arange(wide + top_n.max(initial=0))
         is_found = columns < wide
         offset = np.where(is_found, columns, columns - wide)
-        flat = np.where(is_found, found_at[:, None], head_at[:, None]) + offset
-        valid = offset < np.where(is_found, found_n[:, None], head_n[:, None])
+        flat = start[:, None] + np.where(is_found, 0, found_n[:, None]) + offset
+        valid = offset < np.where(is_found, found_n[:, None], top_n[:, None])
         held = np.zeros(flat.shape, dtype=bool)
         held[valid] = self.ranks[flat[valid]] < capacity
         keys = np.full(flat.shape, 2, dtype=np.int8)
         keys[valid & is_found & held] = 0
         keys[valid & ~is_found & ~held] = 1
-        picked, cached, width = _cached_first(keys, n)
-        filled = np.arange(n) < width[:, None]
-        row, column = np.nonzero(filled)[0], picked[filled]
-        taken = flat[row, column]
-        cached_ids = frozenset(self.order[:capacity])
-        short = {
-            b: cabaret_list(
-                self.head(states.ids[fresh[b]]),
-                self.depth,
-                n,
-                self.ids[self.ranks[found_at[b] : found_at[b] + found_n[b]]].tolist(),
-                cached_ids,
-                self.index,
-            )
-            for b in np.flatnonzero(width < n).tolist()
-        }
-        # Number the candidates no row has held yet: an entry of ``order``
-        # by its rank, any other by its place in its content's head.
-        unseen = self.numbers[taken] < 0
-        rank = self.ranks[taken[unseen]]
-        inside = rank < len(self.order)
-        ids = np.empty(len(rank), dtype=object)
-        ids[inside] = self.ids[rank[inside]]
-        owner, head_row = np.unique(row[unseen][~inside], return_inverse=True)
-        heads = [self.head(states.ids[fresh[b]]).entries for b in owner.tolist()]
-        head_len = np.fromiter(map(len, heads), np.intp, len(heads))
-        head_ids = np.fromiter(chain.from_iterable(heads), object, head_len.sum())
-        start = (np.cumsum(head_len) - head_len)[head_row]
-        ids[~inside] = head_ids[start + column[unseen][~inside] - wide]
-        self.numbers[taken[unseen]] = states.numbers(ids.tolist())
+        picked, cached, width = _cached_first(keys, self.n)
+        filled = np.arange(self.n) < width[:, None]
+        taken = flat[np.nonzero(filled)[0], picked[filled]]
+        # Number the candidates no row has held yet.
+        unseen = taken[self.numbers[taken] < 0].tolist()
+        self.numbers[unseen] = self.states.numbers([self.cands[i] for i in unseen])
         entries = np.full(filled.shape, -1, dtype=np.intp)
         entries[filled] = self.numbers[taken]
-        for b, shown in short.items():
-            width[b] = len(shown)
-            cached[b] = np.arange(n) < sum(shown.cached)
-            entries[b, : len(shown)] = states.numbers(list(shown.entries))
         return width, cached, entries
 
 

@@ -4,14 +4,15 @@ Three recommenders share one output type:
 
 * :func:`recommend` is the cache-aware list: explore around the seed, put
   explored-and-cached contents first (in exploration order), then fill from
-  the head of the exploration.  It is built in two parts, and the
-  exploration's last level is never materialised.
-  :func:`cached_discovery` lists a cache's entries in the exploration, in
-  discovery order, reading each last-level parent's cached entries from a
-  :class:`CacheIndex`.  :func:`cabaret_list` filters that list by the
-  cache the list is for and tops it up.  Nested caches (a *family*) share
-  the first part: one index and one discovery per content, made for the
-  largest cache, serve every cache of the family.
+  the head of the exploration.  It is :func:`select_from_exploration` over
+  the full exploration.  A runner that builds the lists of many nested
+  caches (a *family*) reads each content's exploration once, as two lists
+  that read the last level only as far as they need:
+  :func:`cached_discovery`, the cached entries in discovery order, read
+  through a :class:`CacheIndex` of the largest cache; and
+  :func:`top_up_candidates`, the exploration through the ``N``-th entry
+  outside that cache.  Every cache of the family takes its cached entries
+  from the first and its top-up from the second.
 * :func:`baseline_recommender` is the provider's top-N related list, order
   untouched.
 * :func:`reordered_recommender` is the provider's top-N list with cached
@@ -22,8 +23,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 from .catalog import ContentId, RelationOracle
 from .errors import DatasetFormatError, ParameterError, utf8_errors
@@ -169,72 +169,58 @@ def cached_discovery(
 
     ``head`` holds the first ``depth - 1`` levels of the exploration around
     ``head.seed`` (no entries at depth 1); the last level, of width
-    ``index.width``, is read from ``index`` one parent at a time.  Reading
-    stops at the parent after which ``count`` entries lie in ``floor``, a
-    subset of ``index.ids``.  The result is then a prefix of the full list
-    that holds the first ``count`` entries of every cache between ``floor``
-    and ``index.ids``, so :func:`cabaret_list` reads the same list from it
-    for each of them.
+    ``index.width``, is read from ``index`` one parent at a time.  The
+    result runs through the ``count``-th entry in ``floor``, a subset of
+    ``index.ids``, so it holds the first ``count`` entries of every cache
+    between ``floor`` and ``index.ids``: the cached part of each one's list.
     """
-    found = [c for c in head.entries if c in index.ids]
-    short = count - sum(map(floor.__contains__, found))
-    if short > 0:
-        # Only the seed and the head's cached entries can repeat a cached
-        # entry of the last level before it is found there.
-        seen = {head.seed, *found}
-        for parent in _last_level_parents(head, depth):
-            for content in index[parent]:
-                if content not in seen:
-                    seen.add(content)
-                    found.append(content)
-                    short -= content in floor
-            if short <= 0:
-                break
+    found: list[ContentId] = []
+    for content in filter(index.ids.__contains__, head.entries):
+        found.append(content)
+        count -= content in floor
+        if count == 0:
+            return tuple(found)
+    # Only the seed and the head's cached entries can repeat a cached
+    # entry of the last level before it is found there.
+    seen = {head.seed, *found}
+    for parent in _last_level_parents(head, depth):
+        for content in index[parent]:
+            if content not in seen:
+                seen.add(content)
+                found.append(content)
+                count -= content in floor
+                if count == 0:
+                    return tuple(found)
     return tuple(found)
 
 
-def _unseen(entries: Iterable[ContentId], seen: set[ContentId]) -> Iterator[ContentId]:
-    """``entries`` in order, skipping those in ``seen``; each one yielded joins it."""
-    for content in entries:
-        if content not in seen:
-            seen.add(content)
-            yield content
+def top_up_candidates(
+    head: ExplorationList, depth: int, count: int, index: CacheIndex
+) -> tuple[ContentId, ...]:
+    """The exploration ``head`` begins, through its ``count``-th entry outside ``index.ids``.
 
-
-def cabaret_list(
-    head: ExplorationList,
-    depth: int,
-    count: int,
-    found: Sequence[ContentId],
-    cached: frozenset[ContentId],
-    index: CacheIndex,
-) -> RecommendationList:
-    """The cache-aware list for ``cached``, from the discovery ``found`` of its family.
-
-    ``found`` is :func:`cached_discovery` of ``head`` over ``index``, whose
-    cache holds ``cached``, with a floor inside ``cached``.  The result
-    equals :func:`select_from_exploration` over the full exploration of
-    width ``index.width``.  Phase 1 takes the entries of ``found`` that
-    ``cached`` holds.  The top-up takes the head's uncached entries, and
-    only when they run out queries the parents' lists for the last level's
-    uncached entries.
+    ``head`` is as in :func:`cached_discovery`; the last level is read from
+    the oracle, one parent's related list of width ``index.width`` at a
+    time.  The result holds, for every cache inside ``index.ids``, the
+    first ``count`` entries of the exploration it does not hold: the top-up
+    of its list.
     """
-    if count < 1:
-        raise ParameterError(f"count must be >= 1, got {count}")
-    picked = list(islice(filter(cached.__contains__, found), count))
-    n_cached = len(picked)
-    if n_cached < count:
-        picked += islice(filterfalse(cached.__contains__, head.entries), count - n_cached)
-        if len(picked) < count:
-            # Phase 1 fell short, so ``found`` is whole and the picks hold
-            # every cached entry of the last level; discovery yields the rest.
-            seen = {head.seed, *head.entries, *picked}
-            oracle, width = index.oracle, index.width
-            parents = _last_level_parents(head, depth)
-            lists = chain.from_iterable(oracle.related(p, width) for p in parents)
-            picked += islice(_unseen(lists, seen), count - len(picked))
-    flags = (True,) * n_cached + (False,) * (len(picked) - n_cached)
-    return RecommendationList(tuple(picked), flags)
+    taken: list[ContentId] = []
+    for content in head.entries:
+        taken.append(content)
+        count -= content not in index.ids
+        if count == 0:
+            return tuple(taken)
+    seen = {head.seed, *taken}
+    for parent in _last_level_parents(head, depth):
+        for content in index.oracle.related(parent, index.width):
+            if content not in seen:
+                seen.add(content)
+                taken.append(content)
+                count -= content not in index.ids
+                if count == 0:
+                    return tuple(taken)
+    return tuple(taken)
 
 
 def recommend(
@@ -246,17 +232,11 @@ def recommend(
 ) -> RecommendationList:
     """Build the cache-aware recommendation list for ``seed``.
 
-    Explores the first ``params.depth - 1`` levels around the seed and
-    reads the last one through a :class:`CacheIndex`; the cache is a family
-    of one (see :func:`cached_discovery` and :func:`cabaret_list`).  An
-    empty exploration yields an empty (flagged, non-error) list.
+    This is :func:`select_from_exploration` over the full exploration
+    around the seed.  An empty exploration yields an empty (flagged,
+    non-error) list.
     """
-    head = ExplorationList(seed, (), ())
-    if params.depth > 1:
-        head = bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
-    index = CacheIndex(cache.ids, oracle, params.width)
-    found = cached_discovery(head, params.depth, count, index, cache.ids)
-    return cabaret_list(head, params.depth, count, found, cache.ids, index)
+    return select_from_exploration(bfs(seed, params, oracle).entries, count, cache)
 
 
 def baseline_recommender(

@@ -124,6 +124,14 @@ class TestCatalog:
             with pytest.raises(ParameterError):
                 Catalog({"a": ["b"]}, {"a": weight})
 
+    def test_rejects_weight_that_is_not_a_number(self):
+        for weight in (None, "x", 10**400):
+            with pytest.raises(ParameterError, match="popularity weight for 'a' must be a number"):
+                Catalog({"a": ["b"]}, {"a": weight})
+
+    def test_accepts_weight_that_reads_as_a_number(self):
+        assert Catalog({"a": ["b"]}, {"a": 2, "b": "1.5"}).popularity_of("b") == 1.5
+
     # A non-string id would fail later, in the first sort by id.
     def test_rejects_non_string_entry(self):
         with pytest.raises(ParameterError, match="content id must be a string, got 1"):

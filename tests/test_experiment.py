@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cabaret_sim import experiment
-from cabaret_sim.catalog import Catalog, save_dataset
+from cabaret_sim.catalog import Catalog, RelationOracle, save_dataset
 from cabaret_sim.errors import ConfigError
 from cabaret_sim.experiment import (
     REQUIRED,
@@ -508,6 +508,7 @@ class TestRunExperiment:
         provided: dict[str, int] = {}
         rows = experiment._Family.rows
         discovery = experiment.cached_discovery
+        top_up = experiment.top_up_candidates
         baseline = experiment.baseline_recommender
 
         def counting(self, fresh, capacity):
@@ -523,15 +524,17 @@ class TestRunExperiment:
             provided[v] = provided.get(v, 0) + 1
             return baseline(v, *args)
 
-        def building(*args):
-            raise AssertionError("every head holds N uncached entries: no row needs a list")
+        def topping(head, depth, count, index):
+            outside = sum(c not in index.ids for c in head.entries)
+            assert outside >= count, "no row needs the last level"
+            return top_up(head, depth, count, index)
 
         def reordering(*args):
             raise AssertionError("reordered lists derive from the provider's rows")
 
         monkeypatch.setattr(experiment._Family, "rows", counting)
         monkeypatch.setattr(experiment, "cached_discovery", discovering)
-        monkeypatch.setattr(experiment, "cabaret_list", building)
+        monkeypatch.setattr(experiment, "top_up_candidates", topping)
         monkeypatch.setattr(experiment, "baseline_recommender", providing)
         monkeypatch.setattr(experiment, "reordered_recommender", reordering)
         result = run_experiment(config)
@@ -735,6 +738,30 @@ class TestRunExperiment:
         assert result.failures == []
         assert misses
         assert max(misses.values()) <= per_content
+
+    def test_smaller_caches_of_a_family_make_no_oracle_queries(self, monkeypatch):
+        # At depth 1 every head is empty, so each row tops up from the
+        # last level; one family reads it once per content for every cache.
+        # Two-request sessions visit the front page only, whatever the cache.
+        def queries(capacities):
+            count = 0
+            related = RelationOracle.related
+
+            def counting(self, content, width):
+                nonlocal count
+                count += 1
+                return related(self, content, width)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(RelationOracle, "related", counting)
+                result = run_experiment(config_from_mapping(tiny_mapping(
+                    recommender="cabaret", bfs_depth=1, cache_capacity=capacities,
+                    session_length=2,
+                )))
+            assert result.failures == []
+            return count
+
+        assert queries([1, 2, 5]) == queries([5])
 
     def test_demands_whose_largest_caches_match_keep_their_own_families(
         self, monkeypatch, tmp_path

@@ -13,11 +13,11 @@ from cabaret_sim.recommend import (
     CacheManifest,
     RecommendationList,
     baseline_recommender,
-    cabaret_list,
     cached_discovery,
     recommend,
     reordered_recommender,
     select_from_exploration,
+    top_up_candidates,
 )
 
 from conftest import random_catalog
@@ -130,6 +130,26 @@ def head_of(seed, params, oracle):
     return bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
 
 
+def through_outside(explored, count, ids):
+    """``explored`` through its ``count``-th entry outside ``ids``, or whole."""
+    taken = []
+    for content in explored:
+        taken.append(content)
+        count -= content not in ids
+        if count == 0:
+            break
+    return tuple(taken)
+
+
+def family_list(found, tops, count, cache):
+    """A cache's list from its family's discovery and top-up candidates."""
+    picked = [c for c in found if c in cache.ids][:count]
+    n_cached = len(picked)
+    picked += [c for c in tops if c not in cache.ids][: count - n_cached]
+    flags = (True,) * n_cached + (False,) * (len(picked) - n_cached)
+    return RecommendationList(tuple(picked), flags)
+
+
 class TestCabaretList:
     """The D-1 levels plus cache index path against the full exploration."""
 
@@ -148,17 +168,23 @@ class TestCabaretList:
         # One index serves every seed, as it does in the runner.
         index = CacheIndex(cache.ids, oracle, params.width)
         for seed in ids:
-            want = select_from_exploration(bfs(seed, params, oracle).entries, count, cache)
+            explored = bfs(seed, params, oracle).entries
+            want = select_from_exploration(explored, count, cache)
             assert recommend(seed, count, cache, params, oracle) == want
             head = head_of(seed, params, oracle)
+            tops = top_up_candidates(head, params.depth, count, index)
+            assert tops == through_outside(explored, count, cache.ids)
             found = cached_discovery(head, params.depth, count, index, cache.ids)
-            assert cabaret_list(head, params.depth, count, found, cache.ids, index) == want
+            n_cached = sum(want.cached)
+            assert tuple(c for c in found if c in cache.ids)[:count] == want.entries[:n_cached]
+            assert family_list(found, tops, count, cache) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_one_discovery_serves_every_cache_of_a_family(self, data):
         # A family is the caches cut from one order: each holds the smallest
-        # and lies inside the largest, whose index and discovery they share.
+        # and lies inside the largest, whose index, discovery and top-up
+        # candidates they share.
         cat = data.draw(small_catalogs())
         ids = cat.ids()
         oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
@@ -177,10 +203,13 @@ class TestCabaretList:
             explored = bfs(seed, params, oracle).entries
             head = head_of(seed, params, oracle)
             found = cached_discovery(head, params.depth, count, index, floor)
+            tops = top_up_candidates(head, params.depth, count, index)
             for cache in caches:
                 want = select_from_exploration(explored, count, cache)
-                got = cabaret_list(head, params.depth, count, found, cache.ids, index)
-                assert got == want
+                n_cached = sum(want.cached)
+                cached = tuple(c for c in found if c in cache.ids)
+                assert cached[:count] == want.entries[:n_cached]
+                assert family_list(found, tops, count, cache) == want
 
     def test_rejects_zero_count(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
