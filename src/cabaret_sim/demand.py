@@ -13,13 +13,13 @@ contents.  A :class:`TransitionTable` holds that chain for one front page
 in one row store: padded arrays indexed by state number, each row built
 once on the state's first visit.  A row holds what the recommender said:
 the list's width, the cached flags and the entries' state numbers.  A
-:class:`StateNumbers` numbers the states, and tables that share one read
-each other's numbers as they are.  A table builds its rows from a *row
-source*, which returns the rows of a batch of states at once.  The source
-of a recommender that returns lists asks it once per state
-(:meth:`TransitionTable.from_recommender`); a source may instead derive
-its rows from stored data with array operations, as the runner does for
-every list kind (see :mod:`cabaret_sim.experiment`).
+:class:`~cabaret_sim.recommend.StateNumbers` numbers the states, and
+tables that share one read each other's numbers as they are.  A table
+builds its rows from a *row source*, which returns the rows of a batch of
+states at once.  Every row source comes from :mod:`cabaret_sim.recommend`:
+one that asks a recommender once per state
+(:meth:`TransitionTable.from_recommender`), or one that derives its rows
+from stored data with array operations, as the runner's tables do.
 The position law is the user's, so each read names it, and both
 evaluators read the rows through the law truncated to each width:
 
@@ -44,17 +44,15 @@ from __future__ import annotations
 from bisect import bisect_right
 from dataclasses import dataclass
 from functools import reduce
-from itertools import accumulate, filterfalse
+from itertools import accumulate
 from operator import add
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
 from .catalog import ContentId, PopularityRegion
 from .errors import ParameterError
-from .recommend import CacheManifest, RecommendationList
-
-Recommender = Callable[[ContentId], RecommendationList]
+from .recommend import CacheManifest, Recommender, RowSource, Rows, StateNumbers, list_rows
 
 
 def ordered_sum(values: Iterable[float]) -> float:
@@ -142,66 +140,6 @@ def _check_session(length: int, front_page: PopularityRegion) -> None:
         raise ParameterError("front page is empty")
 
 
-class StateNumbers:
-    """A numbering of contents as chain states, shared by the tables of a run.
-
-    A content keeps its number for the run.  Numbers follow first sight, so
-    they never order anything that reaches output; the tables order by id.
-    """
-
-    __slots__ = ("number", "ids")
-
-    def __init__(self) -> None:
-        self.number: dict[ContentId, int] = {}
-        self.ids: list[ContentId] = []
-
-    def __len__(self) -> int:
-        return len(self.ids)
-
-    def numbers(self, contents: list[ContentId]) -> list[int]:
-        """The state numbers of ``contents``, numbering new states in order."""
-        number = self.number
-        new = dict.fromkeys(filterfalse(number.__contains__, contents))
-        if new:
-            first = len(self.ids)
-            number.update(zip(new, range(first, first + len(new))))
-            self.ids += new
-        return list(map(number.__getitem__, contents))
-
-
-#: The rows of a batch of states: widths, and padded cached flags and entry states.
-Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
-
-#: Builds the rows of states given by number, in sorted-id order.
-RowSource = Callable[[list[int]], Rows]
-
-
-def _list_rows(recommender: Recommender, n: int, states: StateNumbers) -> RowSource:
-    """The row source of a recommender that returns lists.
-
-    A row keeps the first ``n`` entries of the list, as many as a law has
-    positions, and numbers them.  The recommender is asked once per state,
-    in the order given; an error it raises propagates before any content
-    is numbered.
-    """
-    columns = np.arange(n)
-
-    def rows(fresh: list[int]) -> Rows:
-        shown = [recommender(states.ids[s]) for s in fresh]
-        widths = [min(len(rec), n) for rec in shown]
-        width = np.array(widths, dtype=np.intp)
-        filled = columns < width[:, None]
-        cached = np.zeros(filled.shape, dtype=bool)
-        cached[filled] = [hit for rec, w in zip(shown, widths) for hit in rec.cached[:w]]
-        entries = np.full(filled.shape, -1, dtype=np.intp)
-        entries[filled] = states.numbers(
-            [c for rec, w in zip(shown, widths) for c in rec.entries[:w]]
-        )
-        return width, cached, entries
-
-    return rows
-
-
 class TransitionTable:
     """The session Markov chain of one front page and row source.
 
@@ -240,7 +178,7 @@ class TransitionTable:
     ) -> TransitionTable:
         """The table of a recommender that returns lists, numbered by ``states``."""
         states = StateNumbers() if states is None else states
-        return cls(front_page, _list_rows(recommender, n, states), n, states)
+        return cls(front_page, list_rows(recommender, n, states), n, states)
 
     def rows(self, states: list[int]) -> Rows:
         """The rows of ``states``, building those not built yet."""

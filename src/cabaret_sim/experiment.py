@@ -17,22 +17,19 @@ largest capacity.  ``exact`` optima are not nested, so it solves each
 capacity.  Every solve reads the front page's explorations, built once.
 The caches cut from one order make a *family*: the whole run under
 ``top``, one demand under ``greedy``, each cache alone under ``exact``.
-Families whose largest caches hold the same set share one
-:class:`~cabaret_sim.recommend.CacheIndex` of it.  A family stores each
-content's cabaret candidates once, as ranks in its order beside their
-ids: its cached discovery, and its exploration through the ``N``-th entry
-outside the largest cache.  A cabaret table derives every row from them,
-at any depth, with one stable argsort (see :class:`_Family`).
+The runner keeps one :class:`~cabaret_sim.recommend.FamilyStore` per
+family, and families whose largest caches hold the same set share one
+:class:`~cabaret_sim.recommend.CacheIndex` of it.  Each content's
+exploration head (every level but the last, the whole exploration at
+depth 1) is built once per run and shared by every family.
 
 Every table of a run numbers its states with one shared
-:class:`~cabaret_sim.demand.StateNumbers`.  The provider's own table, the
-baseline list of each content under an empty cache, is built once per run
-by :func:`~cabaret_sim.recommend.baseline_recommender`, in sorted-id
-order.  Baseline and reordered tables derive every cache's rows from it
-with numpy: a baseline row flags the entries whose numbers the cache
-holds, and a reordered row also moves the flagged entries first with
-the stable argsort cabaret rows use, which is the two-phase selection
-over the provider's list.  No list is built per cache.
+:class:`~cabaret_sim.recommend.StateNumbers`.  The provider's own table,
+the baseline list of each content under an empty cache, is built once
+per run by :func:`~cabaret_sim.recommend.baseline_recommender`, in
+sorted-id order; baseline and reordered tables derive every cache's rows
+from it (:func:`~cabaret_sim.recommend.provider_rows`).  No list is built
+per cache, and every row is built in :mod:`cabaret_sim.recommend`.
 
 ``auto`` evaluates two-request cells exactly (over all starting contents)
 and samples longer sessions; ``exact`` propagates the watched-content
@@ -60,7 +57,6 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from functools import partial
-from itertools import chain, repeat
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -72,9 +68,6 @@ from .catalog import (
 from .csvio import write_csv
 from .demand import (
     PositionDistribution,
-    RowSource,
-    Rows,
-    StateNumbers,
     TransitionTable,
     exact_hit_rates,  # noqa: F401  (kept bound for bench/tracing.py)
     position_probs,
@@ -87,11 +80,12 @@ from .placement import ObjectiveSpec, exact_placement, greedy_placement
 from .recommend import (
     CacheIndex,
     CacheManifest,
+    FamilyStore,
+    StateNumbers,
     baseline_recommender,
-    cached_discovery,
+    provider_rows,
     reordered_recommender,  # noqa: F401  (kept bound for bench/tracing.py)
     select_from_exploration,  # noqa: F401  (kept bound for bench/tracing.py)
-    top_up_candidates,
 )
 from .synthetic import generate_synthetic
 from .version import __version__
@@ -378,119 +372,6 @@ class ExperimentResult:
     wall_clock: float
 
 
-def _cached_first(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The cached-first selection in every row of ``keys``, cut to ``n`` columns.
-
-    A row takes its columns keyed 0, then those keyed 1, each in column
-    order, and drops those keyed 2.  Returns the columns taken (dropped
-    ones pad the rest), whether each is keyed 0, and each row's width.
-    """
-    if keys.shape[1] < n:
-        keys = np.pad(keys, ((0, 0), (0, n - keys.shape[1])), constant_values=2)
-    picked = np.argsort(keys, axis=1, kind="stable")[:, :n]
-    kept = np.take_along_axis(keys, picked, axis=1)
-    return picked, kept == 0, (kept < 2).sum(axis=1)
-
-
-class _Family:
-    """Nested caches cut from one selection order, and their cabaret rows' candidates.
-
-    ``order`` is the family's largest cache in selection order, and
-    ``index`` that cache's :class:`~cabaret_sim.recommend.CacheIndex`.  A
-    content's *rank* is its position in ``order``, or the largest capacity
-    ``high`` outside it, so the cache of capacity ``c`` holds the ranks
-    below ``c``.  Every cache of the family holds ``floor``, the first
-    ``low`` contents.
-
-    A content's candidates are its
-    :func:`~cabaret_sim.recommend.cached_discovery` through the ``n``-th
-    entry that ``floor`` holds, and its
-    :func:`~cabaret_sim.recommend.top_up_candidates`, the exploration
-    through the ``n``-th entry outside ``order``: every cabaret row of the
-    family takes its cached entries from the first and its top-up from the
-    second.  They are stored once per content, as ranks in one flat array,
-    beside a list of their ids and the state number of each candidate (-1
-    until a row holds it).
-    """
-
-    def __init__(
-        self, order: tuple[str, ...], low: int, high: int, index: CacheIndex, runner: _Runner
-    ):
-        self.order = order
-        self.rank = {content: rank for rank, content in enumerate(order)}
-        self.high = high
-        self.index = index
-        self.floor = frozenset(order[:low])
-        self.head = runner.head
-        self.states = runner.states
-        self.depth = runner.params.depth
-        self.n = runner.config.list_size
-        # Per state: where its candidates start in the store, and how many
-        # discovery and top-up candidates follow (-1 until stored).
-        self.at = np.full((0, 3), -1, dtype=np.intp)
-        self.ranks = np.empty(0, dtype=np.int32)
-        self.numbers = np.empty(0, dtype=np.int32)
-        self.cands: list[str] = []
-
-    def add(self, fresh: list[int]) -> None:
-        """Store the candidates of the states ``fresh`` not stored yet.
-
-        An error while exploring or discovering propagates before the
-        store changes.
-        """
-        if len(self.at) < len(self.states):
-            grown = np.full((len(self.states), 3), -1, dtype=np.intp)
-            grown[: len(self.at)] = self.at
-            self.at = grown
-        fresh = [s for s, stored in zip(fresh, self.at[fresh, 1] >= 0) if not stored]
-        if not fresh:
-            return
-        heads = [self.head(self.states.ids[s]) for s in fresh]
-        found = [cached_discovery(h, self.depth, self.n, self.index, self.floor) for h in heads]
-        tops = [top_up_candidates(h, self.depth, self.n, self.index) for h in heads]
-        added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
-        ranks = np.fromiter(map(self.rank.get, added, repeat(self.high)), np.int32, len(added))
-        found_n = np.fromiter(map(len, found), np.intp, len(found))
-        top_n = np.fromiter(map(len, tops), np.intp, len(tops))
-        self.at[fresh, 0] = len(self.cands) + np.cumsum(found_n + top_n) - found_n - top_n
-        self.at[fresh, 1] = found_n
-        self.at[fresh, 2] = top_n
-        self.ranks = np.concatenate((self.ranks, ranks))
-        self.numbers = np.concatenate((self.numbers, np.full(len(added), -1, dtype=np.int32)))
-        self.cands += added
-
-    def rows(self, fresh: list[int], capacity: int) -> Rows:
-        """The cabaret rows of the states ``fresh`` for the cache of ``capacity``.
-
-        Phase 1 is the first ``n`` discovery candidates the cache holds, the
-        top-up the top-up candidates it does not, each in order: one
-        cached-first selection over both.  A row is shorter than ``n`` only
-        when the exploration holds fewer than ``n`` entries.
-        """
-        self.add(fresh)
-        start, found_n, top_n = self.at[fresh].T
-        wide = found_n.max(initial=0)
-        columns = np.arange(wide + top_n.max(initial=0))
-        is_found = columns < wide
-        offset = np.where(is_found, columns, columns - wide)
-        flat = start[:, None] + np.where(is_found, 0, found_n[:, None]) + offset
-        valid = offset < np.where(is_found, found_n[:, None], top_n[:, None])
-        held = np.zeros(flat.shape, dtype=bool)
-        held[valid] = self.ranks[flat[valid]] < capacity
-        keys = np.full(flat.shape, 2, dtype=np.int8)
-        keys[valid & is_found & held] = 0
-        keys[valid & ~is_found & ~held] = 1
-        picked, cached, width = _cached_first(keys, self.n)
-        filled = np.arange(self.n) < width[:, None]
-        taken = flat[np.nonzero(filled)[0], picked[filled]]
-        # Number the candidates no row has held yet.
-        unseen = taken[self.numbers[taken] < 0].tolist()
-        self.numbers[unseen] = self.states.numbers([self.cands[i] for i in unseen])
-        entries = np.full(filled.shape, -1, dtype=np.intp)
-        entries[filled] = self.numbers[taken]
-        return width, cached, entries
-
-
 class _Runner:
     """Shared immutable state for evaluating scenario cells."""
 
@@ -517,7 +398,7 @@ class _Runner:
         # least capacity: demands whose greedy orders meet at the largest
         # capacity may part below it.  Families whose largest caches hold
         # the same set share its index.
-        self._families: dict[tuple[tuple[str, ...], int], _Family] = {}
+        self._families: dict[tuple[tuple[str, ...], int], FamilyStore] = {}
         self._indexes: dict[frozenset[str], CacheIndex] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
         # Every table of the run numbers states alike, so baseline and
@@ -536,14 +417,14 @@ class _Runner:
         self._table: tuple[tuple[str, frozenset[str]], TransitionTable] | None = None
 
     def head(self, content: str) -> ExplorationList:
-        """The exploration around ``content`` but its last level, shared by every cache."""
+        """The exploration around ``content`` but its last level, shared by every cache.
+
+        At depth 1 it is the whole exploration.
+        """
         head = self._heads.get(content)
         if head is None:
-            head = ExplorationList(content, (), ())
-            depth, width = self.params.depth, self.params.width
-            if depth > 1:
-                head = bfs(content, BfsParams(depth - 1, width), self.oracle)
-            self._heads[content] = head
+            params = BfsParams(max(self.params.depth - 1, 1), self.params.width)
+            head = self._heads[content] = bfs(content, params, self.oracle)
         return head
 
     def _order(self, capacity: int, demand: str) -> tuple[tuple[str, ...], int, int]:
@@ -570,40 +451,20 @@ class _Runner:
         order = self._order(capacity, demand)[0]
         return CacheManifest.from_ids(order[:capacity], capacity)
 
-    def family(self, capacity: int, demand: str) -> _Family:
+    def family(self, capacity: int, demand: str) -> FamilyStore:
         """The family of the cache ``demand`` places at ``capacity``."""
         order, low, high = self._order(capacity, demand)
         key = (order[:high], low)
         family = self._families.get(key)
         if family is None:
             largest = frozenset(key[0])
-            index = self._indexes.get(largest)
-            if index is None:
-                index = CacheIndex(largest, self.oracle, self.params.width)
-                self._indexes[largest] = index
-            family = self._families[key] = _Family(key[0], low, high, index, self)
+            if largest not in self._indexes:
+                self._indexes[largest] = CacheIndex(largest, self.oracle, self.params.width)
+            family = self._families[key] = FamilyStore(
+                key[0], low, self._indexes[largest], self.head, self.params.depth,
+                self.config.list_size, self.states,
+            )
         return family
-
-    def provider_rows(self, kind: str, cached: frozenset[str]) -> RowSource:
-        """The baseline or reordered rows of the cache ``cached``, from the provider's rows.
-
-        A baseline row flags the provider's entries that ``cached`` holds;
-        a reordered row moves those first, keeping both parts in order,
-        which is :func:`~cabaret_sim.recommend.select_from_exploration` over
-        the provider's list.  Padding is never flagged, so it stays last.
-        """
-        flagged = np.array(self.states.numbers(sorted(cached)), dtype=np.intp)
-
-        def rows(fresh: list[int]) -> Rows:
-            width, _, entries = self.provider.rows(fresh)
-            hits = np.isin(entries, flagged)
-            if kind == "reordered":
-                keys = np.where(entries < 0, 2, ~hits).astype(np.int8)
-                picked, hits, _ = _cached_first(keys, self.config.list_size)
-                entries = np.take_along_axis(entries, picked, axis=1)
-            return width, hits, entries
-
-        return rows
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:
         """The transition table of one recommender and the cache ``demand`` places."""
@@ -611,10 +472,9 @@ class _Runner:
         key = (kind, cached)
         if self._table is None or self._table[0] != key:
             if kind == "cabaret":
-                family = self.family(capacity, demand)
-                rows = partial(family.rows, capacity=capacity)
+                rows = partial(self.family(capacity, demand).rows, capacity=capacity)
             else:
-                rows = self.provider_rows(kind, cached)
+                rows = provider_rows(kind, cached, self.provider.rows, self.states)
             table = TransitionTable(self.front_page, rows, self.config.list_size, self.states)
             self._table = (key, table)
         return self._table[1]

@@ -1,29 +1,33 @@
-"""Recommendation list construction: cache-aware and provider-style.
+"""Recommendation lists, and the rows that transition tables read from them.
 
-Three recommenders share one output type:
+Three recommenders share one output type: :func:`recommend`, the
+cache-aware list (explored-and-cached contents first, in exploration
+order, then the head of the exploration), which is
+:func:`select_from_exploration` over the full exploration;
+:func:`baseline_recommender`, the provider's top-N related list; and
+:func:`reordered_recommender`, that list with its cached entries first.
 
-* :func:`recommend` is the cache-aware list: explore around the seed, put
-  explored-and-cached contents first (in exploration order), then fill from
-  the head of the exploration.  It is :func:`select_from_exploration` over
-  the full exploration.  A runner that builds the lists of many nested
-  caches (a *family*) reads each content's exploration once, as two lists
-  that read the last level only as far as they need:
-  :func:`cached_discovery`, the cached entries in discovery order, read
-  through a :class:`CacheIndex` of the largest cache; and
-  :func:`top_up_candidates`, the exploration through the ``N``-th entry
-  outside that cache.  Every cache of the family takes its cached entries
-  from the first and its top-up from the second.
-* :func:`baseline_recommender` is the provider's top-N related list, order
-  untouched.
-* :func:`reordered_recommender` is the provider's top-N list with cached
-  entries moved to the front, relative order preserved.
+A transition table (see :mod:`cabaret_sim.demand`) reads a recommender as
+*rows*: per state, the list's width, its cached flags and its entries'
+numbers in a run's :class:`StateNumbers`.  This module builds every row
+source.  :func:`list_rows` asks a recommender once per state, and
+:func:`provider_rows` derives any cache's baseline or reordered rows from
+the provider's rows.  A :class:`FamilyStore` derives the cabaret rows of
+nested caches (a *family*) from two lists per content,
+:func:`cached_discovery` and :func:`top_up_candidates`.  Both start from
+the exploration's *head*, every level but the last (the whole exploration
+at depth 1), and read the last level only as far as they need.  Every
+cached-first selection over rows is one stable argsort.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from itertools import chain, filterfalse, repeat
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from .catalog import ContentId, RelationOracle
 from .errors import DatasetFormatError, ParameterError, utf8_errors
@@ -96,6 +100,9 @@ class RecommendationList:
         return not self.entries
 
 
+Recommender = Callable[[ContentId], RecommendationList]
+
+
 def select_from_exploration(
     explored: Sequence[ContentId], count: int, cache: CacheManifest
 ) -> RecommendationList:
@@ -152,23 +159,20 @@ class CacheIndex(dict):
 
 
 def _last_level_parents(head: ExplorationList, depth: int) -> tuple[ContentId, ...]:
-    """The contents whose related lists make the depth-``depth`` level ``head`` lacks."""
-    if depth == 1:
-        return (head.seed,)
-    return head.entries[bisect_left(head.depths, depth - 1):]
+    """The contents whose related lists make the depth-``depth`` level ``head`` lacks.
+
+    At depth 1 the head is the whole exploration, so there are none.
+    """
+    return head.entries[bisect_left(head.depths, depth - 1):] if depth > 1 else ()
 
 
 def cached_discovery(
-    head: ExplorationList,
-    depth: int,
-    count: int,
-    index: CacheIndex,
-    floor: frozenset[ContentId],
+    head: ExplorationList, depth: int, count: int, index: CacheIndex, floor: frozenset[ContentId]
 ) -> tuple[ContentId, ...]:
     """The entries of ``index.ids`` in the exploration ``head`` begins, in discovery order.
 
-    ``head`` holds the first ``depth - 1`` levels of the exploration around
-    ``head.seed`` (no entries at depth 1); the last level, of width
+    ``head`` holds the first ``max(depth - 1, 1)`` levels of the
+    exploration around ``head.seed``; past depth 1 the last level, of width
     ``index.width``, is read from ``index`` one parent at a time.  The
     result runs through the ``count``-th entry in ``floor``, a subset of
     ``index.ids``, so it holds the first ``count`` entries of every cache
@@ -199,9 +203,9 @@ def top_up_candidates(
 ) -> tuple[ContentId, ...]:
     """The exploration ``head`` begins, through its ``count``-th entry outside ``index.ids``.
 
-    ``head`` is as in :func:`cached_discovery`; the last level is read from
-    the oracle, one parent's related list of width ``index.width`` at a
-    time.  The result holds, for every cache inside ``index.ids``, the
+    ``head`` is as in :func:`cached_discovery`; past depth 1 the last level
+    is read from the oracle, one parent's related list of width
+    ``index.width`` at a time.  The result holds, for every cache inside ``index.ids``, the
     first ``count`` entries of the exploration it does not hold: the top-up
     of its list.
     """
@@ -224,11 +228,7 @@ def top_up_candidates(
 
 
 def recommend(
-    seed: ContentId,
-    count: int,
-    cache: CacheManifest,
-    params: BfsParams,
-    oracle: RelationOracle,
+    seed: ContentId, count: int, cache: CacheManifest, params: BfsParams, oracle: RelationOracle
 ) -> RecommendationList:
     """Build the cache-aware recommendation list for ``seed``.
 
@@ -267,3 +267,201 @@ def reordered_recommender(
     the provider's list instead of an exploration.
     """
     return select_from_exploration(oracle.related(seed, count), count, cache)
+
+
+class StateNumbers:
+    """A numbering of contents as chain states, shared by the tables of a run.
+
+    A content keeps its number for the run.  Numbers follow first sight, so
+    they never order anything that reaches output; the tables order by id.
+    """
+
+    __slots__ = ("number", "ids")
+
+    def __init__(self) -> None:
+        self.number: dict[ContentId, int] = {}
+        self.ids: list[ContentId] = []
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def numbers(self, contents: list[ContentId]) -> list[int]:
+        """The state numbers of ``contents``, numbering new states in order."""
+        number = self.number
+        new = dict.fromkeys(filterfalse(number.__contains__, contents))
+        if new:
+            first = len(self.ids)
+            number.update(zip(new, range(first, first + len(new))))
+            self.ids += new
+        return list(map(number.__getitem__, contents))
+
+
+#: The rows of a batch of states: widths, and padded cached flags and entry states.
+Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
+
+#: Builds the rows of states given by number, in sorted-id order.
+RowSource = Callable[[list[int]], Rows]
+
+
+def list_rows(recommender: Recommender, n: int, states: StateNumbers) -> RowSource:
+    """The row source of a recommender that returns lists.
+
+    A row keeps the first ``n`` entries of the list, as many as a law has
+    positions, and numbers them.  The recommender is asked once per state,
+    in the order given; an error it raises propagates before any content
+    is numbered.
+    """
+    columns = np.arange(n)
+
+    def rows(fresh: list[int]) -> Rows:
+        shown = [recommender(states.ids[s]) for s in fresh]
+        widths = [min(len(rec), n) for rec in shown]
+        width = np.array(widths, dtype=np.intp)
+        filled = columns < width[:, None]
+        cached = np.zeros(filled.shape, dtype=bool)
+        cached[filled] = [hit for rec, w in zip(shown, widths) for hit in rec.cached[:w]]
+        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries[filled] = states.numbers(
+            [c for rec, w in zip(shown, widths) for c in rec.entries[:w]]
+        )
+        return width, cached, entries
+
+    return rows
+
+
+def _cached_first(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The cached-first selection in every row of ``keys``, cut to ``n <= keys.shape[1]``.
+
+    A row takes its columns keyed 0, then those keyed 1, each in column
+    order, and drops those keyed 2.  Returns the columns taken (dropped
+    ones pad the rest), whether each is keyed 0, and each row's width.
+    """
+    picked = np.argsort(keys, axis=1, kind="stable")[:, :n]
+    kept = np.take_along_axis(keys, picked, axis=1)
+    return picked, kept == 0, (kept < 2).sum(axis=1)
+
+
+#: The rank of a content outside a family's order: no cache of the family holds it.
+_OUTSIDE = np.iinfo(np.int32).max
+
+
+class FamilyStore:
+    """Nested caches cut from one selection order, and their cabaret rows' candidates.
+
+    ``order`` is the family's largest cache in selection order, and
+    ``index`` its :class:`CacheIndex`.  A content's *rank* is its position
+    in ``order``, so the cache of capacity ``c`` holds the ranks below
+    ``c``.  Every cache of the family holds ``floor``, the first ``low``
+    contents.  ``head`` gives the head of a content's depth-``depth``
+    exploration (every level but the last, the whole exploration at depth
+    1), and ``states`` numbers the rows' entries.
+
+    A content's candidates are its :func:`cached_discovery` through the
+    ``n``-th entry that ``floor`` holds, and its :func:`top_up_candidates`,
+    the exploration through the ``n``-th entry outside ``order``: every
+    cabaret row of the family takes its cached entries from the first and
+    its top-up from the second.  They are stored once per content, side by
+    side as ranks in one flat array, beside a list of their ids and the
+    state number of each candidate (-1 until a row holds it).
+    """
+
+    def __init__(
+        self, order: tuple[ContentId, ...], low: int, index: CacheIndex,
+        head: Callable[[ContentId], ExplorationList], depth: int, n: int, states: StateNumbers,
+    ):
+        self.order = order
+        self.rank = {content: rank for rank, content in enumerate(order)}
+        self.floor = frozenset(order[:low])
+        self.index = index
+        self.head = head
+        self.depth = depth
+        self.n = n
+        self.states = states
+        # Per state: where its candidates start in the store, and how many
+        # discovery and top-up candidates follow (-1 until stored).
+        self.at = np.full((0, 3), -1, dtype=np.intp)
+        self.ranks = np.empty(0, dtype=np.int32)
+        self.numbers = np.empty(0, dtype=np.int32)
+        self.cands: list[ContentId] = []
+
+    def add(self, fresh: list[int]) -> None:
+        """Store the candidates of the states ``fresh`` not stored yet.
+
+        An error while exploring or discovering propagates before the
+        store changes.
+        """
+        if len(self.at) < len(self.states):
+            grow = ((0, len(self.states) - len(self.at)), (0, 0))
+            self.at = np.pad(self.at, grow, constant_values=-1)
+        fresh = [s for s, stored in zip(fresh, self.at[fresh, 1] >= 0) if not stored]
+        if not fresh:
+            return
+        heads = [self.head(self.states.ids[s]) for s in fresh]
+        found = [cached_discovery(h, self.depth, self.n, self.index, self.floor) for h in heads]
+        tops = [top_up_candidates(h, self.depth, self.n, self.index) for h in heads]
+        added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
+        ranks = np.fromiter(map(self.rank.get, added, repeat(_OUTSIDE)), np.int32, len(added))
+        found_n = np.fromiter(map(len, found), np.intp, len(found))
+        top_n = np.fromiter(map(len, tops), np.intp, len(tops))
+        self.at[fresh, 0] = len(self.cands) + np.cumsum(found_n + top_n) - found_n - top_n
+        self.at[fresh, 1] = found_n
+        self.at[fresh, 2] = top_n
+        self.ranks = np.concatenate((self.ranks, ranks))
+        self.numbers = np.concatenate((self.numbers, np.full(len(added), -1, dtype=np.int32)))
+        self.cands += added
+
+    def rows(self, fresh: list[int], capacity: int) -> Rows:
+        """The cabaret rows of the states ``fresh`` for the cache of ``capacity``.
+
+        Phase 1 is the first ``n`` discovery candidates the cache holds, the
+        top-up the top-up candidates it does not, each in order: one
+        cached-first selection over a state's candidates, where only
+        discovery candidates can be keyed 0 and only top-up ones 1.  A row
+        is shorter than ``n`` only when the exploration holds fewer than
+        ``n`` entries.
+        """
+        self.add(fresh)
+        start, found_n, top_n = self.at[fresh].T
+        columns = np.arange(max(self.n, (found_n + top_n).max(initial=0)))
+        flat = start[:, None] + columns
+        is_found = columns < found_n[:, None]
+        valid = columns < (found_n + top_n)[:, None]
+        held = np.zeros(flat.shape, dtype=bool)
+        held[valid] = self.ranks[flat[valid]] < capacity
+        keys = np.full(flat.shape, 2, dtype=np.int8)
+        keys[is_found & held] = 0
+        keys[valid & ~is_found & ~held] = 1
+        picked, cached, width = _cached_first(keys, self.n)
+        filled = np.arange(self.n) < width[:, None]
+        taken = flat[np.nonzero(filled)[0], picked[filled]]
+        # Number the candidates no row has held yet.
+        unseen = taken[self.numbers[taken] < 0].tolist()
+        self.numbers[unseen] = self.states.numbers([self.cands[i] for i in unseen])
+        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries[filled] = self.numbers[taken]
+        return width, cached, entries
+
+
+def provider_rows(
+    kind: str, cached: frozenset[ContentId], provider: RowSource, states: StateNumbers
+) -> RowSource:
+    """The baseline or reordered rows of the cache ``cached``, from the provider's rows.
+
+    ``provider`` gives each content's baseline row under an empty cache,
+    numbered by ``states``.  A baseline row flags the provider's entries
+    that ``cached`` holds; a reordered row moves those first, keeping both
+    parts in order, which is :func:`select_from_exploration` over the
+    provider's list.  Padding is never flagged, so it stays last.
+    """
+    flagged = np.array(states.numbers(sorted(cached)), dtype=np.intp)
+
+    def rows(fresh: list[int]) -> Rows:
+        width, _, entries = provider(fresh)
+        hits = np.isin(entries, flagged)
+        if kind == "reordered":
+            keys = np.where(entries < 0, 2, ~hits).astype(np.int8)
+            picked, hits, _ = _cached_first(keys, keys.shape[1])
+            entries = np.take_along_axis(entries, picked, axis=1)
+        return width, hits, entries
+
+    return rows

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import hashlib
 import importlib.util
 import json
 import math
@@ -42,6 +43,9 @@ from cabaret_sim.recommend import (
 )
 
 from conftest import reference_walk
+
+# The package exports the function ``recommend``, which hides its module.
+recommend_module = importlib.import_module("cabaret_sim.recommend")
 
 
 def tiny_mapping(**over):
@@ -506,9 +510,9 @@ class TestRunExperiment:
         built: dict[tuple[int, str], int] = {}
         discovered: dict[str, int] = {}
         provided: dict[str, int] = {}
-        rows = experiment._Family.rows
-        discovery = experiment.cached_discovery
-        top_up = experiment.top_up_candidates
+        rows = recommend_module.FamilyStore.rows
+        discovery = recommend_module.cached_discovery
+        top_up = recommend_module.top_up_candidates
         baseline = experiment.baseline_recommender
 
         def counting(self, fresh, capacity):
@@ -532,9 +536,9 @@ class TestRunExperiment:
         def reordering(*args):
             raise AssertionError("reordered lists derive from the provider's rows")
 
-        monkeypatch.setattr(experiment._Family, "rows", counting)
-        monkeypatch.setattr(experiment, "cached_discovery", discovering)
-        monkeypatch.setattr(experiment, "top_up_candidates", topping)
+        monkeypatch.setattr(recommend_module.FamilyStore, "rows", counting)
+        monkeypatch.setattr(recommend_module, "cached_discovery", discovering)
+        monkeypatch.setattr(recommend_module, "top_up_candidates", topping)
         monkeypatch.setattr(experiment, "baseline_recommender", providing)
         monkeypatch.setattr(experiment, "reordered_recommender", reordering)
         result = run_experiment(config)
@@ -663,18 +667,35 @@ class TestRunExperiment:
             held.update(rows[rows >= 0].tolist())
         assert held == set(range(len(runner.states)))
 
-    def test_the_readme_greedy_sweep_numbers_as_many_states_as_before(self):
-        # 1,379 states at seed 1: the contents that the greedy sweep's rows
-        # hold, with the front page.
+    @pytest.mark.parametrize("depth, states, digest", [
+        (1, 1177, "c677ca48a01378ed6236e321c036e8a6b858c8a5dddfdc3caeaf0e6cbc15dd71"),
+        (2, 1379, "0d29262280a2e39bdf227b44d2cc56d6564caf5c99eb3bc33249b1b886fb4350"),
+    ])
+    def test_the_readme_greedy_sweep_numbers_as_many_states_as_before(
+        self, monkeypatch, tmp_path, depth, states, digest
+    ):
+        # At seed 1: the states are the contents that the greedy sweep's
+        # rows hold, with the front page; the digest pins results.csv byte
+        # for byte on every Python version the tests run on.
         path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
         spec = importlib.util.spec_from_file_location("bench_workloads", path)
         workloads = importlib.util.module_from_spec(spec)
         spec.loader.exec_module(workloads)
-        config = config_from_mapping(workloads.config_for("readme-exact-greedy", 1, None))
-        runner = experiment._Runner(config)
-        for cell in iter_cells(config):
-            runner.evaluate(cell)
-        assert len(runner.states) == 1379
+        config = config_from_mapping(
+            {**workloads.config_for("readme-exact-greedy", 1, None), "bfs_depth": depth}
+        )
+        runners = []
+
+        class Keeping(experiment._Runner):
+            def __init__(self, config):
+                super().__init__(config)
+                runners.append(self)
+
+        monkeypatch.setattr(experiment, "_Runner", Keeping)
+        result = run_experiment(config, out_dir=tmp_path)
+        assert result.failures == []
+        assert len(runners[0].states) == states
+        assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
 
     @pytest.mark.parametrize("policy, capacities", [
         ("greedy", [1, 2, 5, 3]), ("exact", [1, 2]),
@@ -740,8 +761,8 @@ class TestRunExperiment:
         assert max(misses.values()) <= per_content
 
     def test_smaller_caches_of_a_family_make_no_oracle_queries(self, monkeypatch):
-        # At depth 1 every head is empty, so each row tops up from the
-        # last level; one family reads it once per content for every cache.
+        # At depth 1 a head is the whole exploration, so no row reads a
+        # last level: one family queries each content once for every cache.
         # Two-request sessions visit the front page only, whatever the cache.
         def queries(capacities):
             count = 0
@@ -762,6 +783,7 @@ class TestRunExperiment:
             return count
 
         assert queries([1, 2, 5]) == queries([5])
+        assert queries([5]) == tiny_mapping()["front_page_size"]
 
     def test_demands_whose_largest_caches_match_keep_their_own_families(
         self, monkeypatch, tmp_path
@@ -805,7 +827,7 @@ class TestRunExperiment:
             cache_policy="greedy", demand=["uniform", "zipf:0"], session_length=[2, 3],
         ))
         built: dict[tuple[frozenset[str], str], int] = {}
-        rows = experiment._Family.rows
+        rows = recommend_module.FamilyStore.rows
 
         def counting(self, fresh, capacity):
             cache = frozenset(self.order[:capacity])
@@ -816,7 +838,7 @@ class TestRunExperiment:
         runner = experiment._Runner(config)
         for capacity in config.capacities:
             assert runner.placement(capacity, "zipf:0") == runner.placement(capacity, "uniform")
-        monkeypatch.setattr(experiment._Family, "rows", counting)
+        monkeypatch.setattr(recommend_module.FamilyStore, "rows", counting)
         result = run_experiment(config)
         assert result.failures == []
         assert len({cache for cache, _ in built}) == len(config.capacities)

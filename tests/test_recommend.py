@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -7,11 +10,13 @@ from cabaret_sim.catalog import Catalog, RelationOracle
 from cabaret_sim.demand import exact_hit_rates, position_probs
 from cabaret_sim.catalog import PopularityRegion
 from cabaret_sim.errors import ParameterError
-from cabaret_sim.explore import BfsParams, ExplorationList, bfs
+from cabaret_sim.explore import BfsParams, bfs
 from cabaret_sim.recommend import (
     CacheIndex,
     CacheManifest,
+    FamilyStore,
     RecommendationList,
+    StateNumbers,
     baseline_recommender,
     cached_discovery,
     recommend,
@@ -124,10 +129,8 @@ def small_catalogs(draw):
 
 
 def head_of(seed, params, oracle):
-    """The first ``params.depth - 1`` levels of the exploration around ``seed``."""
-    if params.depth == 1:
-        return ExplorationList(seed, (), ())
-    return bfs(seed, BfsParams(params.depth - 1, params.width), oracle)
+    """The exploration around ``seed`` but its last level; all of it at depth 1."""
+    return bfs(seed, BfsParams(max(params.depth - 1, 1), params.width), oracle)
 
 
 def through_outside(explored, count, ids):
@@ -210,6 +213,38 @@ class TestCabaretList:
                 cached = tuple(c for c in found if c in cache.ids)
                 assert cached[:count] == want.entries[:n_cached]
                 assert family_list(found, tops, count, cache) == want
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_a_family_store_derives_the_rows_of_every_cache(self, data):
+        # The store built from its inputs alone, with no runner: every
+        # nested cache's rows against the selection over the full
+        # exploration, at depths 1 to 3.
+        cat = data.draw(small_catalogs())
+        ids = sorted(cat.ids())
+        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        # Two ids outside the catalog let a cache miss every exploration.
+        order = tuple(data.draw(st.permutations(ids + ["x0", "x1"])))
+        sizes = data.draw(st.lists(st.integers(1, len(order)), min_size=1, max_size=4))
+        sizes = sorted(set(sizes))
+        params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
+        n = data.draw(st.integers(1, 14))
+        largest = order[: sizes[-1]]
+        states = StateNumbers()
+        store = FamilyStore(
+            largest, sizes[0], CacheIndex(frozenset(largest), oracle, params.width),
+            lambda v: head_of(v, params, oracle), params.depth, n, states,
+        )
+        fresh = states.numbers(ids)
+        for size in sizes:
+            cache = CacheManifest.from_ids(order[:size])
+            width, cached, entries = store.rows(fresh, size)
+            for v, w, flags, row in zip(ids, width, cached, entries):
+                want = select_from_exploration(bfs(v, params, oracle).entries, n, cache)
+                assert w == len(want)
+                assert tuple(states.ids[s] for s in row[:w]) == want.entries
+                assert tuple(flags[:w].tolist()) == want.cached
+                assert not flags[w:].any() and (row[w:] == -1).all()
 
     def test_rejects_zero_count(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
@@ -341,3 +376,24 @@ class TestRecommendationList:
     def test_alignment_enforced(self):
         with pytest.raises(ParameterError):
             RecommendationList(("a",), (True, False))
+
+
+def imported_modules(name):
+    """Every module name, and name imported from a module, in ``cabaret_sim/<name>.py``."""
+    path = Path(__file__).resolve().parent.parent / "src" / "cabaret_sim" / f"{name}.py"
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.ImportFrom):
+            found.update((node.module or "").split("."))
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(part for alias in node.names for part in alias.name.split("."))
+    return found
+
+
+def test_row_building_sits_below_the_modules_that_read_rows():
+    # recommend.py builds every row that a table reads, and demand.py
+    # evaluates rows for the runner, so neither imports a layer above it.
+    assert not imported_modules("recommend") & {"demand", "placement", "metrics", "experiment"}
+    assert "experiment" not in imported_modules("demand")
+    assert "recommend" in imported_modules("demand")
