@@ -5,6 +5,12 @@ A catalog maps every content id to an ordered list of related content ids
 weight.  Catalogs are immutable after construction and safe to share across
 threads.
 
+``Catalog(related, popularity)`` builds a catalog from mappings, as the
+file loaders do.  ``Catalog.from_arrays(ids, lists, weights)`` builds one
+from a matrix of row numbers, as the synthetic generator does: it checks
+the same rules with numpy, and the tests hold it to the mapping
+constructor as its oracle.
+
 File formats
 ------------
 Related lists are stored as JSON lines, one record per line::
@@ -29,7 +35,9 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, islice
-from typing import Mapping, Sequence
+from typing import Iterator, Mapping, Sequence
+
+import numpy as np
 
 from .csvio import write_csv
 from .errors import (
@@ -44,6 +52,9 @@ ContentId = str
 
 #: Per-query cap on related-list length mirroring the provider API limit.
 DEFAULT_W_MAX = 50
+
+# Rows that ``Catalog.from_arrays`` checks and converts at a time.
+_BLOCK = 256
 
 
 class Catalog:
@@ -119,6 +130,72 @@ class Catalog:
                     raise ParameterError(f"content id must be a string, got {cid!r}")
         self._related = rel
         self._popularity = {cid: pop.get(cid, 0.0) for cid in rel}
+
+    @classmethod
+    def from_arrays(
+        cls, ids: Sequence[ContentId], lists: np.ndarray, weights: np.ndarray
+    ) -> Catalog:
+        """``Catalog(dict(zip(ids, rows)), dict(zip(ids, weights)))``, built with numpy.
+
+        Row ``i`` of the ``(n, W)`` integer matrix ``lists`` holds the row
+        numbers of ``ids[i]``'s related list, and ``weights[i]`` is its
+        weight.  Every rule of the mapping form is checked, with its error
+        type and, for the first bad row, its message; ids must also be
+        distinct and every entry in range, which a mapping cannot break.
+        Keys keep ``ids`` order and every entry is its key's object.
+        """
+        ids = list(ids)
+        n = len(ids)
+        if not set(map(type, ids)) <= {str}:
+            bad = next(cid for cid in ids if not isinstance(cid, str))
+            raise ParameterError(f"content id must be a string, got {bad!r}")
+        if len(set(ids)) != n:
+            raise ParameterError("ids must be distinct")
+        lists = np.asarray(lists)
+        if lists.ndim != 2 or len(lists) != n or lists.dtype.kind not in "iu":
+            raise ParameterError(
+                f"lists must be an integer matrix of {n} rows, got {lists.dtype} {lists.shape}"
+            )
+        if lists.size and not (lists.min() >= 0 and lists.max() < n):
+            raise ParameterError(f"related-list entries must be row numbers in [0, {n})")
+        try:
+            weights = np.asarray(weights, dtype=np.float64)
+        except (TypeError, ValueError, OverflowError):
+            raise ParameterError("weights must be numbers") from None
+        if weights.shape != (n,):
+            raise ParameterError(f"weights must hold {n} numbers, got shape {weights.shape}")
+        names = np.array(ids, dtype=object)
+        empty = ids.index("") if "" in ids else -1
+        rel: dict[ContentId, tuple[ContentId, ...]] = {}
+        for start in range(0, n, _BLOCK):
+            block = lists[start : start + _BLOCK]
+            rows = np.arange(start, start + len(block))
+            ordered = np.sort(block, axis=1)
+            bad = (
+                (block == rows[:, None]).any(axis=1)
+                | (ordered[:, 1:] == ordered[:, :-1]).any(axis=1)
+                | (rows == empty)
+                | (block == empty).any(axis=1)
+            )
+            if bad.any():
+                # The mapping form's row checks, on the first bad row.
+                i = start + int(bad.argmax())
+                cid, entries = ids[i], tuple(names[lists[i]].tolist())
+                if cid in entries or len(set(entries)) != len(entries):
+                    _reject_related_list(cid, entries)
+                if cid == "":
+                    raise ParameterError(f"content id must be non-empty, got {cid!r}")
+                raise ParameterError(f"related list of {cid!r} holds an empty id")
+            rel.update(zip(ids[start : start + _BLOCK], map(tuple, names[block].tolist())))
+        bad = ~(np.isfinite(weights) & (weights >= 0))
+        if bad.any():
+            i = int(bad.argmax())
+            cid, w = ids[i], float(weights[i])
+            raise ParameterError(f"popularity weight for {cid!r} must be finite and >= 0, got {w}")
+        catalog = cls.__new__(cls)
+        catalog._related = rel
+        catalog._popularity = dict(zip(ids, weights.tolist()))
+        return catalog
 
     def __len__(self) -> int:
         return len(self._related)
@@ -342,14 +419,16 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
         ) from None
 
 
+def _related_lines(catalog: Catalog) -> Iterator[str]:
+    # json.dumps takes the C encoder; json.dump to a stream does not.
+    for cid in catalog.ids():
+        related = list(catalog.related_list(cid))
+        yield json.dumps({"id": cid, "related": related}, separators=(",", ":")) + "\n"
+
+
 def dumps_related(catalog: Catalog) -> str:
     """Canonical related-lists serialization: records sorted by id."""
-    # json.dumps takes the C encoder; json.dump to a stream does not.
-    return "".join(
-        json.dumps({"id": cid, "related": list(catalog.related_list(cid))}, separators=(",", ":"))
-        + "\n"
-        for cid in catalog.ids()
-    )
+    return "".join(_related_lines(catalog))
 
 
 def dumps_popularity(catalog: Catalog) -> str:
@@ -363,9 +442,9 @@ def dumps_popularity(catalog: Catalog) -> str:
 def save_dataset(
     catalog: Catalog, related_path: str, popularity_path: str | None = None
 ) -> None:
-    """Write the catalog in canonical form (see module docstring)."""
+    """Write the catalog in canonical form (see module docstring), line by line."""
     with open(related_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(dumps_related(catalog))
+        handle.writelines(_related_lines(catalog))
     if popularity_path is not None:
         with open(popularity_path, "w", encoding="utf-8", newline="\n") as handle:
             handle.write(dumps_popularity(catalog))

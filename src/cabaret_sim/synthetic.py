@@ -19,7 +19,9 @@ fall back to a ring construction whose overlap is not calibrated.
 Popularity follows a Zipf(1) law over a rank order that cycles core members
 first, so the most popular contents are exactly the well-connected ones.
 All randomness comes from a single numpy PCG64 generator seeded by the
-caller; generation is a pure function of its arguments.
+caller; generation is a pure function of its arguments.  The related lists
+are built as one int32 matrix of row numbers, one community's rows at a
+time, and ``Catalog.from_arrays`` checks it and maps it to ids.
 """
 
 from __future__ import annotations
@@ -45,13 +47,8 @@ def _zipf_weights(count: int) -> np.ndarray:
 
 def _ring_catalog(size: int, degree: int, rng: np.random.Generator) -> Catalog:
     ids = _make_ids(size, rng)
-    related = {
-        ids[i]: [ids[(i + j) % size] for j in range(1, degree + 1)]
-        for i in range(size)
-    }
-    weights = _zipf_weights(size)
-    popularity = {ids[i]: float(weights[i]) for i in range(size)}
-    return Catalog(related, popularity)
+    lists = (np.arange(size)[:, None] + np.arange(1, degree + 1)) % size
+    return Catalog.from_arrays(ids, lists, _zipf_weights(size))
 
 
 def _make_ids(size: int, rng: np.random.Generator) -> list[ContentId]:
@@ -69,7 +66,8 @@ def generate_synthetic(
         out_degree: length of every related list.
         overlap: target fraction, in [0, 1], of a popular seed's direct
             neighbors re-found among its two-hop neighbors.
-        seed: RNG seed; identical arguments produce identical catalogs.
+        seed: RNG seed, an integer >= 0; identical arguments produce
+            identical catalogs.
 
     Raises:
         ParameterError: on an infeasible parameter combination.
@@ -82,6 +80,8 @@ def generate_synthetic(
         )
     if not 0.0 <= overlap <= 1.0:
         raise ParameterError(f"overlap must be in [0, 1], got {overlap}")
+    if not isinstance(seed, (int, np.integer)) or isinstance(seed, bool) or seed < 0:
+        raise ParameterError(f"seed must be an integer >= 0, got {seed!r}")
 
     rng = np.random.Generator(np.random.PCG64(seed))
 
@@ -136,21 +136,21 @@ def generate_synthetic(
     round_robin = pool_flat[np.argsort(pool_pos, kind="stable")]
     rank_order = np.concatenate([*core_blocks, zones, round_robin])
 
-    ids = np.array(_make_ids(size, rng), dtype=object)
-    weights = _zipf_weights(size)
-    popularity = dict(zip(ids[rank_order].tolist(), weights.tolist()))
+    ids = _make_ids(size, rng)
+    weights = np.empty(size)
+    weights[rank_order] = _zipf_weights(size)
 
     # A related list is n_in rotated core members, then n_out far entries:
     # a core member's private pool segment, or for anyone else the head of
-    # the next community.  Lists are built one community at a time, as an
-    # index block mapped through ``ids``, so every entry is one shared id.
+    # the next community.  Each community writes its rows of one matrix of
+    # row numbers, which ``Catalog.from_arrays`` checks and maps to ids.
     t_in = np.arange(n_in)
     t_out = np.arange(n_out)
     j = np.arange(core_size)[:, None]
-    related: dict[ContentId, list[ContentId]] = {}
+    related = np.empty((size, out_degree), dtype=np.int32)
     for c, (s, sz) in enumerate(zip(starts, sizes)):
         next_head = starts[(c + 1) % n_comm] + t_out
-        lists = np.empty((sz, out_degree), dtype=np.int64)
+        lists = related[s : s + sz]
         if n_in:
             k = (rot[s : s + core_size, None] + t_in) % n_in
             lists[:core_size, :n_in] = s + k + (k >= j)  # core member j skips itself
@@ -160,5 +160,4 @@ def generate_synthetic(
         else:
             lists[:core_size, n_in:] = np.concatenate((pool_flat, next_head[: n_out - pool_len]))
         lists[core_size:, n_in:] = next_head
-        related.update(zip(ids[s : s + sz].tolist(), ids[lists].tolist()))
-    return Catalog(related, popularity)
+    return Catalog.from_arrays(ids, related, weights)

@@ -6,8 +6,9 @@ import io
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from cabaret_sim.catalog import (
     Catalog,
@@ -151,6 +152,90 @@ class TestCatalog:
         cat = Catalog({"a": ["b"]}, {"z": 3.0})
         assert "z" in cat
         assert cat.popularity_of("z") == 3.0
+
+
+@st.composite
+def _arrays(draw):
+    """Valid ``from_arrays`` input: n distinct ids, an (n, W) matrix, n weights."""
+    n = draw(st.integers(1, 60))
+    width = draw(st.integers(0, n - 1))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    # Distinct ids out of sorted order; one drawn prefix keeps shrinking cheap.
+    prefix = draw(_IDS)
+    ids = [f"{prefix}{x}" for x in rng.permutation(n).tolist()]
+    # Row i: the first ``width`` of a shuffle of the other row numbers.
+    others = rng.permuted(np.tile(np.arange(n - 1), (n, 1)), axis=1)[:, :width]
+    lists = others + (others >= np.arange(n)[:, None])
+    dtype = draw(st.sampled_from([np.int32, np.int64, np.uint16]))
+    weights = draw(st.lists(st.floats(0, 1e9), min_size=n, max_size=n))
+    return ids, lists.astype(dtype), np.array(weights)
+
+
+def _mapping_form(ids, lists, weights):
+    related = dict(zip(ids, ([ids[x] for x in row] for row in lists.tolist())))
+    return Catalog(related, dict(zip(ids, weights.tolist())))
+
+
+def _error(build, *args):
+    with pytest.raises(Exception) as caught:
+        build(*args)
+    return type(caught.value), str(caught.value)
+
+
+class TestFromArrays:
+    @settings(max_examples=100, deadline=None)
+    @given(_arrays())
+    def test_equals_the_mapping_form(self, arrays):
+        ids, lists, weights = arrays
+        cat = Catalog.from_arrays(*arrays)
+        assert cat == _mapping_form(*arrays)
+        assert all(key is cid for key, cid in zip(cat._related, ids, strict=True))
+        assert list(cat._popularity) == ids
+        for cid, row in zip(ids, lists.tolist()):
+            assert all(entry is ids[x] for entry, x in zip(cat.related_list(cid), row, strict=True))
+
+    # Faults the mapping form can hold: both forms raise alike.
+    @settings(max_examples=100, deadline=None)
+    @given(_arrays(), st.sampled_from(["self", "repeat", "nan", "negative", "empty"]), st.data())
+    def test_a_fault_raises_as_the_mapping_form_does(self, arrays, fault, data):
+        ids, lists, weights = arrays
+        n, width = lists.shape
+        i = data.draw(st.integers(0, n - 1))
+        k = data.draw(st.integers(0, max(width - 1, 0)))
+        if fault == "self":
+            assume(width >= 1)
+            lists[i, k] = i
+        elif fault == "repeat":
+            assume(width >= 2)
+            lists[i, k] = lists[i, (k + 1) % width]
+        elif fault == "nan":
+            weights[i] = math.nan
+        elif fault == "negative":
+            weights[i] = -data.draw(st.floats(1e-300, 1e9))
+        else:
+            ids[i] = ""
+        expected = _error(_mapping_form, ids, lists, weights)
+        assert expected[0] in (DatasetFormatError, ParameterError)
+        assert _error(Catalog.from_arrays, ids, lists, weights) == expected
+
+    # Faults no mapping can hold.
+    @settings(max_examples=50, deadline=None)
+    @given(_arrays(), st.sampled_from(["duplicate id", "out of range", "not integers"]), st.data())
+    def test_a_fault_of_the_arrays_raises_a_parameter_error(self, arrays, fault, data):
+        ids, lists, weights = arrays
+        n, width = lists.shape
+        i = data.draw(st.integers(0, n - 1))
+        if fault == "duplicate id":
+            assume(n >= 2)
+            ids[i] = ids[(i + 1) % n]
+        elif fault == "out of range":
+            assume(width >= 1)
+            lists = lists.astype(np.int64)
+            lists[i, data.draw(st.integers(0, width - 1))] = data.draw(st.sampled_from([-1, n]))
+        else:
+            lists = lists.astype(np.float64)
+        with pytest.raises(ParameterError):
+            Catalog.from_arrays(ids, lists, weights)
 
 
 class TestRelatedQueries:

@@ -93,6 +93,19 @@ def test_synthetic_size_zero_reports_the_generator_error(capsys):
     assert capsys.readouterr().err.startswith("error: size must be at least out_degree + 1")
 
 
+@pytest.mark.parametrize("command", [
+    ["generate", "--size", "100", "--seed", "-1"],
+    ["explore", "--synthetic-size", "100", "--catalog-seed", "-1",
+     "--seed-id", "v00", "--depth", "1", "--width", "2"],
+])
+def test_negative_seed_reports_the_generator_error(tmp_path, capsys, command):
+    if command[0] == "generate":
+        command = [*command, "--related-out", str(tmp_path / "rel.jsonl"),
+                   "--popularity-out", str(tmp_path / "pop.csv")]
+    assert main(command) == 1
+    assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
+
+
 def test_generate_matches_api(tmp_path):
     related = tmp_path / "rel.jsonl"
     weights = tmp_path / "pop.csv"

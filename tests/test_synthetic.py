@@ -5,12 +5,22 @@ import hashlib
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from cabaret_sim.catalog import RelationOracle, dumps_popularity, dumps_related, top_popular
+from cabaret_sim.catalog import (
+    Catalog,
+    RelationOracle,
+    dumps_popularity,
+    dumps_related,
+    top_popular,
+)
 from cabaret_sim.errors import ParameterError
 from cabaret_sim.metrics import eval_iv
 from cabaret_sim.synthetic import generate_synthetic
 
 from conftest import reference_generate_synthetic
+
+
+def _refuse(*args, **kwargs):
+    raise AssertionError("Catalog.__init__ called")
 
 
 def measured_overlap(size, degree, overlap, seed, seeds=50):
@@ -33,6 +43,12 @@ class TestValidation:
     def test_degree_domain(self):
         with pytest.raises(ParameterError):
             generate_synthetic(1000, 0, 0.5, 1)
+
+    @pytest.mark.parametrize("size", [1000, 60])
+    @pytest.mark.parametrize("seed", [-1, 1.5, True, "1", None])
+    def test_seed_domain(self, size, seed):
+        with pytest.raises(ParameterError, match="seed must be an integer >= 0"):
+            generate_synthetic(size, 50, 0.5, seed)
 
 
 class TestStructure:
@@ -94,6 +110,15 @@ class TestAgainstReference:
         keys = cat.ids()
         occurrences = keys + [x for cid in keys for x in cat.related_list(cid)]
         assert len({id(x) for x in occurrences}) == len(cat)
+
+    # The community path and the ring fallback both build the catalog from
+    # arrays, never through a mapping copy.
+    @pytest.mark.parametrize("args", [(1000, 50, 0.9, 1), (60, 50, 0.9, 1)])
+    def test_builds_no_mapping(self, args, monkeypatch):
+        with monkeypatch.context() as patch:
+            patch.setattr(Catalog, "__init__", _refuse)
+            cat = generate_synthetic(*args)
+        assert cat == reference_generate_synthetic(*args)
 
     def test_pinned_catalog(self):
         cat = generate_synthetic(2000, 50, 0.92, 7)
