@@ -272,10 +272,10 @@ class TransitionTable:
 
     def _load(self, states: np.ndarray) -> None:
         """Build the rows of ``states`` not built yet, in sorted-id order."""
-        fresh = states[self._width[states] < 0].tolist()
-        if not fresh:
+        fresh = states[self._width[states] < 0]
+        if not len(fresh):
             return
-        fresh.sort(key=self.states.ids.__getitem__)
+        fresh = fresh[np.argsort(self.states.rank[fresh])].tolist()
         # The only call that can raise; nothing has changed before it.
         width, cached, entries = self._rows(fresh)
         self._reserve()
@@ -323,8 +323,7 @@ class TransitionTable:
         mass = np.bincount(dst, weights=weights, minlength=n)
         # A state whose mass underflows to 0.0 is still reached.
         reached = np.flatnonzero(np.bincount(dst, minlength=n))
-        ids = self.states.ids.__getitem__
-        law.states = np.array(sorted(reached.tolist(), key=ids), dtype=np.intp)
+        law.states = reached[np.argsort(self.states.rank[reached])]
         law.mass = mass[law.states]
 
 

@@ -14,14 +14,17 @@ is rejected.
 Each demand's caches are prefixes of one selection order: the popularity
 ranking under ``top``, and under ``greedy`` the picks of one solve at the
 largest capacity.  ``exact`` optima are not nested, so it solves each
-capacity.  Every solve reads the front page's explorations, built once.
-The caches cut from one order make a *family*: the whole run under
-``top``, one demand under ``greedy``, each cache alone under ``exact``.
-The runner keeps one :class:`~cabaret_sim.recommend.FamilyStore` per
-family, and families whose largest caches hold the same set share one
-:class:`~cabaret_sim.recommend.CacheIndex` of it.  Each content's
-exploration head (every level but the last, the whole exploration at
-depth 1) is built once per run and shared by every family.
+capacity.  Every solve reads the front page's explorations, built once,
+and every order is solved before the first cell; a solve that raises
+fails each cell that needs its order.  The caches cut from one order make
+a *family*: the whole run under ``top``, one demand under ``greedy``, each
+cache alone under ``exact``.  The runner keeps one
+:class:`~cabaret_sim.recommend.CandidateStore` per run, with one
+:class:`~cabaret_sim.recommend.CacheIndex` over the union of every
+family's largest cache, and each
+:class:`~cabaret_sim.recommend.Family` reads its rows from it.  Each
+content's exploration head (every level but the last, the whole
+exploration at depth 1) is built once per run.
 
 Every table of a run numbers its states with one shared
 :class:`~cabaret_sim.recommend.StateNumbers`.  The provider's own table,
@@ -78,9 +81,9 @@ from .explore import BfsParams, ExplorationList, bfs
 from .metrics import ChrReport, chr_sequential  # noqa: F401  (kept bound for bench/tracing.py)
 from .placement import ObjectiveSpec, exact_placement, greedy_placement
 from .recommend import (
-    CacheIndex,
     CacheManifest,
-    FamilyStore,
+    CandidateStore,
+    Family,
     StateNumbers,
     baseline_recommender,
     provider_rows,
@@ -391,15 +394,6 @@ class _Runner:
         )
         self._heads: dict[str, ExplorationList] = {}
         self._explored: dict[str, frozenset[str]] = {}
-        # A cache is order[:capacity]: greedy solves once per demand, at the
-        # largest capacity, and exact once per capacity and demand.
-        self._orders: dict[tuple[int, str], tuple[str, ...]] = {}
-        # Keyed by the family's largest cache in selection order and its
-        # least capacity: demands whose greedy orders meet at the largest
-        # capacity may part below it.  Families whose largest caches hold
-        # the same set share its index.
-        self._families: dict[tuple[tuple[str, ...], int], FamilyStore] = {}
-        self._indexes: dict[frozenset[str], CacheIndex] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
         # Every table of the run numbers states alike, so baseline and
         # reordered rows are the provider's rows, flagged per cache.
@@ -411,6 +405,30 @@ class _Runner:
             n,
             self.states,
         )
+        # A cache is order[:capacity]: greedy solves once per demand, at the
+        # largest capacity, and exact once per capacity and demand.  Every
+        # order is solved before the first cell, so that the candidate store
+        # knows every family.  A solve that raises keeps its exception, and
+        # each cell that needs the order raises it again.
+        self._orders: dict[tuple[int, str], tuple[str, ...] | Exception] = {}
+        for capacity in config.capacities:
+            high = self._span(capacity)[1]
+            for demand in config.demands:
+                if (high, demand) not in self._orders:
+                    self._orders[high, demand] = self._solve(high, demand)
+        # A family is keyed by its largest cache in selection order and its
+        # least capacity: demands whose greedy orders meet at the largest
+        # capacity may part below it.
+        families = dict.fromkeys(
+            (order[:high], self._span(high)[0])
+            for (high, _), order in self._orders.items()
+            if not isinstance(order, Exception)
+        )
+        self.store = CandidateStore(
+            list(families), self.oracle, config.bfs_width, self.head, config.bfs_depth,
+            config.list_size, self.states,
+        )
+        self._families = dict(zip(families, self.store.families))
         # Rows depend only on the cached set, so one table serves every demand
         # whose cache it is.  Those cells are adjacent in sweep order (demand
         # and K vary fastest): keep the latest, keyed by kind and cached set.
@@ -427,14 +445,18 @@ class _Runner:
             head = self._heads[content] = bfs(content, params, self.oracle)
         return head
 
-    def _order(self, capacity: int, demand: str) -> tuple[tuple[str, ...], int, int]:
-        """The selection order of the cache, and its family's least and largest capacity."""
+    def _span(self, capacity: int) -> tuple[int, int]:
+        """The least and largest capacity of the family that holds the cache of ``capacity``."""
+        if self.config.cache_policy == "exact":
+            return capacity, capacity
+        return min(self.config.capacities), max(self.config.capacities)
+
+    def _solve(self, capacity: int, demand: str) -> tuple[str, ...] | Exception:
+        """The order of ``capacity`` contents placed under ``demand``, or what its solve raised."""
         policy = self.config.cache_policy
-        low, high = capacity, capacity
-        if policy != "exact":
-            low, high = min(self.config.capacities), max(self.config.capacities)
-        order = self.ranking if policy == "top" else self._orders.get((high, demand))
-        if order is None:
+        if policy == "top":
+            return self.ranking
+        try:
             front = self.front_page.ids
             if not self._explored:
                 self._explored = {
@@ -443,7 +465,16 @@ class _Runner:
             n, dist = self.config.list_size, self.dists[demand]
             spec = ObjectiveSpec(front, [1.0] * len(front), n, dist, self._explored)
             solve = greedy_placement if policy == "greedy" else exact_placement
-            order = self._orders[high, demand] = solve(spec, high).chosen
+            return solve(spec, capacity).chosen
+        except Exception as exc:
+            return exc
+
+    def _order(self, capacity: int, demand: str) -> tuple[tuple[str, ...], int, int]:
+        """The selection order of the cache, and its family's least and largest capacity."""
+        low, high = self._span(capacity)
+        order = self._orders[high, demand]
+        if isinstance(order, Exception):
+            raise order
         return order, low, high
 
     def placement(self, capacity: int, demand: str) -> CacheManifest:
@@ -451,20 +482,10 @@ class _Runner:
         order = self._order(capacity, demand)[0]
         return CacheManifest.from_ids(order[:capacity], capacity)
 
-    def family(self, capacity: int, demand: str) -> FamilyStore:
+    def family(self, capacity: int, demand: str) -> Family:
         """The family of the cache ``demand`` places at ``capacity``."""
         order, low, high = self._order(capacity, demand)
-        key = (order[:high], low)
-        family = self._families.get(key)
-        if family is None:
-            largest = frozenset(key[0])
-            if largest not in self._indexes:
-                self._indexes[largest] = CacheIndex(largest, self.oracle, self.params.width)
-            family = self._families[key] = FamilyStore(
-                key[0], low, self._indexes[largest], self.head, self.params.depth,
-                self.config.list_size, self.states,
-            )
-        return family
+        return self._families[order[:high], low]
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:
         """The transition table of one recommender and the cache ``demand`` places."""

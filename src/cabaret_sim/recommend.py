@@ -12,17 +12,19 @@ A transition table (see :mod:`cabaret_sim.demand`) reads a recommender as
 numbers in a run's :class:`StateNumbers`.  This module builds every row
 source.  :func:`list_rows` asks a recommender once per state, and
 :func:`provider_rows` derives any cache's baseline or reordered rows from
-the provider's rows.  A :class:`FamilyStore` derives the cabaret rows of
-nested caches (a *family*) from two lists per content,
-:func:`cached_discovery` and :func:`top_up_candidates`.  Both start from
-the exploration's *head*, every level but the last (the whole exploration
-at depth 1), and read the last level only as far as they need.  Every
-cached-first selection over rows is one stable argsort.
+the provider's rows.  One :class:`CandidateStore` per run derives the
+cabaret rows of every :class:`Family` of nested caches from two lists per
+content, :func:`cached_discovery` and :func:`top_up_candidates`, read
+through one :class:`CacheIndex` over the union of the families' largest
+caches.  Both start from the exploration's *head*, every level but the
+last (the whole exploration at depth 1), and read the last level only as
+far as they need.  Every cached-first selection over rows is one stable
+argsort.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
+from bisect import bisect_left, insort
 from dataclasses import dataclass, field
 from itertools import chain, filterfalse, repeat
 from typing import Callable, Iterable, Sequence
@@ -167,22 +169,39 @@ def _last_level_parents(head: ExplorationList, depth: int) -> tuple[ContentId, .
 
 
 def cached_discovery(
-    head: ExplorationList, depth: int, count: int, index: CacheIndex, floor: frozenset[ContentId]
+    head: ExplorationList,
+    depth: int,
+    count: int,
+    index: CacheIndex,
+    floors: Sequence[frozenset[ContentId]],
 ) -> tuple[ContentId, ...]:
     """The entries of ``index.ids`` in the exploration ``head`` begins, in discovery order.
 
     ``head`` holds the first ``max(depth - 1, 1)`` levels of the
     exploration around ``head.seed``; past depth 1 the last level, of width
     ``index.width``, is read from ``index`` one parent at a time.  The
-    result runs through the ``count``-th entry in ``floor``, a subset of
-    ``index.ids``, so it holds the first ``count`` entries of every cache
-    between ``floor`` and ``index.ids``: the cached part of each one's list.
+    result runs until each of ``floors``, subsets of ``index.ids``, holds
+    ``count`` of its entries, so it holds the first ``count`` entries of
+    every cache between a floor and ``index.ids``: the cached part of each
+    one's list.
     """
     found: list[ContentId] = []
+    short = [count] * len(floors)
+    pending = len(floors)
+    anywhere = frozenset().union(*floors)
+
+    def reached(content: ContentId) -> bool:
+        """Count a found floor entry; whether every floor now holds ``count``."""
+        nonlocal pending
+        for i, floor in enumerate(floors):
+            if content in floor:
+                short[i] -= 1
+                pending -= short[i] == 0
+        return not pending
+
     for content in filter(index.ids.__contains__, head.entries):
         found.append(content)
-        count -= content in floor
-        if count == 0:
+        if content in anywhere and reached(content):
             return tuple(found)
     # Only the seed and the head's cached entries can repeat a cached
     # entry of the last level before it is found there.
@@ -192,8 +211,7 @@ def cached_discovery(
             if content not in seen:
                 seen.add(content)
                 found.append(content)
-                count -= content in floor
-                if count == 0:
+                if content in anywhere and reached(content):
                     return tuple(found)
     return tuple(found)
 
@@ -273,14 +291,18 @@ class StateNumbers:
     """A numbering of contents as chain states, shared by the tables of a run.
 
     A content keeps its number for the run.  Numbers follow first sight, so
-    they never order anything that reaches output; the tables order by id.
+    they never order anything that reaches output; the tables order by id,
+    through :attr:`rank`.
     """
 
-    __slots__ = ("number", "ids")
+    __slots__ = ("number", "ids", "by_id", "_rank")
 
     def __init__(self) -> None:
         self.number: dict[ContentId, int] = {}
         self.ids: list[ContentId] = []
+        # The states in id order, kept as they are numbered.
+        self.by_id: list[int] = []
+        self._rank = np.empty(0, dtype=np.intp)
 
     def __len__(self) -> int:
         return len(self.ids)
@@ -293,7 +315,18 @@ class StateNumbers:
             first = len(self.ids)
             number.update(zip(new, range(first, first + len(new))))
             self.ids += new
+            # The numbers the dict holds, so that no new int object is kept.
+            for content in new:
+                insort(self.by_id, number[content], key=self.ids.__getitem__)
         return list(map(number.__getitem__, contents))
+
+    @property
+    def rank(self) -> np.ndarray:
+        """Each state's position in id order: ``states[np.argsort(rank[states])]`` sorts by id."""
+        if len(self._rank) < len(self.ids):
+            self._rank = np.empty(len(self.ids), dtype=np.intp)
+            self._rank[self.by_id] = np.arange(len(self.ids))
+        return self._rank
 
 
 #: The rows of a batch of states: widths, and padded cached flags and entry states.
@@ -345,34 +378,38 @@ def _cached_first(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
 _OUTSIDE = np.iinfo(np.int32).max
 
 
-class FamilyStore:
-    """Nested caches cut from one selection order, and their cabaret rows' candidates.
+class CandidateStore:
+    """Every content's cabaret candidates, stored once per run for every family of caches.
 
-    ``order`` is the family's largest cache in selection order, and
-    ``index`` its :class:`CacheIndex`.  A content's *rank* is its position
-    in ``order``, so the cache of capacity ``c`` holds the ranks below
-    ``c``.  Every cache of the family holds ``floor``, the first ``low``
-    contents.  ``head`` gives the head of a content's depth-``depth``
-    exploration (every level but the last, the whole exploration at depth
-    1), and ``states`` numbers the rows' entries.
+    A *family* is the nested caches cut from one selection order: each
+    ``(order, low)`` of ``families`` gives its largest cache in selection
+    order, and every cache of the family holds ``order[:low]``, its floor.
+    The store's :class:`CacheIndex` covers ``members``, the union of the
+    largest caches, read through ``oracle`` at ``width``.  ``head`` gives
+    the head of a content's depth-``depth`` exploration (every level but
+    the last, the whole exploration at depth 1), and ``states`` numbers the
+    rows' entries.
 
-    A content's candidates are its :func:`cached_discovery` through the
-    ``n``-th entry that ``floor`` holds, and its :func:`top_up_candidates`,
-    the exploration through the ``n``-th entry outside ``order``: every
-    cabaret row of the family takes its cached entries from the first and
-    its top-up from the second.  They are stored once per content, side by
-    side as ranks in one flat array, beside a list of their ids and the
-    state number of each candidate (-1 until a row holds it).
+    A content's candidates are its :func:`cached_discovery` until every
+    floor holds ``n`` of them, and its :func:`top_up_candidates`, the
+    exploration through its ``n``-th entry outside ``members``.  Each
+    family's own two lists would be prefixes of these, so every cabaret row
+    of every family takes its cached entries from the first and its top-up
+    from the second.  They are stored once per content, side by side in
+    one flat list of ids, beside the state number of each candidate (-1
+    until a row holds it) and each family's rank of it.
     """
 
     def __init__(
-        self, order: tuple[ContentId, ...], low: int, index: CacheIndex,
-        head: Callable[[ContentId], ExplorationList], depth: int, n: int, states: StateNumbers,
+        self, families: Sequence[tuple[tuple[ContentId, ...], int]], oracle: RelationOracle,
+        width: int, head: Callable[[ContentId], ExplorationList], depth: int, n: int,
+        states: StateNumbers,
     ):
-        self.order = order
-        self.rank = {content: rank for rank, content in enumerate(order)}
-        self.floor = frozenset(order[:low])
-        self.index = index
+        self.members = tuple(dict.fromkeys(chain.from_iterable(order for order, _ in families)))
+        self.position = {content: i for i, content in enumerate(self.members)}
+        self.index = CacheIndex(frozenset(self.members), oracle, width)
+        self.floors = tuple(dict.fromkeys(frozenset(order[:low]) for order, low in families))
+        self.families = [Family(self, order) for order, _ in families]
         self.head = head
         self.depth = depth
         self.n = n
@@ -380,7 +417,6 @@ class FamilyStore:
         # Per state: where its candidates start in the store, and how many
         # discovery and top-up candidates follow (-1 until stored).
         self.at = np.full((0, 3), -1, dtype=np.intp)
-        self.ranks = np.empty(0, dtype=np.int32)
         self.numbers = np.empty(0, dtype=np.int32)
         self.cands: list[ContentId] = []
 
@@ -397,21 +433,23 @@ class FamilyStore:
         if not fresh:
             return
         heads = [self.head(self.states.ids[s]) for s in fresh]
-        found = [cached_discovery(h, self.depth, self.n, self.index, self.floor) for h in heads]
+        found = [cached_discovery(h, self.depth, self.n, self.index, self.floors) for h in heads]
         tops = [top_up_candidates(h, self.depth, self.n, self.index) for h in heads]
         added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
-        ranks = np.fromiter(map(self.rank.get, added, repeat(_OUTSIDE)), np.int32, len(added))
+        outside = repeat(len(self.members))
+        where = np.fromiter(map(self.position.get, added, outside), np.int32, len(added))
         found_n = np.fromiter(map(len, found), np.intp, len(found))
         top_n = np.fromiter(map(len, tops), np.intp, len(tops))
         self.at[fresh, 0] = len(self.cands) + np.cumsum(found_n + top_n) - found_n - top_n
         self.at[fresh, 1] = found_n
         self.at[fresh, 2] = top_n
-        self.ranks = np.concatenate((self.ranks, ranks))
+        for family in self.families:
+            family.ranks = np.concatenate((family.ranks, family.member_rank[where]))
         self.numbers = np.concatenate((self.numbers, np.full(len(added), -1, dtype=np.int32)))
         self.cands += added
 
-    def rows(self, fresh: list[int], capacity: int) -> Rows:
-        """The cabaret rows of the states ``fresh`` for the cache of ``capacity``.
+    def rows(self, fresh: list[int], family: Family, capacity: int) -> Rows:
+        """The cabaret rows of the states ``fresh`` for ``family``'s cache of ``capacity``.
 
         Phase 1 is the first ``n`` discovery candidates the cache holds, the
         top-up the top-up candidates it does not, each in order: one
@@ -427,7 +465,7 @@ class FamilyStore:
         is_found = columns < found_n[:, None]
         valid = columns < (found_n + top_n)[:, None]
         held = np.zeros(flat.shape, dtype=bool)
-        held[valid] = self.ranks[flat[valid]] < capacity
+        held[valid] = family.ranks[flat[valid]] < capacity
         keys = np.full(flat.shape, 2, dtype=np.int8)
         keys[is_found & held] = 0
         keys[valid & ~is_found & ~held] = 1
@@ -440,6 +478,31 @@ class FamilyStore:
         entries = np.full(filled.shape, -1, dtype=np.intp)
         entries[filled] = self.numbers[taken]
         return width, cached, entries
+
+
+class Family:
+    """Nested caches cut from one selection order, read from a run's :class:`CandidateStore`.
+
+    ``order`` is the family's largest cache in selection order.  A
+    content's *rank* is its position in ``order``, so the cache of capacity
+    ``c`` holds the ranks below ``c``; a content outside ``order`` ranks
+    ``_OUTSIDE``.  ``member_rank`` holds the rank of each of the store's
+    ``members``, then that of a content outside them; ``ranks`` holds one
+    per stored candidate, filled as the store adds them.
+    """
+
+    __slots__ = ("store", "order", "member_rank", "ranks")
+
+    def __init__(self, store: CandidateStore, order: tuple[ContentId, ...]):
+        self.store = store
+        self.order = order
+        self.member_rank = np.full(len(store.members) + 1, _OUTSIDE, dtype=np.int32)
+        self.member_rank[[store.position[c] for c in order]] = np.arange(len(order))
+        self.ranks = np.empty(0, dtype=np.int32)
+
+    def rows(self, fresh: list[int], capacity: int) -> Rows:
+        """The cabaret rows of the states ``fresh`` for the cache of ``capacity``."""
+        return self.store.rows(fresh, self, capacity)
 
 
 def provider_rows(

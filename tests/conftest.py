@@ -12,6 +12,9 @@ objective's monotonicity and diminishing returns.
 ``reference_generate_synthetic`` builds synthetic lists member by member,
 and ``reference_load_related_file`` checks every entry of every line; they
 are the oracles for ``generate_synthetic`` and ``load_related_file``.
+``ReferenceFamilyStore`` finds one family's cabaret candidates on its own,
+over its largest cache alone; it is the oracle for ``CandidateStore``,
+which finds them for every family at once.
 """
 
 from __future__ import annotations
@@ -19,7 +22,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, repeat
 
 import numpy as np
 import pytest
@@ -34,7 +37,13 @@ from cabaret_sim.errors import (
 )
 from cabaret_sim.explore import bfs
 from cabaret_sim.placement import ObjectiveSpec
-from cabaret_sim.recommend import CacheManifest
+from cabaret_sim.recommend import (
+    _OUTSIDE,
+    CacheManifest,
+    _cached_first,
+    cached_discovery,
+    top_up_candidates,
+)
 from cabaret_sim.synthetic import _TARGET_COMMUNITY_SIZE, _community_sizes, _zipf_weights
 
 
@@ -461,6 +470,80 @@ def reference_load_related_file(path: str) -> dict[ContentId, tuple[ContentId, .
                 )
             related[canon.setdefault(cid, cid)] = tuple(map(canon.setdefault, rel, rel))
     return related
+
+
+class ReferenceFamilyStore:
+    """One family's own cabaret candidates: the oracle for ``CandidateStore``.
+
+    ``order`` is the family's largest cache in selection order, ``index``
+    its :class:`CacheIndex`, and every cache of the family holds the first
+    ``low`` contents.  A content's candidates are its cached discovery
+    through the ``n``-th entry of that floor, then the exploration through
+    its ``n``-th entry outside ``order``, stored as ranks in ``order``.
+    The run's store finds them for every family at once, over the union of
+    the largest caches.
+    """
+
+    def __init__(self, order, low, index, head, depth, n, states):
+        self.order = order
+        self.rank = {content: rank for rank, content in enumerate(order)}
+        self.floor = frozenset(order[:low])
+        self.index = index
+        self.head = head
+        self.depth = depth
+        self.n = n
+        self.states = states
+        # Per state: where its candidates start in the store, and how many
+        # discovery and top-up candidates follow (-1 until stored).
+        self.at = np.full((0, 3), -1, dtype=np.intp)
+        self.ranks = np.empty(0, dtype=np.int32)
+        self.numbers = np.empty(0, dtype=np.int32)
+        self.cands: list[ContentId] = []
+
+    def add(self, fresh: list[int]) -> None:
+        if len(self.at) < len(self.states):
+            grow = ((0, len(self.states) - len(self.at)), (0, 0))
+            self.at = np.pad(self.at, grow, constant_values=-1)
+        fresh = [s for s, stored in zip(fresh, self.at[fresh, 1] >= 0) if not stored]
+        if not fresh:
+            return
+        heads = [self.head(self.states.ids[s]) for s in fresh]
+        found = [
+            cached_discovery(h, self.depth, self.n, self.index, (self.floor,)) for h in heads
+        ]
+        tops = [top_up_candidates(h, self.depth, self.n, self.index) for h in heads]
+        added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
+        ranks = np.fromiter(map(self.rank.get, added, repeat(_OUTSIDE)), np.int32, len(added))
+        found_n = np.fromiter(map(len, found), np.intp, len(found))
+        top_n = np.fromiter(map(len, tops), np.intp, len(tops))
+        self.at[fresh, 0] = len(self.cands) + np.cumsum(found_n + top_n) - found_n - top_n
+        self.at[fresh, 1] = found_n
+        self.at[fresh, 2] = top_n
+        self.ranks = np.concatenate((self.ranks, ranks))
+        self.numbers = np.concatenate((self.numbers, np.full(len(added), -1, dtype=np.int32)))
+        self.cands += added
+
+    def rows(self, fresh: list[int], capacity: int):
+        """The cabaret rows of the states ``fresh`` for the cache of ``capacity``."""
+        self.add(fresh)
+        start, found_n, top_n = self.at[fresh].T
+        columns = np.arange(max(self.n, (found_n + top_n).max(initial=0)))
+        flat = start[:, None] + columns
+        is_found = columns < found_n[:, None]
+        valid = columns < (found_n + top_n)[:, None]
+        held = np.zeros(flat.shape, dtype=bool)
+        held[valid] = self.ranks[flat[valid]] < capacity
+        keys = np.full(flat.shape, 2, dtype=np.int8)
+        keys[is_found & held] = 0
+        keys[valid & ~is_found & ~held] = 1
+        picked, cached, width = _cached_first(keys, self.n)
+        filled = np.arange(self.n) < width[:, None]
+        taken = flat[np.nonzero(filled)[0], picked[filled]]
+        unseen = taken[self.numbers[taken] < 0].tolist()
+        self.numbers[unseen] = self.states.numbers([self.cands[i] for i in unseen])
+        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries[filled] = self.numbers[taken]
+        return width, cached, entries
 
 
 @pytest.fixture

@@ -501,22 +501,21 @@ class TestRunExperiment:
     def test_each_list_is_built_once_per_recommender_and_cache(self, monkeypatch):
         # Top placement gives every demand the same cache, so one table
         # serves the three demands' exact and sampled cells.  Cabaret rows
-        # derive from one candidate store per family (the whole run under
-        # top), and baseline and reordered rows from one provider list per
-        # content and run.
+        # derive from one candidate store per run, and baseline and
+        # reordered rows from one provider list per content and run.
         config = config_from_mapping(tiny_mapping(
             demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 4, 3],
         ))
         built: dict[tuple[int, str], int] = {}
         discovered: dict[str, int] = {}
         provided: dict[str, int] = {}
-        rows = recommend_module.FamilyStore.rows
+        rows = recommend_module.Family.rows
         discovery = recommend_module.cached_discovery
         top_up = recommend_module.top_up_candidates
         baseline = experiment.baseline_recommender
 
         def counting(self, fresh, capacity):
-            for v in map(self.states.ids.__getitem__, fresh):
+            for v in map(self.store.states.ids.__getitem__, fresh):
                 built[capacity, v] = built.get((capacity, v), 0) + 1
             return rows(self, fresh, capacity)
 
@@ -536,7 +535,7 @@ class TestRunExperiment:
         def reordering(*args):
             raise AssertionError("reordered lists derive from the provider's rows")
 
-        monkeypatch.setattr(recommend_module.FamilyStore, "rows", counting)
+        monkeypatch.setattr(recommend_module.Family, "rows", counting)
         monkeypatch.setattr(recommend_module, "cached_discovery", discovering)
         monkeypatch.setattr(recommend_module, "top_up_candidates", topping)
         monkeypatch.setattr(experiment, "baseline_recommender", providing)
@@ -697,6 +696,29 @@ class TestRunExperiment:
         assert len(runners[0].states) == states
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
 
+    def test_an_exact_sweep_with_failing_capacities_keeps_its_bits(self, tmp_path):
+        # Capacity 3 exceeds the brute-force guard and fails every cell that
+        # needs it, while capacities 1 and 2 solve.  Every order is solved
+        # before the first cell, so each failing cell raises its solve's
+        # kept error.  The digests pin both files byte for byte.
+        config = config_from_mapping(tiny_mapping(
+            cache_policy="exact", cache_capacity=[2, 1, 3], catalog_size=5000,
+            catalog_out_degree=50, catalog_overlap=0.0, front_page_size=3, bfs_width=50,
+            evaluator="exact",
+        ))
+        result = run_experiment(config, out_dir=tmp_path)
+        assert {f["cache_capacity"] for f in result.failures} == {3}
+        assert {f["error"] for f in result.failures} == {"InstanceTooLargeError"}
+        assert len(result.failures) == 12 and len(result.rows) == 24
+        digests = {
+            name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+            for name in ("failures.csv", "results.csv")
+        }
+        assert digests == {
+            "failures.csv": "c0cc7c0d7b0f727b47cb473edb06896bb3d9856cbbde7473d6173b4ec6c0db6a",
+            "results.csv": "b1335ac3171f1a059ad8864dd779c2cba50cace4896379c46f0bbca34e20b37d",
+        }
+
     @pytest.mark.parametrize("policy, capacities", [
         ("greedy", [1, 2, 5, 3]), ("exact", [1, 2]),
     ])
@@ -729,6 +751,30 @@ class TestRunExperiment:
         assert result.failures == []
         assert solved == [5] * len(config.demands)
 
+    def test_a_failing_solve_fails_each_cell_that_needs_its_order(self, monkeypatch):
+        # Every order is solved once, before the first cell; the second
+        # demand's solve raises, and each of its cells raises that error.
+        solved = []
+
+        def failing(spec, capacity):
+            solved.append(capacity)
+            if len(solved) == 2:
+                raise ValueError("no order")
+            return greedy_placement(spec, capacity)
+
+        monkeypatch.setattr(experiment, "greedy_placement", failing)
+        config = config_from_mapping(tiny_mapping(cache_policy="greedy", cache_capacity=[2, 5]))
+        result = run_experiment(config)
+        assert solved == [5, 5]
+        cells = iter_cells(config)
+        failed = [(f["recommender"], f["cache_capacity"], f["demand"], f["k"]) for f in result.failures]
+        assert failed == [
+            (c.recommender, c.capacity, c.demand, c.session_length)
+            for c in cells if c.demand == "zipf:1"
+        ]
+        assert {(f["error"], f["message"]) for f in result.failures} == {("ValueError", "no order")}
+        assert len(result.rows) == len(cells) - len(result.failures)
+
     @pytest.mark.parametrize("policy", ["top", "greedy", "exact"])
     def test_smaller_capacities_leave_the_larger_rows_unchanged(self, policy):
         def rows_at(capacities):
@@ -740,9 +786,10 @@ class TestRunExperiment:
 
         assert rows_at([5]) == rows_at([1, 5, 2])
 
-    @pytest.mark.parametrize("policy, per_content", [("top", 1), ("greedy", 3)])
-    def test_a_family_looks_each_content_up_once(self, monkeypatch, policy, per_content):
-        # Under top the run is one family; under greedy each demand is.
+    @pytest.mark.parametrize("policy", ["top", "greedy"])
+    def test_a_run_looks_each_content_up_once(self, monkeypatch, policy):
+        # Under top the run is one family; under greedy each demand is, and
+        # the families share the run's one index.
         config = config_from_mapping(tiny_mapping(
             recommender="cabaret", cache_policy=policy, cache_capacity=[1, 2, 5],
             demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 3],
@@ -758,7 +805,7 @@ class TestRunExperiment:
         result = run_experiment(config)
         assert result.failures == []
         assert misses
-        assert max(misses.values()) <= per_content
+        assert set(misses.values()) == {1}
 
     def test_smaller_caches_of_a_family_make_no_oracle_queries(self, monkeypatch):
         # At depth 1 a head is the whole exploration, so no row reads a
@@ -827,18 +874,18 @@ class TestRunExperiment:
             cache_policy="greedy", demand=["uniform", "zipf:0"], session_length=[2, 3],
         ))
         built: dict[tuple[frozenset[str], str], int] = {}
-        rows = recommend_module.FamilyStore.rows
+        rows = recommend_module.Family.rows
 
         def counting(self, fresh, capacity):
             cache = frozenset(self.order[:capacity])
-            for v in map(self.states.ids.__getitem__, fresh):
+            for v in map(self.store.states.ids.__getitem__, fresh):
                 built[cache, v] = built.get((cache, v), 0) + 1
             return rows(self, fresh, capacity)
 
         runner = experiment._Runner(config)
         for capacity in config.capacities:
             assert runner.placement(capacity, "zipf:0") == runner.placement(capacity, "uniform")
-        monkeypatch.setattr(recommend_module.FamilyStore, "rows", counting)
+        monkeypatch.setattr(recommend_module.Family, "rows", counting)
         result = run_experiment(config)
         assert result.failures == []
         assert len({cache for cache, _ in built}) == len(config.capacities)

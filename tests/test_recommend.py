@@ -3,8 +3,9 @@ from __future__ import annotations
 import ast
 from pathlib import Path
 
+import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cabaret_sim.catalog import Catalog, RelationOracle
 from cabaret_sim.demand import exact_hit_rates, position_probs
@@ -14,7 +15,7 @@ from cabaret_sim.explore import BfsParams, bfs
 from cabaret_sim.recommend import (
     CacheIndex,
     CacheManifest,
-    FamilyStore,
+    CandidateStore,
     RecommendationList,
     StateNumbers,
     baseline_recommender,
@@ -25,7 +26,7 @@ from cabaret_sim.recommend import (
     top_up_candidates,
 )
 
-from conftest import random_catalog
+from conftest import ReferenceFamilyStore, random_catalog
 
 
 @pytest.fixture
@@ -177,7 +178,7 @@ class TestCabaretList:
             head = head_of(seed, params, oracle)
             tops = top_up_candidates(head, params.depth, count, index)
             assert tops == through_outside(explored, count, cache.ids)
-            found = cached_discovery(head, params.depth, count, index, cache.ids)
+            found = cached_discovery(head, params.depth, count, index, (cache.ids,))
             n_cached = sum(want.cached)
             assert tuple(c for c in found if c in cache.ids)[:count] == want.entries[:n_cached]
             assert family_list(found, tops, count, cache) == want
@@ -205,7 +206,7 @@ class TestCabaretList:
         for seed in ids:
             explored = bfs(seed, params, oracle).entries
             head = head_of(seed, params, oracle)
-            found = cached_discovery(head, params.depth, count, index, floor)
+            found = cached_discovery(head, params.depth, count, index, (floor,))
             tops = top_up_candidates(head, params.depth, count, index)
             for cache in caches:
                 want = select_from_exploration(explored, count, cache)
@@ -229,16 +230,15 @@ class TestCabaretList:
         sizes = sorted(set(sizes))
         params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
         n = data.draw(st.integers(1, 14))
-        largest = order[: sizes[-1]]
         states = StateNumbers()
-        store = FamilyStore(
-            largest, sizes[0], CacheIndex(frozenset(largest), oracle, params.width),
+        store = CandidateStore(
+            [(order[: sizes[-1]], sizes[0])], oracle, params.width,
             lambda v: head_of(v, params, oracle), params.depth, n, states,
         )
         fresh = states.numbers(ids)
         for size in sizes:
             cache = CacheManifest.from_ids(order[:size])
-            width, cached, entries = store.rows(fresh, size)
+            width, cached, entries = store.families[0].rows(fresh, size)
             for v, w, flags, row in zip(ids, width, cached, entries):
                 want = select_from_exploration(bfs(v, params, oracle).entries, n, cache)
                 assert w == len(want)
@@ -246,10 +246,81 @@ class TestCabaretList:
                 assert tuple(flags[:w].tolist()) == want.cached
                 assert not flags[w:].any() and (row[w:] == -1).all()
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_one_run_store_serves_every_family(self, data):
+        # Up to four families with unrelated orders and floors share one
+        # store.  Every cache's rows equal those of its family's own store
+        # and the selection over the full exploration, at depths 1 to 3.
+        cat = data.draw(small_catalogs())
+        ids = sorted(cat.ids())
+        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
+        n = data.draw(st.integers(1, 14))
+        head = lambda v: head_of(v, params, oracle)  # noqa: E731
+        families = []
+        for _ in range(data.draw(st.integers(1, 4), label="families")):
+            # Two ids outside the catalog let a cache miss every exploration.
+            order = data.draw(st.permutations(ids + ["x0", "x1"]))
+            sizes = data.draw(st.lists(st.integers(1, len(order)), min_size=1, max_size=3))
+            if data.draw(st.booleans(), label="holds a head"):
+                # A cache that holds all but a few entries of one head, so
+                # its rows top up from the rest of that head and past it.
+                held = head(data.draw(st.sampled_from(ids))).entries
+                drop = data.draw(st.integers(0, min(3, len(held))))
+                held = [c for c in held if c not in data.draw(st.permutations(held))[:drop]]
+                order = held + [c for c in order if c not in held]
+                sizes.append(max(len(held), 1))
+            sizes = sorted(set(sizes))
+            families.append((tuple(order[: sizes[-1]]), sizes))
+        states = StateNumbers()
+        store = CandidateStore(
+            [(order, sizes[0]) for order, sizes in families], oracle, params.width, head,
+            params.depth, n, states,
+        )
+        fresh = states.numbers(ids)
+        for family, (order, sizes) in zip(store.families, families):
+            own_states = StateNumbers()
+            own = ReferenceFamilyStore(
+                order, sizes[0], CacheIndex(frozenset(order), oracle, params.width), head,
+                params.depth, n, own_states,
+            )
+            own_fresh = own_states.numbers(ids)
+            for size in sizes:
+                cache = CacheManifest.from_ids(order[:size])
+                width, cached, entries = family.rows(fresh, size)
+                own_width, own_cached, own_entries = own.rows(own_fresh, size)
+                assert (width == own_width).all() and (cached == own_cached).all()
+                for v, w, flags, row, own_row in zip(ids, width, cached, entries, own_entries):
+                    shown = tuple(states.ids[s] for s in row[:w])
+                    assert shown == tuple(own_states.ids[s] for s in own_row[:w])
+                    want = select_from_exploration(bfs(v, params, oracle).entries, n, cache)
+                    assert w == len(want)
+                    assert shown == want.entries
+                    assert tuple(flags[:w].tolist()) == want.cached
+                    assert not flags[w:].any() and (row[w:] == -1).all()
+
     def test_rejects_zero_count(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
         with pytest.raises(ParameterError):
             recommend("s", 0, cache_of("a"), BfsParams(2, 3), oracle)
+
+
+class TestStateNumbers:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.lists(st.text(max_size=4)), max_size=6))
+    @example([["a\x00b", "a", "b"], ["a\x00", "", "a"]])
+    def test_rank_orders_states_by_id(self, batches):
+        # Ids may hold any characters, "\x00" included, and batches repeat
+        # ids already numbered.
+        states = StateNumbers()
+        for batch in batches:
+            numbers = states.numbers(batch)
+            assert [states.ids[s] for s in numbers] == batch
+            every = np.arange(len(states))
+            by_rank = every[np.argsort(states.rank[every])]
+            assert by_rank.tolist() == sorted(every.tolist(), key=states.ids.__getitem__)
+            assert states.by_id == by_rank.tolist()
 
 
 class TestPerRequestDominance:
