@@ -239,9 +239,11 @@ class TransitionTable:
 
         Before each step the rows of the states the live sessions sit on
         are built, so the row source is asked about exactly the states the
-        walks reach.  A pick counts the cumulative sums for the row's width
-        at or below the draw, which is ``bisect_right`` with the same float
-        operations; its temporary holds ``len(starts)`` × ``n`` booleans.
+        walks reach.  Those states are the nonzero slots of a ``bincount``
+        of the sessions' state numbers: each once, with no sort.  A pick
+        counts the cumulative sums for the row's width at or below the
+        draw, which is ``bisect_right`` with the same float operations; its
+        temporary holds ``len(starts)`` × ``n`` booleans.
         """
         law = self._law(dist)
         sessions, steps = uniforms.shape
@@ -250,7 +252,7 @@ class TransitionTable:
         state = front[starts]
         live = np.arange(sessions)
         for j in range(steps):
-            self._load(np.unique(state[live]))
+            self._load(np.flatnonzero(np.bincount(state[live], minlength=len(self.states))))
             live = live[self._width[state[live]] > 0]
             at = state[live]
             width = self._width[at]

@@ -11,6 +11,7 @@ discovered before the final level.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 from .catalog import ContentId, RelationOracle
 from .errors import ParameterError
@@ -46,6 +47,12 @@ class ExplorationList:
         return len(self.entries)
 
 
+@cache
+def _first_level(length: int) -> tuple[int, ...]:
+    """The depths of a depth-1 exploration of ``length`` entries, one tuple per length."""
+    return (1,) * length
+
+
 def bfs(seed: ContentId, params: BfsParams, oracle: RelationOracle) -> ExplorationList:
     """Explore contents related to ``seed`` in level order.
 
@@ -57,7 +64,7 @@ def bfs(seed: ContentId, params: BfsParams, oracle: RelationOracle) -> Explorati
     """
     frontier = oracle.related(seed, params.width)
     if params.depth == 1:
-        return ExplorationList(seed, frontier, (1,) * len(frontier))
+        return ExplorationList(seed, frontier, _first_level(len(frontier)))
     entries = list(frontier)
     depths = [1] * len(entries)
     seen = {seed, *frontier}

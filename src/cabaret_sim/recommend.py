@@ -12,14 +12,15 @@ A transition table (see :mod:`cabaret_sim.demand`) reads a recommender as
 numbers in a run's :class:`StateNumbers`.  This module builds every row
 source.  :func:`list_rows` asks a recommender once per state, and
 :func:`provider_rows` derives any cache's baseline or reordered rows from
-the provider's rows.  One :class:`CandidateStore` per run derives the
-cabaret rows of every :class:`Family` of nested caches from two lists per
-content, :func:`cached_discovery` and :func:`top_up_candidates`, read
-through one :class:`CacheIndex` over the union of the families' largest
-caches.  Both start from the exploration's *head*, every level but the
-last (the whole exploration at depth 1), and read the last level only as
-far as they need.  Every cached-first selection over rows is one stable
-argsort.
+the provider's rows, reading the cache in a bool array indexed by state
+number.  One :class:`CandidateStore` per run derives the cabaret rows of
+every :class:`Family` of nested caches from two lists per content:
+:func:`cached_discovery`, read through one :class:`CacheIndex` over the
+union of the families' largest caches, and :func:`top_up_candidates`, the
+exploration's first ``n`` entries.  Both start from the exploration's
+*head*, every level but the last (the whole exploration at depth 1), and
+read the last level only as far as they need.  Every cached-first
+selection over rows is one stable argsort.
 """
 
 from __future__ import annotations
@@ -217,30 +218,27 @@ def cached_discovery(
 
 
 def top_up_candidates(
-    head: ExplorationList, depth: int, count: int, index: CacheIndex
+    head: ExplorationList, depth: int, count: int, oracle: RelationOracle, width: int
 ) -> tuple[ContentId, ...]:
-    """The exploration ``head`` begins, through its ``count``-th entry outside ``index.ids``.
+    """The first ``count`` entries of the exploration ``head`` begins, or all of it.
 
-    ``head`` is as in :func:`cached_discovery`; past depth 1 the last level
-    is read from the oracle, one parent's related list of width
-    ``index.width`` at a time.  The result holds, for every cache inside ``index.ids``, the
-    first ``count`` entries of the exploration it does not hold: the top-up
-    of its list.
+    ``head`` is as in :func:`cached_discovery`.  When it holds fewer than
+    ``count`` entries, the last level is read from ``oracle``, one parent's
+    related list of width ``width`` at a time, until ``count`` are taken.  A
+    list that caches ``k`` of its entries tops up with ``count - k``
+    uncached ones, and the first ``count`` entries of the exploration hold
+    at least that many, so the result holds the top-up of every cache's list.
     """
-    taken: list[ContentId] = []
-    for content in head.entries:
-        taken.append(content)
-        count -= content not in index.ids
-        if count == 0:
-            return tuple(taken)
+    if len(head.entries) >= count:
+        return head.entries[:count]
+    taken = list(head.entries)
     seen = {head.seed, *taken}
     for parent in _last_level_parents(head, depth):
-        for content in index.oracle.related(parent, index.width):
+        for content in oracle.related(parent, width):
             if content not in seen:
                 seen.add(content)
                 taken.append(content)
-                count -= content not in index.ids
-                if count == 0:
+                if len(taken) == count:
                     return tuple(taken)
     return tuple(taken)
 
@@ -392,12 +390,13 @@ class CandidateStore:
 
     A content's candidates are its :func:`cached_discovery` until every
     floor holds ``n`` of them, and its :func:`top_up_candidates`, the
-    exploration through its ``n``-th entry outside ``members``.  Each
-    family's own two lists would be prefixes of these, so every cabaret row
-    of every family takes its cached entries from the first and its top-up
-    from the second.  They are stored once per content, side by side in
-    one flat list of ids, beside the state number of each candidate (-1
-    until a row holds it) and each family's rank of it.
+    first ``n`` entries of its exploration.  Each family's own discovery
+    would be a prefix of the first, and the second holds every cache's
+    top-up, so every cabaret row of every family takes its cached entries
+    from the first and its top-up from the second.  They are stored once
+    per content, side by side in one flat list of ids, beside the state
+    number of each candidate (-1 until a row holds it) and each family's
+    rank of it.
     """
 
     def __init__(
@@ -434,7 +433,8 @@ class CandidateStore:
             return
         heads = [self.head(self.states.ids[s]) for s in fresh]
         found = [cached_discovery(h, self.depth, self.n, self.index, self.floors) for h in heads]
-        tops = [top_up_candidates(h, self.depth, self.n, self.index) for h in heads]
+        oracle, width = self.index.oracle, self.index.width
+        tops = [top_up_candidates(h, self.depth, self.n, oracle, width) for h in heads]
         added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
         outside = repeat(len(self.members))
         where = np.fromiter(map(self.position.get, added, outside), np.int32, len(added))
@@ -514,13 +514,17 @@ def provider_rows(
     numbered by ``states``.  A baseline row flags the provider's entries
     that ``cached`` holds; a reordered row moves those first, keeping both
     parts in order, which is :func:`select_from_exploration` over the
-    provider's list.  Padding is never flagged, so it stays last.
+    provider's list.  An entry is flagged by reading its state number in
+    a bool array with a slot per state and one more, never set, which a
+    ``-1`` pad reads; so padding is never flagged, and stays last.
     """
     flagged = np.array(states.numbers(sorted(cached)), dtype=np.intp)
 
     def rows(fresh: list[int]) -> Rows:
         width, _, entries = provider(fresh)
-        hits = np.isin(entries, flagged)
+        held = np.zeros(len(states) + 1, dtype=bool)
+        held[flagged] = True
+        hits = held[entries]
         if kind == "reordered":
             keys = np.where(entries < 0, 2, ~hits).astype(np.int8)
             picked, hits, _ = _cached_first(keys, keys.shape[1])

@@ -478,8 +478,8 @@ class ReferenceFamilyStore:
     ``order`` is the family's largest cache in selection order, ``index``
     its :class:`CacheIndex`, and every cache of the family holds the first
     ``low`` contents.  A content's candidates are its cached discovery
-    through the ``n``-th entry of that floor, then the exploration through
-    its ``n``-th entry outside ``order``, stored as ranks in ``order``.
+    through the ``n``-th entry of that floor, then the first ``n`` entries
+    of the exploration, stored as ranks in ``order``.
     The run's store finds them for every family at once, over the union of
     the largest caches.
     """
@@ -511,7 +511,10 @@ class ReferenceFamilyStore:
         found = [
             cached_discovery(h, self.depth, self.n, self.index, (self.floor,)) for h in heads
         ]
-        tops = [top_up_candidates(h, self.depth, self.n, self.index) for h in heads]
+        tops = [
+            top_up_candidates(h, self.depth, self.n, self.index.oracle, self.index.width)
+            for h in heads
+        ]
         added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
         ranks = np.fromiter(map(self.rank.get, added, repeat(_OUTSIDE)), np.int32, len(added))
         found_n = np.fromiter(map(len, found), np.intp, len(found))

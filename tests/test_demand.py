@@ -19,7 +19,13 @@ from cabaret_sim.demand import (
 )
 from cabaret_sim.errors import ParameterError
 from cabaret_sim.explore import BfsParams
-from cabaret_sim.recommend import CacheManifest, RecommendationList, recommend
+from cabaret_sim.recommend import (
+    CacheManifest,
+    RecommendationList,
+    StateNumbers,
+    list_rows,
+    recommend,
+)
 
 from conftest import (
     random_catalog,
@@ -516,6 +522,53 @@ class TestBatchedSampler:
             expected_calls += sorted(reached - asked)
             asked |= reached
         assert calls == expected_calls
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        scenario=markov_scenarios(),
+        length=st.integers(2, 8),
+        sessions=st.integers(1, 50),
+        exact_first=st.integers(1, 8),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_each_step_asks_for_the_unique_live_states_without_a_row(
+        self, scenario, length, sessions, exact_first, seed
+    ):
+        # One row-source call per step that reaches a state without a row,
+        # for np.unique of those states, in id order; np.unique is the oracle.
+        front, rec, dist, cache = scenario
+        states = StateNumbers()
+        source = list_rows(rec, dist.n, states)
+        batches = []
+
+        def rows(fresh):
+            batches.append(list(fresh))
+            return source(fresh)
+
+        table = TransitionTable(front, rows, dist.n, states)
+        if exact_first > 1:
+            table.hit_rates(dist, exact_first)
+        built = {s for batch in batches for s in batch}
+        del batches[:]
+        rng = np.random.Generator(np.random.PCG64(seed))
+        starts = rng.integers(len(front.ids), size=sessions)
+        uniforms = rng.random((sessions, length - 1))
+        table.walk(dist, starts, uniforms)
+
+        walks = [
+            reference_walk(length, int(start), row, front, rec, dist, cache)
+            for start, row in zip(starts, uniforms)
+        ]
+        want = []
+        for j in range(length - 1):
+            live = [states.number[w.watched[j]] for w in walks if j < len(w.watched)]
+            fresh = np.unique([s for s in live if s not in built]).astype(np.intp)
+            if len(fresh):
+                want.append(fresh.tolist())
+            built.update(live)
+        assert [sorted(batch) for batch in batches] == want
+        for batch in batches:
+            assert batch == sorted(batch, key=states.ids.__getitem__)
 
     @settings(max_examples=150, deadline=None)
     @given(

@@ -6,7 +6,10 @@ import hashlib
 import importlib.util
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 import types
 from pathlib import Path
@@ -527,10 +530,9 @@ class TestRunExperiment:
             provided[v] = provided.get(v, 0) + 1
             return baseline(v, *args)
 
-        def topping(head, depth, count, index):
-            outside = sum(c not in index.ids for c in head.entries)
-            assert outside >= count, "no row needs the last level"
-            return top_up(head, depth, count, index)
+        def topping(head, depth, count, oracle, width):
+            assert len(head.entries) >= count, "no row needs the last level"
+            return top_up(head, depth, count, oracle, width)
 
         def reordering(*args):
             raise AssertionError("reordered lists derive from the provider's rows")
@@ -1054,3 +1056,30 @@ def test_bench_tracer_finds_every_name_it_rebinds():
     assert after.keys() == before.keys()
     assert all(after[name] is value for name, value in before.items())
     assert namespace.bfs is not experiment.bfs
+
+
+def test_no_run_imports_numpy_ma():
+    # numpy's set routines (np.unique, for one) import all of numpy.ma on
+    # their first call, about 20 ms inside a run's timed sweep; the
+    # evaluators read dense arrays indexed by state number instead.
+    script = (
+        "import json, sys\n"
+        "from cabaret_sim.experiment import config_from_mapping, run_experiment\n"
+        "results = [run_experiment(config_from_mapping(m)) for m in json.loads(sys.argv[1])]\n"
+        "print(json.dumps({\n"
+        "    'rows': [len(r.rows) for r in results],\n"
+        "    'failures': [len(r.failures) for r in results],\n"
+        "    'ma': sorted(m for m in sys.modules if m.split('.')[:2] == ['numpy', 'ma']),\n"
+        "}))\n"
+    )
+    mappings = [
+        tiny_mapping(evaluator="sampled"),
+        tiny_mapping(evaluator="exact", cache_policy="greedy"),
+    ]
+    src = str(Path(experiment.__file__).resolve().parent.parent)
+    done = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(mappings)],
+        env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, check=True,
+    )
+    report = json.loads(done.stdout)
+    assert report == {"rows": [24, 24], "failures": [0, 0], "ma": []}

@@ -20,6 +20,7 @@ from cabaret_sim.recommend import (
     StateNumbers,
     baseline_recommender,
     cached_discovery,
+    provider_rows,
     recommend,
     reordered_recommender,
     select_from_exploration,
@@ -134,17 +135,6 @@ def head_of(seed, params, oracle):
     return bfs(seed, BfsParams(max(params.depth - 1, 1), params.width), oracle)
 
 
-def through_outside(explored, count, ids):
-    """``explored`` through its ``count``-th entry outside ``ids``, or whole."""
-    taken = []
-    for content in explored:
-        taken.append(content)
-        count -= content not in ids
-        if count == 0:
-            break
-    return tuple(taken)
-
-
 def family_list(found, tops, count, cache):
     """A cache's list from its family's discovery and top-up candidates."""
     picked = [c for c in found if c in cache.ids][:count]
@@ -176,8 +166,8 @@ class TestCabaretList:
             want = select_from_exploration(explored, count, cache)
             assert recommend(seed, count, cache, params, oracle) == want
             head = head_of(seed, params, oracle)
-            tops = top_up_candidates(head, params.depth, count, index)
-            assert tops == through_outside(explored, count, cache.ids)
+            tops = top_up_candidates(head, params.depth, count, oracle, params.width)
+            assert tops == explored[:count]
             found = cached_discovery(head, params.depth, count, index, (cache.ids,))
             n_cached = sum(want.cached)
             assert tuple(c for c in found if c in cache.ids)[:count] == want.entries[:n_cached]
@@ -207,7 +197,7 @@ class TestCabaretList:
             explored = bfs(seed, params, oracle).entries
             head = head_of(seed, params, oracle)
             found = cached_discovery(head, params.depth, count, index, (floor,))
-            tops = top_up_candidates(head, params.depth, count, index)
+            tops = top_up_candidates(head, params.depth, count, oracle, params.width)
             for cache in caches:
                 want = select_from_exploration(explored, count, cache)
                 n_cached = sum(want.cached)
@@ -441,6 +431,49 @@ class TestProviderRecommenders:
             front, lambda v: reordered_recommender(v, 5, cached, oracle), dist, 2
         )[0]
         assert chr_base == pytest.approx(chr_reord, abs=1e-15)
+
+
+class TestProviderRows:
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_flags_equal_isin_of_the_cached_numbers(self, data):
+        # The rows flag an entry by reading a dense per-state array;
+        # np.isin over the cache's state numbers is the oracle.  The
+        # provider may number new contents while it builds the rows, and
+        # the cache may hold contents no row shows.
+        ids = [f"c{i:02d}" for i in range(data.draw(st.integers(1, 12), label="size"))]
+        late = [f"late{i}" for i in range(data.draw(st.integers(0, 2), label="late"))]
+        outside = ["x0", "x1"]
+        cached = data.draw(st.one_of(
+            st.just([]),
+            st.just(ids + late + outside),
+            st.lists(st.sampled_from(ids + late + outside), unique=True),
+        ), label="cached")
+        n = data.draw(st.integers(1, 6), label="n")
+        rows_of = data.draw(st.lists(
+            st.lists(st.integers(0, len(ids) + len(late) - 1), unique=True, max_size=n),
+            min_size=1, max_size=8,
+        ), label="rows")
+        states = StateNumbers()
+        fresh = states.numbers(ids)
+
+        def provider(asked):
+            states.numbers(late)
+            width = np.array([len(row) for row in rows_of], dtype=np.intp)
+            entries = np.full((len(rows_of), n), -1, dtype=np.intp)
+            for entry_row, row in zip(entries, rows_of):
+                entry_row[: len(row)] = [states.number[(ids + late)[i]] for i in row]
+            return width, np.zeros(entries.shape, dtype=bool), entries
+
+        for kind in ("baseline", "reordered"):
+            rows = provider_rows(kind, frozenset(cached), provider, states)
+            width, hits, entries = rows(fresh)
+            flagged = np.array([states.number[c] for c in cached], dtype=np.intp)
+            assert (width == [len(row) for row in rows_of]).all()
+            assert (hits == np.isin(entries, flagged)).all()
+            assert ((entries < 0) == (np.arange(n) >= width[:, None])).all()
+            if kind == "baseline":
+                assert (entries == provider(fresh)[2]).all()
 
 
 class TestRecommendationList:
