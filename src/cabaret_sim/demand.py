@@ -29,9 +29,9 @@ evaluators read the rows through the law truncated to each width:
   longer session, so a table computes each step once per law and a
   shorter ``K`` takes a slice;
 * :meth:`TransitionTable.sample` walks a batch of sessions together and
-  returns their hit flags.  Every step compares the sessions' draws with
-  the cumulative sums for the rows' widths, which picks the same
-  positions as bisecting them one session at a time.
+  returns their hit flags.  Every step places each session's draw among
+  the cumulative sums for its row's width by one sorted search, which
+  picks the same positions as bisecting them one session at a time.
 
 :func:`exact_hit_rates` is the exact evaluator over a fresh table, and
 :func:`run_session` samples one session straight from the recommender.
@@ -42,8 +42,8 @@ its seed.
 from __future__ import annotations
 
 from bisect import bisect_right
-from dataclasses import dataclass
-from functools import reduce
+from dataclasses import dataclass, field
+from functools import cache, reduce
 from itertools import accumulate
 from operator import add
 from typing import Iterable
@@ -162,11 +162,10 @@ class TransitionTable:
         self._rows = rows
         # One padded row per state number: the first ``_width`` entries of
         # its list (-1 until built), their cached flags and state numbers.
-        self._columns = np.arange(n)
         self._width = np.empty(0, dtype=np.intp)
         self._cached = np.empty((0, n), dtype=bool)
-        self._next = np.empty((0, n), dtype=np.intp)
-        self._laws: dict[PositionDistribution, _Law] = {}
+        self._next = np.empty((0, n), dtype=np.int32)
+        self._runs: dict[PositionDistribution, _Propagation] = {}
 
     @classmethod
     def from_recommender(
@@ -202,13 +201,14 @@ class TransitionTable:
         """
         _check_session(length, self.front_page)
         law = self._law(dist)
-        if law.states is None:
+        run = self._runs.get(dist)
+        if run is None:
             ids = self.front_page.ids
-            law.states = np.array(self._numbers(sorted(set(ids))), dtype=np.intp)
-            law.mass = np.full(len(law.states), 1.0 / len(ids))
-        while len(law.rates) < length - 1:
-            self._step(law)
-        return tuple(law.rates[: length - 1])
+            states = np.array(self._numbers(sorted(set(ids))), dtype=np.intp)
+            run = self._runs[dist] = _Propagation(states, np.full(len(states), 1.0 / len(ids)))
+        while len(run.rates) < length - 1:
+            self._step(law, run)
+        return tuple(run.rates[: length - 1])
 
     def sample(
         self, dist: PositionDistribution, length: int, sessions: int, rng: np.random.Generator
@@ -242,8 +242,9 @@ class TransitionTable:
         walks reach.  Those states are the nonzero slots of a ``bincount``
         of the sessions' state numbers: each once, with no sort.  A pick
         counts the cumulative sums for the row's width at or below the
-        draw, which is ``bisect_right`` with the same float operations; its
-        temporary holds ``len(starts)`` × ``n`` booleans.
+        draw, which is ``bisect_right`` with the same float operations, by
+        one sorted search per session in the law's keys (see
+        :meth:`_Law.below`); no step holds a sessions × positions array.
         """
         law = self._law(dist)
         sessions, steps = uniforms.shape
@@ -257,20 +258,16 @@ class TransitionTable:
             at = state[live]
             width = self._width[at]
             drawn = uniforms[live, j] * law.last[width]
-            below = (law.cum[width] <= drawn[:, None]).sum(axis=1)
-            pick = np.minimum(below, width - 1)
+            pick = np.minimum(law.below(width, drawn), width - 1)
             hits[live, j] = self._cached[at, pick]
             state[live] = self._next[at, pick]
         return hits
 
     def _law(self, dist: PositionDistribution) -> _Law:
-        """The per-width arrays and exact propagation state of ``dist``."""
-        law = self._laws.get(dist)
-        if law is None:
-            if dist.n != self.n:
-                raise ParameterError(f"position law has n={dist.n}, the table n={self.n}")
-            law = self._laws[dist] = _Law(dist)
-        return law
+        """The per-width arrays of ``dist``, shared by every table."""
+        if dist.n != self.n:
+            raise ParameterError(f"position law has n={dist.n}, the table n={self.n}")
+        return _law_arrays(dist)
 
     def _load(self, states: np.ndarray) -> None:
         """Build the rows of ``states`` not built yet, in sorted-id order."""
@@ -299,42 +296,54 @@ class TransitionTable:
         extra = max(need, 2 * have) - have
         self._width = np.concatenate((self._width, np.full(extra, -1, dtype=np.intp)))
         self._cached = np.concatenate((self._cached, np.zeros((extra, self.n), dtype=bool)))
-        self._next = np.concatenate((self._next, np.full((extra, self.n), -1, dtype=np.intp)))
+        self._next = np.concatenate((self._next, np.full((extra, self.n), -1, dtype=np.int32)))
 
-    def _step(self, law: _Law) -> None:
-        """Record the next step's hit rate under ``law`` and move its mass one step on."""
-        states = law.states
+    def _step(self, law: _Law, run: _Propagation) -> None:
+        """Record ``run``'s next hit rate under ``law`` and move its mass one step on.
+
+        The only (states × positions) arrays are the rows read: the law's
+        probabilities for each width, weighted in place, the cached flags
+        and the next states.  A pad holds next state -1 and probability
+        0.0, so no mask is needed.
+        """
+        states = run.states
         if not len(states):
-            law.rates.append(0.0)
+            run.rates.append(0.0)
             return
         self._load(states)
-        width = self._width[states]
-        p = law.p[width]
-        filled = self._columns < width[:, None]
-        # Row-major order is state order, then position order, as a
-        # state-by-state loop adds; cumsum and bincount add in input order,
-        # where np.sum would add pairwise and round differently.  Adding
-        # the 0.0 of a miss is exact.
-        hit = np.cumsum(np.where(self._cached[states], p, 0.0), axis=1)[:, -1]
-        rate = np.cumsum(law.mass * hit)[-1]
+        p = law.p[self._width[states]]
+        cached = self._cached[states]
+        # Each state's hit mass adds its positions in order, as a
+        # state-by-state loop does; np.sum would add pairwise and round
+        # differently.  Skipping a miss equals adding its exact 0.0.
+        hit = np.zeros(len(states))
+        for i in range(self.n):
+            np.add(hit, p[:, i], out=hit, where=cached[:, i])
+        del cached
+        rate = np.cumsum(run.mass * hit)[-1]
         # Summation error can push a full-cache rate just past 1.
-        law.rates.append(min(float(rate), 1.0))
-        dst = self._next[states][filled]
-        n = len(self.states)
-        weights = (law.mass[:, None] * p)[filled]
-        mass = np.bincount(dst, weights=weights, minlength=n)
+        run.rates.append(min(float(rate), 1.0))
+        p *= run.mass[:, None]
+        # Row-major order is state order, then position order, and bincount
+        # adds in input order.  Shifted by one, a pad's -1 lands in bin 0,
+        # which is dropped.
+        dst = np.add(self._next[states], 1, dtype=np.intp).ravel()
+        size = len(self.states) + 1
+        mass = np.bincount(dst, weights=p.ravel(), minlength=size)
         # A state whose mass underflows to 0.0 is still reached.
-        reached = np.flatnonzero(np.bincount(dst, minlength=n))
-        law.states = reached[np.argsort(self.states.rank[reached])]
-        law.mass = mass[law.states]
+        reached = np.flatnonzero(np.bincount(dst, minlength=size)[1:])
+        run.states = reached[np.argsort(self.states.rank[reached])]
+        run.mass = mass[run.states + 1]
 
 
 class _Law:
-    """One position law as a table reads it, and its exact propagation.
+    """One position law as tables read it; built once per law and process.
 
-    Indexed by row width 0..n: the law truncated to that width, padded with
-    0; its cumulative sums, padded with inf; and their last value.  The
-    propagation keeps the states holding mass, by id, their mass and rates.
+    Indexed by row width 0..n: ``p``, the law truncated to that width and
+    padded with 0, and ``last``, its total.  ``keys`` holds each width's
+    cumulative sums as the complex numbers ``width + sum·j``, width-major,
+    so they are sorted: numpy orders complex numbers by real part, then by
+    imaginary part.  Every array is read-only, since tables share them.
     """
 
     def __init__(self, dist: PositionDistribution):
@@ -344,11 +353,42 @@ class _Law:
             self.p[width, :width] = dist.truncated(width)
         # cumsum adds in position order, as accumulate() does; adding 0.0 is exact.
         cum = np.cumsum(self.p, axis=1)
-        self.cum = np.where(np.arange(n) < np.arange(n + 1)[:, None], cum, np.inf)
         self.last = cum[:, -1]
-        self.states: np.ndarray | None = None
-        self.mass: np.ndarray | None = None
-        self.rates: list[float] = []
+        widths = np.arange(n + 1)
+        self.keys = np.empty(n * (n + 1) // 2, dtype=complex)
+        self.keys.real = np.repeat(widths, widths)
+        self.keys.imag = cum[np.arange(n) < widths[:, None]]
+        for array in (self.p, self.last, self.keys):
+            array.flags.writeable = False
+
+    def below(self, width: np.ndarray, drawn: np.ndarray) -> np.ndarray:
+        """How many of the cumulative sums for each ``width`` lie at or below ``drawn``.
+
+        One sorted search per draw: the keys at or below ``width + drawn·j``
+        are those of every narrower width, ``width·(width - 1)/2`` of them,
+        and the sums of ``width`` itself at or below ``drawn``.
+        """
+        probe = np.empty(len(width), dtype=complex)
+        probe.real = width
+        probe.imag = drawn
+        return np.searchsorted(self.keys, probe, "right") - width * (width - 1) // 2
+
+
+# One _Law per distinct law, however many tables read it.
+_law_arrays = cache(_Law)
+
+
+@dataclass
+class _Propagation:
+    """One table's exact propagation of one law.
+
+    The states holding mass, in id order, their mass, and the hit rates of
+    the steps taken so far.
+    """
+
+    states: np.ndarray
+    mass: np.ndarray
+    rates: list[float] = field(default_factory=list)
 
 
 def run_session(

@@ -392,7 +392,6 @@ class _Runner:
             self.ranking[: config.front_page_size],
             truncated=config.front_page_size > len(self.catalog),
         )
-        self._heads: dict[str, ExplorationList] = {}
         self._explored: dict[str, frozenset[str]] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
         # Every table of the run numbers states alike, so baseline and
@@ -437,13 +436,12 @@ class _Runner:
     def head(self, content: str) -> ExplorationList:
         """The exploration around ``content`` but its last level, shared by every cache.
 
-        At depth 1 it is the whole exploration.
+        At depth 1 it is the whole exploration.  It is not kept: the
+        candidate store asks for a content's head only while storing its
+        candidates, once per run.
         """
-        head = self._heads.get(content)
-        if head is None:
-            params = BfsParams(max(self.params.depth - 1, 1), self.params.width)
-            head = self._heads[content] = bfs(content, params, self.oracle)
-        return head
+        params = BfsParams(max(self.params.depth - 1, 1), self.params.width)
+        return bfs(content, params, self.oracle)
 
     def _span(self, capacity: int) -> tuple[int, int]:
         """The least and largest capacity of the family that holds the cache of ``capacity``."""

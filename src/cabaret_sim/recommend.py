@@ -327,7 +327,7 @@ class StateNumbers:
         return self._rank
 
 
-#: The rows of a batch of states: widths, and padded cached flags and entry states.
+#: The rows of a batch of states: widths, and padded cached flags and int32 entry states.
 Rows = tuple[np.ndarray, np.ndarray, np.ndarray]
 
 #: Builds the rows of states given by number, in sorted-id order.
@@ -351,7 +351,7 @@ def list_rows(recommender: Recommender, n: int, states: StateNumbers) -> RowSour
         filled = columns < width[:, None]
         cached = np.zeros(filled.shape, dtype=bool)
         cached[filled] = [hit for rec, w in zip(shown, widths) for hit in rec.cached[:w]]
-        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries = np.full(filled.shape, -1, dtype=np.int32)
         entries[filled] = states.numbers(
             [c for rec, w in zip(shown, widths) for c in rec.entries[:w]]
         )
@@ -475,7 +475,7 @@ class CandidateStore:
         # Number the candidates no row has held yet.
         unseen = taken[self.numbers[taken] < 0].tolist()
         self.numbers[unseen] = self.states.numbers([self.cands[i] for i in unseen])
-        entries = np.full(filled.shape, -1, dtype=np.intp)
+        entries = np.full(filled.shape, -1, dtype=np.int32)
         entries[filled] = self.numbers[taken]
         return width, cached, entries
 

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
 from itertools import accumulate
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle
+from cabaret_sim import demand
 from cabaret_sim.demand import (
     PositionDistribution,
     TransitionTable,
@@ -276,6 +278,32 @@ def markov_scenarios(draw):
     return front, lambda v: recommend(v, count, cache, params, oracle), dist, cache
 
 
+@st.composite
+def drawn_lists(draw):
+    """A front page, a list per state and a law, drawn without a catalog.
+
+    The front page holds ``s00``, whose list is empty, and ``s01``, whose
+    list is shorter than the law; other lists may be longer.  zipf:1000
+    gives every position past the second probability 0.0.
+    """
+    n = draw(st.integers(1, 12))
+    size = draw(st.integers(2, 20))
+    ids = [f"s{i:02d}" for i in range(size)]
+    lists = {}
+    for i, cid in enumerate(ids):
+        most = 0 if i == 0 else n - 1 if i == 1 else n + 2
+        entries = draw(st.lists(st.sampled_from(ids), unique=True, max_size=min(most, size)))
+        cached = draw(st.lists(st.booleans(), min_size=len(entries), max_size=len(entries)))
+        lists[cid] = RecommendationList(tuple(entries), tuple(cached))
+    front = draw(st.lists(st.sampled_from(ids[2:]), unique=True)) if size > 2 else []
+    dist = draw(st.sampled_from([
+        position_probs("uniform", n=n),
+        position_probs("zipf", 1.0, n),
+        position_probs("zipf", 1000.0, n),
+    ]))
+    return PopularityRegion(("s00", "s01", *front)), lists.__getitem__, dist
+
+
 def recording(recommender):
     """``recommender`` plus the list of contents it was asked about, in order."""
     calls = []
@@ -382,6 +410,38 @@ class TestTransitionTable:
         assert expected == (0.9999999999999999,)
         assert TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, 2) == expected
 
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=drawn_lists(), length=st.integers(2, 8))
+    def test_rates_equal_reference_on_drawn_lists(self, scenario, length):
+        front, rec, dist = scenario
+        got = TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, length)
+        assert got == reference_exact_hit_rates(front, rec, dist, length)
+
+    def test_a_step_holds_little_more_than_the_rows_it_reads(self):
+        # Each of S states lists the next n states of a ring, so the second
+        # step reads the S rows that the first built, and builds none.  The
+        # rows it reads, as probabilities, next states and cached flags,
+        # take 1.6 times S × n floats at their widest; masked copies of
+        # them and a kept cumsum take about 4.9 times.
+        size, n = 2000, 20
+        ids = [f"c{i:04d}" for i in range(size)]
+        flags = tuple(k % 3 == 0 for k in range(n))
+        lists = {
+            cid: RecommendationList(tuple(ids[(i + k) % size] for k in range(1, n + 1)), flags)
+            for i, cid in enumerate(ids)
+        }
+        dist = position_probs("zipf", 1.0, n)
+        table = TransitionTable.from_recommender(PopularityRegion(tuple(ids)), lists.__getitem__, n)
+        table.hit_rates(dist, 2)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            table.hit_rates(dist, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - held < 3.5 * size * n * 8
+
     def test_entries_past_the_law_are_never_picked(self):
         # Only "a" and "b" fall within the two-position law; "c" and "d" are
         # cached, as are the lists they lead to.
@@ -465,6 +525,44 @@ class TestTransitionTable:
         with pytest.raises(ParameterError, match="law has n=3, the table n=2"):
             table.walk(position_probs("uniform", n=3), np.array([0]), np.array([[0.5]]))
         assert table.hit_rates(position_probs("uniform", n=2), 2) == (0.5,)
+
+
+LAWS = [("uniform", 0.0)] + [("zipf", alpha) for alpha in (0.0, 0.5, 1.0, 1000.0)]
+
+
+class TestLaw:
+    @settings(max_examples=150, deadline=None)
+    @given(law=st.sampled_from(LAWS), n=st.integers(1, 50), seed=st.integers(0, 2**32 - 1))
+    def test_below_equals_the_comparison_count(self, law, n, seed):
+        # The oracle counts the cumulative sums at or below each draw, in
+        # a matrix padded with inf past each width.
+        dist = position_probs(law[0], law[1], n)
+        cum = np.full((n + 1, n), np.inf)
+        for width in range(1, n + 1):
+            cum[width, :width] = list(accumulate(dist.truncated(width)))
+        rng = np.random.Generator(np.random.PCG64(seed))
+        widths, draws = [], []
+        for width in range(1, n + 1):
+            sums = cum[width, :width]
+            # 0.0, every cumulative sum and its neighbours, and draws between.
+            at = [0.0, *sums, *np.nextafter(sums, 0.0), *np.nextafter(sums, 2.0)]
+            at += list(rng.random(4) * sums[-1])
+            widths += [width] * len(at)
+            draws += at
+        width, drawn = np.array(widths), np.array(draws)
+        got = demand._law_arrays(dist).below(width, drawn)
+        assert np.array_equal(got, (cum[width] <= drawn[:, None]).sum(axis=1))
+
+    def test_tables_share_one_read_only_law(self):
+        rec = fixed_list_recommender(["a", "b"], [True, False])
+        dist = position_probs("zipf", 1.0, 2)
+        tables = [TransitionTable.from_recommender(PopularityRegion(("p",)), rec, 2) for _ in "ab"]
+        assert tables[0].hit_rates(dist, 3) == tables[1].hit_rates(dist, 3)
+        law = demand._law_arrays(dist)
+        assert all(table._law(dist) is law for table in tables)
+        for array in (law.p, law.last, law.keys):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0
 
 
 def tie_draws(dist):

@@ -809,6 +809,31 @@ class TestRunExperiment:
         assert misses
         assert set(misses.values()) == {1}
 
+    @pytest.mark.parametrize("policy", ["top", "greedy"])
+    def test_each_stored_state_has_its_head_explored_once(self, monkeypatch, policy):
+        # No head is kept, so only the store's one add per state keeps the
+        # explorations from repeating.
+        config = config_from_mapping(tiny_mapping(
+            recommender="cabaret", cache_policy=policy, cache_capacity=[1, 2, 5],
+            demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 3, 4],
+        ))
+        explored: dict[str, int] = {}
+        runners = []
+        head = experiment._Runner.head
+
+        def counting(runner, content):
+            runners.append(runner)
+            explored[content] = explored.get(content, 0) + 1
+            return head(runner, content)
+
+        monkeypatch.setattr(experiment._Runner, "head", counting)
+        result = run_experiment(config)
+        assert result.failures == []
+        assert set(explored.values()) == {1}
+        store = runners[0].store
+        stored = np.flatnonzero(store.at[:, 1] >= 0)
+        assert sorted(explored) == sorted(store.states.ids[s] for s in stored)
+
     def test_smaller_caches_of_a_family_make_no_oracle_queries(self, monkeypatch):
         # At depth 1 a head is the whole exploration, so no row reads a
         # last level: one family queries each content once for every cache.
