@@ -55,6 +55,12 @@ from .errors import ParameterError
 from .recommend import CacheManifest, Recommender, RowSource, Rows, StateNumbers, list_rows
 
 
+#: The most states whose rows an exact step reads at once.  A block costs
+#: one ufunc call per position, so much smaller blocks cost time for little
+#: memory.
+STEP_BLOCK = 4096
+
+
 def ordered_sum(values: Iterable[float]) -> float:
     """The sum of ``values`` added left to right.
 
@@ -301,7 +307,8 @@ class TransitionTable:
     def _step(self, law: _Law, run: _Propagation) -> None:
         """Record ``run``'s next hit rate under ``law`` and move its mass one step on.
 
-        The only (states × positions) arrays are the rows read: the law's
+        The states are read in blocks of at most :data:`STEP_BLOCK`, so the
+        only (states × positions) arrays are one block's rows: the law's
         probabilities for each width, weighted in place, the cached flags
         and the next states.  A pad holds next state -1 and probability
         0.0, so no mask is needed.
@@ -311,27 +318,37 @@ class TransitionTable:
             run.rates.append(0.0)
             return
         self._load(states)
-        p = law.p[self._width[states]]
-        cached = self._cached[states]
-        # Each state's hit mass adds its positions in order, as a
-        # state-by-state loop does; np.sum would add pairwise and round
-        # differently.  Skipping a miss equals adding its exact 0.0.
+        size = len(self.states) + 1
         hit = np.zeros(len(states))
-        for i in range(self.n):
-            np.add(hit, p[:, i], out=hit, where=cached[:, i])
-        del cached
+        reached = np.zeros(size, dtype=np.intp)
+        for first in range(0, len(states), STEP_BLOCK):
+            block = slice(first, first + STEP_BLOCK)
+            at = states[block]
+            p = law.p[self._width[at]]
+            cached = self._cached[at]
+            # Each state's hit mass adds its positions in order, as a
+            # state-by-state loop does; np.sum would add pairwise and round
+            # differently.  Skipping a miss equals adding its exact 0.0.
+            part = hit[block]
+            for i in range(self.n):
+                np.add(part, p[:, i], out=part, where=cached[:, i])
+            p *= run.mass[block, None]
+            # Blocks go in state order, each in row-major order (state, then
+            # position), and bincount and add.at both add in input order, so
+            # every state's mass adds as a state-by-state loop does.
+            # bincount, the faster, starts the sum.  Shifted by one, a pad's
+            # -1 lands in slot 0, which is dropped.
+            dst = np.add(self._next[at], 1, dtype=np.intp).ravel()
+            if first:
+                np.add.at(mass, dst, p.ravel())
+            else:
+                mass = np.bincount(dst, weights=p.ravel(), minlength=size)
+            # A state whose mass underflows to 0.0 is still reached.
+            reached += np.bincount(dst, minlength=size)
         rate = np.cumsum(run.mass * hit)[-1]
         # Summation error can push a full-cache rate just past 1.
         run.rates.append(min(float(rate), 1.0))
-        p *= run.mass[:, None]
-        # Row-major order is state order, then position order, and bincount
-        # adds in input order.  Shifted by one, a pad's -1 lands in bin 0,
-        # which is dropped.
-        dst = np.add(self._next[states], 1, dtype=np.intp).ravel()
-        size = len(self.states) + 1
-        mass = np.bincount(dst, weights=p.ravel(), minlength=size)
-        # A state whose mass underflows to 0.0 is still reached.
-        reached = np.flatnonzero(np.bincount(dst, minlength=size)[1:])
+        reached = np.flatnonzero(reached[1:])
         run.states = reached[np.argsort(self.states.rank[reached])]
         run.mass = mass[run.states + 1]
 

@@ -14,8 +14,14 @@ Each row's prefix sums of a non-increasing law are concave in ``c``, so the
 objective is monotone and submodular, and the greedy maximizer is run with
 lazy evaluation: stale marginal gains are kept in a max-heap and only the
 top candidate is re-evaluated, which is valid because gains can only
-shrink as the chosen set grows.  Its output is identical to naive greedy
-under the same tie-break (smallest content id).  A brute-force solver
+shrink as the chosen set grows.  In exact arithmetic its output is that of
+naive greedy, which re-evaluates every gain and takes the first maximum
+in id order.  In floating point it need not be: a gain evaluated earlier
+can round below the same gain evaluated later, so a stale heap entry can
+sit under its content's true gain, and a content of equal gain with a
+larger id is picked first.  The two agree when every gain is exact in
+binary, as with a power-of-two support and a uniform law over ``2**k``
+positions.  A brute-force solver
 provides exact optima for instances of at most :data:`BRUTE_FORCE_LIMIT`
 subsets.  Both solvers choose among the explored universe, the contents
 found in some support content's exploration.
@@ -182,9 +188,11 @@ def _trajectory(
 def greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
     """Pick ``capacity`` contents by repeated best-marginal-gain selection.
 
-    Ties break toward the smallest content id.  Once every remaining
-    candidate's gain is zero, the remaining slots are filled in id order
-    and reported via ``filled``.
+    Ties break toward the smallest content id among the gains compared;
+    a stale gain that rounds below its content's true gain can lose a tie
+    that naive greedy would give it (see the module docstring).  Once
+    every remaining candidate's gain is zero, the remaining slots are
+    filled in id order and reported via ``filled``.
     """
     if capacity < 1:
         raise ParameterError(f"capacity must be >= 1, got {capacity}")

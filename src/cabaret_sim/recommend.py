@@ -375,6 +375,9 @@ def _cached_first(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
 #: The rank of a content outside a family's order: no cache of the family holds it.
 _OUTSIDE = np.iinfo(np.int32).max
 
+#: The most states whose cabaret rows :meth:`CandidateStore.rows` derives at once.
+ROW_BLOCK = 1024
+
 
 class CandidateStore:
     """Every content's cabaret candidates, stored once per run for every family of caches.
@@ -457,8 +460,30 @@ class CandidateStore:
         discovery candidates can be keyed 0 and only top-up ones 1.  A row
         is shorter than ``n`` only when the exploration holds fewer than
         ``n`` entries.
+
+        The candidates of the whole batch are stored first, by one
+        :meth:`add`; each call of it regrows the per-candidate arrays by a
+        copy of the whole store, so storing block by block would copy it
+        once per block.  Rows are then derived for at most
+        :data:`ROW_BLOCK` states at a time, each block as wide as the most
+        candidates of any of its states, so the scratch follows the block
+        and not the batch.  A row depends on its state alone, and the blocks number
+        unseen candidates in the batch's row-major order, so the rows and
+        state numbers equal those of one derivation over the batch.
         """
         self.add(fresh)
+        width = np.empty(len(fresh), dtype=np.intp)
+        cached = np.empty((len(fresh), self.n), dtype=bool)
+        entries = np.empty((len(fresh), self.n), dtype=np.int32)
+        for first in range(0, len(fresh), ROW_BLOCK):
+            block = slice(first, first + ROW_BLOCK)
+            width[block], cached[block], entries[block] = self._derive(
+                fresh[block], family, capacity
+            )
+        return width, cached, entries
+
+    def _derive(self, fresh: list[int], family: Family, capacity: int) -> Rows:
+        """The rows of the stored states ``fresh``, as :meth:`rows` gives them."""
         start, found_n, top_n = self.at[fresh].T
         columns = np.arange(max(self.n, (found_n + top_n).max(initial=0)))
         flat = start[:, None] + columns

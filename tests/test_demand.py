@@ -3,6 +3,7 @@ from __future__ import annotations
 import math
 import tracemalloc
 from itertools import accumulate
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -417,6 +418,17 @@ class TestTransitionTable:
         got = TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, length)
         assert got == reference_exact_hit_rates(front, rec, dist, length)
 
+    @settings(max_examples=150, deadline=None)
+    @given(scenario=drawn_lists(), length=st.integers(2, 8), block=st.integers(1, 4))
+    def test_blocked_steps_equal_whole_batch_steps(self, scenario, length, block):
+        # Blocks of a few states split every step's batch; the whole batch
+        # is one block of the default size.
+        front, rec, dist = scenario
+        whole = TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, length)
+        with patch.object(demand, "STEP_BLOCK", block):
+            blocked = TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, length)
+        assert blocked == whole
+
     def test_a_step_holds_little_more_than_the_rows_it_reads(self):
         # Each of S states lists the next n states of a ring, so the second
         # step reads the S rows that the first built, and builds none.  The
@@ -441,6 +453,32 @@ class TestTransitionTable:
         finally:
             tracemalloc.stop()
         assert peak - held < 3.5 * size * n * 8
+
+    def test_a_blocked_step_holds_one_block_of_rows(self, monkeypatch):
+        # The ring of the test above, read in blocks of 250 of its 2000
+        # states: a step holds one block's rows, not the batch's, beside
+        # a few arrays with a slot per state.
+        size, n, block = 2000, 20, 250
+        ids = [f"c{i:04d}" for i in range(size)]
+        flags = tuple(k % 3 == 0 for k in range(n))
+        lists = {
+            cid: RecommendationList(tuple(ids[(i + k) % size] for k in range(1, n + 1)), flags)
+            for i, cid in enumerate(ids)
+        }
+        dist = position_probs("zipf", 1.0, n)
+        table = TransitionTable.from_recommender(PopularityRegion(tuple(ids)), lists.__getitem__, n)
+        table.hit_rates(dist, 2)
+        monkeypatch.setattr(demand, "STEP_BLOCK", block)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            table.hit_rates(dist, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # About 6 times one block's (block × n) floats here; a step over the
+        # whole batch holds about 22 times.
+        assert peak - held < 10 * block * n * 8
 
     def test_entries_past_the_law_are_never_picked(self):
         # Only "a" and "b" fall within the two-position law; "c" and "d" are

@@ -49,6 +49,7 @@ from conftest import reference_walk
 
 # The package exports the function ``recommend``, which hides its module.
 recommend_module = importlib.import_module("cabaret_sim.recommend")
+demand_module = importlib.import_module("cabaret_sim.demand")
 
 
 def tiny_mapping(**over):
@@ -697,6 +698,31 @@ class TestRunExperiment:
         assert result.failures == []
         assert len(runners[0].states) == states
         assert hashlib.sha256((tmp_path / "results.csv").read_bytes()).hexdigest() == digest
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("policy, capacities, front, width", [
+        ("top", [2, 5], 10, 8), ("greedy", [1, 2, 5], 10, 8), ("exact", [1, 2], 4, 3),
+    ])
+    def test_blocks_of_any_size_keep_the_bytes(
+        self, monkeypatch, tmp_path, policy, capacities, front, width, depth
+    ):
+        # Cabaret rows and exact steps read a batch of states a block at a
+        # time: blocks of one and of three states split every batch, and
+        # must give the bytes of the default blocks, which hold each batch
+        # of this config whole.
+        config = config_from_mapping(tiny_mapping(
+            cache_policy=policy, cache_capacity=capacities, front_page_size=front,
+            bfs_width=width, bfs_depth=depth, session_length=[2, 4], evaluator="exact",
+        ))
+        written = []
+        for block in (None, 1, 3):
+            if block is not None:
+                monkeypatch.setattr(recommend_module, "ROW_BLOCK", block)
+                monkeypatch.setattr(demand_module, "STEP_BLOCK", block)
+            result = run_experiment(config, out_dir=tmp_path / str(block))
+            assert result.failures == []
+            written.append((tmp_path / str(block) / "results.csv").read_bytes())
+        assert written[1] == written[0] and written[2] == written[0]
 
     def test_an_exact_sweep_with_failing_capacities_keeps_its_bits(self, tmp_path):
         # Capacity 3 exceeds the brute-force guard and fails every cell that

@@ -200,6 +200,28 @@ class TestGreedy:
             lazy = greedy_placement(spec, capacity)
             assert list(lazy.chosen) == naive_greedy(spec, capacity)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_naive_when_every_gain_is_exact(self, data):
+        # A uniform law over 2**k positions, rows as long as a power of two
+        # and 2**j support contents make every gain a sum of exact powers
+        # of two, so a stale gain never rounds below its content's true
+        # gain.  Lazy greedy may part from naive greedy only by rounding.
+        n = 2 ** data.draw(st.integers(0, 3), label="log2 positions")
+        pool = [f"c{i:02d}" for i in range(12)]
+        lengths = st.sampled_from([0, *(2**i for i in range(4) if 2**i < n)]) | st.integers(
+            n, len(pool)
+        )
+        table = {}
+        for i in range(2 ** data.draw(st.integers(0, 3), label="log2 support")):
+            size = data.draw(lengths, label="exploration size")
+            table[f"v{i}"] = frozenset(data.draw(st.permutations(pool))[:size])
+        spec = spec_of(table, n)
+        if not spec.universe:
+            return
+        capacity = data.draw(st.integers(1, len(spec.universe)), label="capacity")
+        assert list(greedy_placement(spec, capacity).chosen) == naive_greedy(spec, capacity)
+
     def test_trajectory_non_decreasing_gains_non_increasing(self, rng):
         for _ in range(20):
             spec = random_spec(rng, size=12, support_size=5)

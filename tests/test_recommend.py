@@ -1,7 +1,10 @@
 from __future__ import annotations
 
 import ast
+import importlib
+import tracemalloc
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
@@ -28,6 +31,9 @@ from cabaret_sim.recommend import (
 )
 
 from conftest import ReferenceFamilyStore, random_catalog
+
+# The package exports the function ``recommend``, which hides its module.
+recommend_module = importlib.import_module("cabaret_sim.recommend")
 
 
 @pytest.fixture
@@ -220,21 +226,65 @@ class TestCabaretList:
         sizes = sorted(set(sizes))
         params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
         n = data.draw(st.integers(1, 14))
-        states = StateNumbers()
-        store = CandidateStore(
-            [(order[: sizes[-1]], sizes[0])], oracle, params.width,
-            lambda v: head_of(v, params, oracle), params.depth, n, states,
-        )
-        fresh = states.numbers(ids)
+        # Blocks of a few states split the batch; a second store derives
+        # it whole, and both must give the same rows and state numbers.
+        # Rows are asked for some contents, so that they number the rest.
+        block = data.draw(st.integers(1, 4), label="block")
+        asked = data.draw(st.permutations(ids), label="asked")
+        asked = asked[: data.draw(st.integers(1, len(ids)), label="asked count")]
+        stores = []
+        for _ in range(2):
+            states = StateNumbers()
+            store = CandidateStore(
+                [(order[: sizes[-1]], sizes[0])], oracle, params.width,
+                lambda v: head_of(v, params, oracle), params.depth, n, states,
+            )
+            stores.append((store, states, states.numbers(asked)))
+        (store, states, fresh), (whole, whole_states, whole_fresh) = stores
         for size in sizes:
             cache = CacheManifest.from_ids(order[:size])
-            width, cached, entries = store.families[0].rows(fresh, size)
-            for v, w, flags, row in zip(ids, width, cached, entries):
+            with patch.object(recommend_module, "ROW_BLOCK", block):
+                width, cached, entries = store.families[0].rows(fresh, size)
+            whole_rows = whole.families[0].rows(whole_fresh, size)
+            for got, want in zip((width, cached, entries), whole_rows):
+                assert (got == want).all()
+            assert states.ids == whole_states.ids
+            for v, w, flags, row in zip(asked, width, cached, entries):
                 want = select_from_exploration(bfs(v, params, oracle).entries, n, cache)
                 assert w == len(want)
                 assert tuple(states.ids[s] for s in row[:w]) == want.entries
                 assert tuple(flags[:w].tolist()) == want.cached
                 assert not flags[w:].any() and (row[w:] == -1).all()
+
+    def test_rows_hold_scratch_for_one_block_at_a_time(self, monkeypatch):
+        # 512 states, eight blocks, each with 30 candidates: the 20 cached
+        # entries of its 40-entry list, since the floor of one content
+        # never holds n of them, and its first n.  A derivation over the
+        # whole batch holds several (states × candidates) arrays at once:
+        # here over 40 times one block's (block × candidates) int64s.
+        block, n, size, width = 64, 10, 512, 40
+        ids = [f"c{i:04d}" for i in range(size)]
+        cat = Catalog({c: [ids[(i + k) % size] for k in range(1, width + 1)]
+                       for i, c in enumerate(ids)})
+        oracle = RelationOracle(cat)
+        order = tuple(ids[::2])
+        states = StateNumbers()
+        head = lambda v: bfs(v, BfsParams(1, width), oracle)  # noqa: E731
+        store = CandidateStore([(order, 1)], oracle, width, head, 1, n, states)
+        fresh = states.numbers(ids)
+        store.add(fresh)
+        columns = (store.at[:, 1] + store.at[:, 2]).max()
+        assert columns == 30
+        monkeypatch.setattr(recommend_module, "ROW_BLOCK", block)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            rows = store.families[0].rows(fresh, len(order))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        output = sum(array.nbytes for array in rows)
+        assert peak - held < output + 10 * block * columns * 8
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
