@@ -5,11 +5,21 @@ A catalog maps every content id to an ordered list of related content ids
 weight.  Catalogs are immutable after construction and safe to share across
 threads.
 
-``Catalog(related, popularity)`` builds a catalog from mappings, as the
-file loaders do.  ``Catalog.from_arrays(ids, lists, weights)`` builds one
+``Catalog(related, popularity)`` builds a catalog from mappings and
+checks every rule.  ``Catalog.from_arrays(ids, lists, weights)`` builds one
 from a matrix of row numbers, as the synthetic generator does: it checks
-the same rules with numpy, and the tests hold it to the mapping
-constructor as its oracle.
+the same rules with numpy.  ``load_dataset`` builds one from files: it
+keeps :func:`load_related_file`'s mapping, adds the leaves to it, and
+reads the popularity file straight into the catalog's weights, keyed by
+the mapping's own ids.  The tests hold both to the mapping constructor as
+their oracle.
+
+``load_dataset`` checks each rule once, in this order.  The related-file
+parser checks each line's record and each distinct entry, on the first
+line that holds it: a string, and not empty.  The popularity reader checks
+each row.  Then each list is checked for its own id or a repeat, after
+the parse and not inside it, so that the parse holds no set per line; the
+error names the list's line.
 
 File formats
 ------------
@@ -85,26 +95,16 @@ class Catalog:
                 raise ParameterError(f"related list of {cid!r} is a string, not a sequence of ids")
             entries = tuple(lst)
             try:
-                distinct = set(entries)
+                _check_related_list(cid, entries)
             except TypeError:
                 raise ParameterError(f"related list of {cid!r} holds an unhashable id") from None
-            if cid in distinct or len(distinct) != len(entries):
-                _reject_related_list(cid, entries)
             # A saved empty id could not be loaded again.
             if cid == "":
                 raise ParameterError(f"content id must be non-empty, got {cid!r}")
-            if "" in distinct:
+            if "" in entries:
                 raise ParameterError(f"related list of {cid!r} holds an empty id")
             rel[cid] = entries
-        # Leaf closure: referenced-but-undefined ids become empty-list
-        # leaves, in order of first reference.
-        leaves = set().union(*rel.values()).difference(rel)
-        for entry in chain.from_iterable(list(rel.values())):
-            if not leaves:
-                break
-            if entry in leaves:
-                leaves.discard(entry)
-                rel[entry] = ()
+        _add_leaves(rel)
         pop: dict[ContentId, float] = {}
         if popularity is not None:
             for cid, weight in popularity.items():
@@ -180,9 +180,8 @@ class Catalog:
             if bad.any():
                 # The mapping form's row checks, on the first bad row.
                 i = start + int(bad.argmax())
-                cid, entries = ids[i], tuple(names[lists[i]].tolist())
-                if cid in entries or len(set(entries)) != len(entries):
-                    _reject_related_list(cid, entries)
+                cid = ids[i]
+                _check_related_list(cid, tuple(names[lists[i]].tolist()))
                 if cid == "":
                     raise ParameterError(f"content id must be non-empty, got {cid!r}")
                 raise ParameterError(f"related list of {cid!r} holds an empty id")
@@ -228,8 +227,11 @@ class Catalog:
             raise UnknownContentError(content_id) from None
 
 
-def _reject_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None:
-    """Raise naming the first entry that repeats or is ``cid`` itself."""
+def _check_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None:
+    """Raise naming the first entry of ``entries`` that is ``cid`` itself or a repeat."""
+    distinct = set(entries)
+    if cid not in distinct and len(distinct) == len(entries):
+        return
     seen = set()
     for entry in entries:
         if entry == cid:
@@ -241,6 +243,19 @@ def _reject_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None
                 f"related list of {cid!r} contains duplicate entry {entry!r}", content_id=cid
             )
         seen.add(entry)
+
+
+def _add_leaves(related: dict[ContentId, tuple[ContentId, ...]]) -> None:
+    """Add each id that a list names but no key is, as a leaf, in order of first reference."""
+    leaves = set().union(*related.values()).difference(related)
+    if not leaves:
+        return
+    for entry in chain.from_iterable(list(related.values())):
+        if entry in leaves:
+            leaves.discard(entry)
+            related[entry] = ()
+            if not leaves:
+                return
 
 
 @dataclass(frozen=True)
@@ -374,9 +389,13 @@ def _line_of(path: str, cid: ContentId) -> int | None:
         )
 
 
-def load_popularity_file(path: str) -> dict[ContentId, float]:
-    """Parse an ``id,weight`` CSV file into a popularity mapping."""
-    popularity: dict[ContentId, float] = {}
+def load_popularity_file(path: str, weights: dict[ContentId, float | None]) -> None:
+    """Read an ``id,weight`` CSV file into ``weights``.
+
+    An id that ``weights`` holds with the weight ``None`` takes its row's
+    weight and keeps its key object; a new id is added at the end.  An id
+    that already has a weight is a repeat.
+    """
     with open(path, newline="", encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
         reader = csv.reader(handle)
         header = next(reader, None)
@@ -390,7 +409,7 @@ def load_popularity_file(path: str) -> dict[ContentId, float]:
             cid, raw = row[0], row[1]
             if not cid:
                 raise DatasetFormatError("id must be a non-empty string", line=lineno)
-            if cid in popularity:
+            if weights.get(cid) is not None:
                 raise DuplicateContentError(
                     f"popularity for {cid!r} defined more than once", line=lineno
                 )
@@ -402,21 +421,38 @@ def load_popularity_file(path: str) -> dict[ContentId, float]:
                 raise DatasetFormatError(
                     f"weight must be finite and >= 0, got {raw!r}", line=lineno
                 )
-            popularity[cid] = weight
-    return popularity
+            weights[cid] = weight
 
 
 def load_dataset(related_path: str, popularity_path: str | None = None) -> Catalog:
-    """Build a catalog from a related-lists file and optional popularity file."""
+    """Build a catalog from a related-lists file and optional popularity file.
+
+    The catalog keeps the mapping of :func:`load_related_file`, with its
+    leaves added, and reads the popularity file into its weights; see the
+    module docstring for which rule is checked where.
+    """
     related = load_related_file(related_path)
-    popularity = load_popularity_file(popularity_path) if popularity_path else None
+    _add_leaves(related)
+    weights: dict[ContentId, float | None] = dict.fromkeys(related)
+    if popularity_path:
+        load_popularity_file(popularity_path, weights)
+        # An id that only the popularity file names is a leaf.
+        for cid in islice(weights, len(related), None):
+            related[cid] = ()
+    for cid, weight in weights.items():
+        if weight is None:
+            weights[cid] = 0.0
     try:
-        return Catalog(related, popularity)
+        for cid, entries in related.items():
+            _check_related_list(cid, entries)
     except DatasetFormatError as exc:
-        # A related list that holds its own id or a repeat: name its line.
         raise DatasetFormatError(
             exc.args[0], line=_line_of(related_path, exc.content_id), content_id=exc.content_id
         ) from None
+    catalog = Catalog.__new__(Catalog)
+    catalog._related = related
+    catalog._popularity = weights
+    return catalog
 
 
 def _related_lines(catalog: Catalog) -> Iterator[str]:

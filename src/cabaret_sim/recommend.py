@@ -288,9 +288,11 @@ def reordered_recommender(
 class StateNumbers:
     """A numbering of contents as chain states, shared by the tables of a run.
 
-    A content keeps its number for the run.  Numbers follow first sight, so
-    they never order anything that reaches output; the tables order by id,
-    through :attr:`rank`.
+    A content keeps its number for the run.  Numbers follow the calls to
+    :meth:`numbers`: the front page, the entries of each row source's rows,
+    and every candidate a :class:`CandidateStore` stores, whether or not a
+    row shows it.  So they never order anything that reaches output; the
+    tables order by id, through :attr:`rank`.
     """
 
     __slots__ = ("number", "ids", "by_id", "_rank")
@@ -389,7 +391,7 @@ class CandidateStore:
     largest caches, read through ``oracle`` at ``width``.  ``head`` gives
     the head of a content's depth-``depth`` exploration (every level but
     the last, the whole exploration at depth 1), and ``states`` numbers the
-    rows' entries.
+    candidates.
 
     A content's candidates are its :func:`cached_discovery` until every
     floor holds ``n`` of them, and its :func:`top_up_candidates`, the
@@ -397,9 +399,10 @@ class CandidateStore:
     would be a prefix of the first, and the second holds every cache's
     top-up, so every cabaret row of every family takes its cached entries
     from the first and its top-up from the second.  They are stored once
-    per content, side by side in one flat list of ids, beside the state
-    number of each candidate (-1 until a row holds it) and each family's
-    rank of it.
+    per content, side by side in one int32 buffer of state numbers, and
+    ``member`` holds each state's position in ``members`` (``len(members)``
+    for a state outside them), so a family reads its rank of a candidate
+    through it.
     """
 
     def __init__(
@@ -419,18 +422,22 @@ class CandidateStore:
         # Per state: where its candidates start in the store, and how many
         # discovery and top-up candidates follow (-1 until stored).
         self.at = np.full((0, 3), -1, dtype=np.intp)
-        self.numbers = np.empty(0, dtype=np.int32)
-        self.cands: list[ContentId] = []
+        self.member = np.empty(0, dtype=np.int32)
+        # The candidates' state numbers; the first ``stored`` slots are used.
+        self.candidates = np.empty(0, dtype=np.int32)
+        self.stored = 0
 
     def add(self, fresh: list[int]) -> None:
-        """Store the candidates of the states ``fresh`` not stored yet.
+        """Store the candidates of the states ``fresh`` not stored yet, numbering new ones.
 
-        An error while exploring or discovering propagates before the
-        store changes.
+        An error while exploring or discovering propagates before this
+        call changes the store or ``states``.  The store's arrays grow by
+        doubling, except ``member``, which grows to ``states``.
         """
         if len(self.at) < len(self.states):
-            grow = ((0, len(self.states) - len(self.at)), (0, 0))
-            self.at = np.pad(self.at, grow, constant_values=-1)
+            grown = np.full((max(len(self.states), 2 * len(self.at)), 3), -1, dtype=np.intp)
+            grown[: len(self.at)] = self.at
+            self.at = grown
         fresh = [s for s, stored in zip(fresh, self.at[fresh, 1] >= 0) if not stored]
         if not fresh:
             return
@@ -438,18 +445,24 @@ class CandidateStore:
         found = [cached_discovery(h, self.depth, self.n, self.index, self.floors) for h in heads]
         oracle, width = self.index.oracle, self.index.width
         tops = [top_up_candidates(h, self.depth, self.n, oracle, width) for h in heads]
-        added = list(chain.from_iterable(chain.from_iterable(zip(found, tops))))
+        found_then_top = chain.from_iterable(chain.from_iterable(zip(found, tops)))
+        added = self.states.numbers(list(found_then_top))
+        new = self.states.ids[len(self.member):]
         outside = repeat(len(self.members))
-        where = np.fromiter(map(self.position.get, added, outside), np.int32, len(added))
+        where = np.fromiter(map(self.position.get, new, outside), np.int32, len(new))
+        self.member = np.concatenate((self.member, where))
+        end = self.stored + len(added)
+        if end > len(self.candidates):
+            grown = np.empty(max(end, 2 * len(self.candidates)), dtype=np.int32)
+            grown[: self.stored] = self.candidates[: self.stored]
+            self.candidates = grown
+        self.candidates[self.stored : end] = added
         found_n = np.fromiter(map(len, found), np.intp, len(found))
         top_n = np.fromiter(map(len, tops), np.intp, len(tops))
-        self.at[fresh, 0] = len(self.cands) + np.cumsum(found_n + top_n) - found_n - top_n
+        self.at[fresh, 0] = self.stored + np.cumsum(found_n + top_n) - found_n - top_n
         self.at[fresh, 1] = found_n
         self.at[fresh, 2] = top_n
-        for family in self.families:
-            family.ranks = np.concatenate((family.ranks, family.member_rank[where]))
-        self.numbers = np.concatenate((self.numbers, np.full(len(added), -1, dtype=np.int32)))
-        self.cands += added
+        self.stored = end
 
     def rows(self, fresh: list[int], family: Family, capacity: int) -> Rows:
         """The cabaret rows of the states ``fresh`` for ``family``'s cache of ``capacity``.
@@ -461,22 +474,19 @@ class CandidateStore:
         is shorter than ``n`` only when the exploration holds fewer than
         ``n`` entries.
 
-        The candidates of the whole batch are stored first, by one
-        :meth:`add`; each call of it regrows the per-candidate arrays by a
-        copy of the whole store, so storing block by block would copy it
-        once per block.  Rows are then derived for at most
-        :data:`ROW_BLOCK` states at a time, each block as wide as the most
-        candidates of any of its states, so the scratch follows the block
-        and not the batch.  A row depends on its state alone, and the blocks number
-        unseen candidates in the batch's row-major order, so the rows and
-        state numbers equal those of one derivation over the batch.
+        At most :data:`ROW_BLOCK` states are stored and derived at a
+        time, each block as wide as the most candidates of any of its
+        states, so the heads, discoveries and scratch follow the block and
+        not the batch.  A row depends on its state alone, and the blocks
+        store the batch's candidates in its order, so the rows and state
+        numbers equal those of one block over the batch.
         """
-        self.add(fresh)
         width = np.empty(len(fresh), dtype=np.intp)
         cached = np.empty((len(fresh), self.n), dtype=bool)
         entries = np.empty((len(fresh), self.n), dtype=np.int32)
         for first in range(0, len(fresh), ROW_BLOCK):
             block = slice(first, first + ROW_BLOCK)
+            self.add(fresh[block])
             width[block], cached[block], entries[block] = self._derive(
                 fresh[block], family, capacity
             )
@@ -490,18 +500,14 @@ class CandidateStore:
         is_found = columns < found_n[:, None]
         valid = columns < (found_n + top_n)[:, None]
         held = np.zeros(flat.shape, dtype=bool)
-        held[valid] = family.ranks[flat[valid]] < capacity
+        held[valid] = family.member_rank[self.member[self.candidates[flat[valid]]]] < capacity
         keys = np.full(flat.shape, 2, dtype=np.int8)
         keys[is_found & held] = 0
         keys[valid & ~is_found & ~held] = 1
         picked, cached, width = _cached_first(keys, self.n)
         filled = np.arange(self.n) < width[:, None]
-        taken = flat[np.nonzero(filled)[0], picked[filled]]
-        # Number the candidates no row has held yet.
-        unseen = taken[self.numbers[taken] < 0].tolist()
-        self.numbers[unseen] = self.states.numbers([self.cands[i] for i in unseen])
         entries = np.full(filled.shape, -1, dtype=np.int32)
-        entries[filled] = self.numbers[taken]
+        entries[filled] = self.candidates[flat[np.nonzero(filled)[0], picked[filled]]]
         return width, cached, entries
 
 
@@ -512,18 +518,16 @@ class Family:
     content's *rank* is its position in ``order``, so the cache of capacity
     ``c`` holds the ranks below ``c``; a content outside ``order`` ranks
     ``_OUTSIDE``.  ``member_rank`` holds the rank of each of the store's
-    ``members``, then that of a content outside them; ``ranks`` holds one
-    per stored candidate, filled as the store adds them.
+    ``members``, then that of a content outside them.
     """
 
-    __slots__ = ("store", "order", "member_rank", "ranks")
+    __slots__ = ("store", "order", "member_rank")
 
     def __init__(self, store: CandidateStore, order: tuple[ContentId, ...]):
         self.store = store
         self.order = order
         self.member_rank = np.full(len(store.members) + 1, _OUTSIDE, dtype=np.int32)
         self.member_rank[[store.position[c] for c in order]] = np.arange(len(order))
-        self.ranks = np.empty(0, dtype=np.int32)
 
     def rows(self, fresh: list[int], capacity: int) -> Rows:
         """The cabaret rows of the states ``fresh`` for the cache of ``capacity``."""

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
-import math
-import tempfile
+import csv
 import io
 import json
+import math
+import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from cabaret_sim.catalog import (
     Catalog,
@@ -16,6 +18,7 @@ from cabaret_sim.catalog import (
     dumps_popularity,
     dumps_related,
     load_dataset,
+    load_popularity_file,
     load_related_file,
     save_dataset,
     top_popular,
@@ -26,6 +29,7 @@ from cabaret_sim.errors import (
     ParameterError,
     UnknownContentError,
 )
+from cabaret_sim.synthetic import generate_synthetic
 
 from conftest import random_catalog, reference_load_related_file
 
@@ -63,9 +67,73 @@ def _related_files(draw):
     return "".join(line + "\n" for line in lines)
 
 
-def _outcome(load, path):
+# Ids that JSON escapes or CSV quotes, ids that only lists name, and ids
+# that only the popularity file names.
+_DEFINED = ["v1", "v2", "a,b", 'q"x', "l\nb", " s"]
+_LEAVES = ["leaf1", "le,af2"]
+_POPULAR_ONLY = ["p1", 'p"2']
+# Popularity rows that break a rule.
+_BAD_ROWS = [["v1", "zebra"], ["v2", "-1"], ["p1", "nan"], ["", "1"], ["v1", "1", "2"]]
+_RARELY = st.sampled_from([False] * 5 + [True])
+
+
+@st.composite
+def _dataset_files(draw):
+    """A related-lists text and a popularity text, or None, over ids that need escaping.
+
+    Lists name leaves, the popularity file names ids no list does, and
+    weights may be zero.  Now and then a list holds its own id or a
+    repeat, a related line or a popularity row breaks a rule, an id is
+    defined twice, or the header is wrong.
+    """
+    lines = []
+    for cid in draw(st.lists(st.sampled_from(_DEFINED), unique=True, min_size=1)):
+        others = [c for c in _DEFINED + _LEAVES if c != cid]
+        related = draw(st.lists(st.sampled_from(others), unique=True, max_size=5))
+        if draw(_RARELY):
+            at = draw(st.integers(0, len(related)))
+            related.insert(at, draw(st.sampled_from([cid, *related])))
+        lines.append(json.dumps({"id": cid, "related": related}))
+    if draw(_RARELY):
+        lines.insert(draw(st.integers(0, len(lines))), draw(st.sampled_from(_BAD_LINES)))
+    if draw(st.booleans()):
+        return "".join(line + "\n" for line in lines), None
+    ids = st.sampled_from(_DEFINED + _LEAVES + _POPULAR_ONLY)
+    weight = st.sampled_from(["0", "0.0", "1", "2.5", "1e-300"])
+    rows = [[cid, draw(weight)] for cid in draw(st.lists(ids, unique=True, max_size=8))]
+    if draw(_RARELY):
+        rows.insert(draw(st.integers(0, len(rows))), [draw(ids), draw(weight)])
+    if draw(_RARELY):
+        rows.insert(draw(st.integers(0, len(rows))), draw(st.sampled_from(_BAD_ROWS)))
+    out = io.StringIO()
+    writer = csv.writer(out, lineterminator="\n")
+    writer.writerow(["id", "wt"] if draw(_RARELY) else ["id", "weight"])
+    writer.writerows(rows)
+    return "".join(line + "\n" for line in lines), out.getvalue()
+
+
+def _reference_dataset(related_path, popularity_path):
+    """The mapping constructor over the reference loader's lists and the parsed weights.
+
+    A list that holds its own id or a repeat names the line that defines it.
+    """
+    related = reference_load_related_file(related_path)
+    weights = None
+    if popularity_path:
+        weights = {}
+        load_popularity_file(popularity_path, weights)
     try:
-        return load(path)
+        return Catalog(related, weights)
+    except DatasetFormatError as exc:
+        with open(related_path, encoding="utf-8") as handle:
+            defined = [json.loads(line)["id"] if line.strip() else None for line in handle]
+        line = defined.index(exc.content_id) + 1
+        raise DatasetFormatError(exc.args[0], line=line, content_id=exc.content_id) from None
+
+
+def _outcome(load, *paths):
+    try:
+        return load(*paths)
     except Exception as exc:  # compared with the reference's outcome
         return exc
 
@@ -422,6 +490,69 @@ class TestDatasetFiles:
             assert list(got.items()) == list(want.items())
             occurrences = list(got) + [x for lst in got.values() for x in lst]
             assert len({id(x) for x in occurrences}) == len(set(occurrences))
+
+    # Both files bad: the popularity row's error comes before the list's.
+    @settings(max_examples=300, deadline=None)
+    @given(_dataset_files())
+    @example(('{"id":"v1","related":["v2","v2"]}\n', "id,weight\nv1,1\nv2,zebra\n"))
+    def test_dataset_matches_the_mapping_constructor(self, files):
+        related_text, popularity_text = files
+        with tempfile.TemporaryDirectory() as tmp:
+            rel, pop = Path(tmp) / "rel.jsonl", None
+            rel.write_text(related_text, encoding="utf-8")
+            if popularity_text is not None:
+                pop = Path(tmp) / "pop.csv"
+                pop.write_text(popularity_text, encoding="utf-8")
+            paths = str(rel), pop and str(pop)
+            got = _outcome(load_dataset, *paths)
+            want = _outcome(_reference_dataset, *paths)
+        if isinstance(want, Exception):
+            assert type(got) is type(want)
+            assert str(got) == str(want)
+            assert got.line == want.line
+        else:
+            assert got == want
+            assert list(got._related.items()) == list(want._related.items())
+            assert list(got._popularity.items()) == list(want._popularity.items())
+            occurrences = [*got._related, *got._popularity]
+            occurrences += [x for lst in got._related.values() for x in lst]
+            assert len({id(x) for x in occurrences}) == len(got)
+
+    @pytest.mark.parametrize(
+        "related, weights, line, message",
+        [
+            ('{"id":"v1","related":["v1"]}\n{oops\n', "id,weight\nv1,x\n", 2, "invalid JSON"),
+            ('{"id":"v1","related":["v1"]}\n', "id,weight\nv1,1\nv1,2\n", 3,
+             "popularity for 'v1' defined more than once"),
+            ('{"id":"v2","related":[]}\n{"id":"v1","related":["v1"]}\n', "id,weight\nv1,1\n", 2,
+             "related list of 'v1' contains the content itself"),
+        ],
+    )
+    def test_related_then_popularity_then_list_errors(
+        self, tmp_path, related, weights, line, message
+    ):
+        rel, pop = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
+        rel.write_text(related, encoding="utf-8")
+        pop.write_text(weights, encoding="utf-8")
+        with pytest.raises(DatasetFormatError, match=message) as err:
+            load_dataset(str(rel), str(pop))
+        assert err.value.line == line
+
+    def test_load_holds_one_mapping(self, tmp_path):
+        # The catalog keeps the loader's mapping and reads the weights
+        # straight into its own map.  Copying the mapping and parsing the
+        # weights into a dict of the file's own id strings first held
+        # about half the catalog again on top of it; loading holds 3%.
+        rel, pop = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
+        save_dataset(generate_synthetic(3000, 20, 0.9, 3), str(rel), str(pop))
+        tracemalloc.start()
+        try:
+            loaded = load_dataset(str(rel), str(pop))
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert len(loaded) == 3000
+        assert peak - kept < kept // 8
 
     def test_catalog_keeps_the_loaders_tuples(self, tmp_path):
         path = tmp_path / "rel.jsonl"

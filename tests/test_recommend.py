@@ -256,13 +256,15 @@ class TestCabaretList:
                 assert tuple(flags[:w].tolist()) == want.cached
                 assert not flags[w:].any() and (row[w:] == -1).all()
 
-    def test_rows_hold_scratch_for_one_block_at_a_time(self, monkeypatch):
-        # 512 states, eight blocks, each with 30 candidates: the 20 cached
-        # entries of its 40-entry list, since the floor of one content
-        # never holds n of them, and its first n.  A derivation over the
-        # whole batch holds several (states × candidates) arrays at once:
-        # here over 40 times one block's (block × candidates) int64s.
-        block, n, size, width = 64, 10, 512, 40
+    @staticmethod
+    def ring_store(size):
+        """A store over ``size`` contents whose lists are the next 40 around a ring.
+
+        Each content has 30 candidates: the 20 cached entries of its list,
+        since the floor of one content never holds ``n`` = 10 of them, and
+        its first 10.  Returns the store, the states and the largest cache.
+        """
+        n, width = 10, 40
         ids = [f"c{i:04d}" for i in range(size)]
         cat = Catalog({c: [ids[(i + k) % size] for k in range(1, width + 1)]
                        for i, c in enumerate(ids)})
@@ -271,20 +273,45 @@ class TestCabaretList:
         states = StateNumbers()
         head = lambda v: bfs(v, BfsParams(1, width), oracle)  # noqa: E731
         store = CandidateStore([(order, 1)], oracle, width, head, 1, n, states)
-        fresh = states.numbers(ids)
+        return store, states.numbers(ids), len(order)
+
+    def test_rows_hold_scratch_for_one_block_at_a_time(self, monkeypatch):
+        # 512 states, eight blocks.  A derivation over the whole batch
+        # holds several (states × candidates) arrays at once: here over 40
+        # times one block's (block × candidates) int64s.
+        block = 64
+        store, fresh, capacity = self.ring_store(512)
         store.add(fresh)
-        columns = (store.at[:, 1] + store.at[:, 2]).max()
+        columns = (store.at[fresh, 1] + store.at[fresh, 2]).max()
         assert columns == 30
         monkeypatch.setattr(recommend_module, "ROW_BLOCK", block)
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            rows = store.families[0].rows(fresh, len(order))
+            rows = store.families[0].rows(fresh, capacity)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         output = sum(array.nbytes for array in rows)
         assert peak - held < output + 10 * block * columns * 8
+
+    def test_rows_store_one_block_at_a_time(self, monkeypatch):
+        # 1,024 states not stored yet, sixteen blocks.  Storing the whole
+        # batch before deriving rows holds every state's head, discovery,
+        # top-up and candidate ids at once: about 460 kB here, where one
+        # block's take about 70 kB.  What the call keeps, the rows and the
+        # store, is left out.
+        block, columns = 64, 30
+        store, fresh, capacity = self.ring_store(1024)
+        monkeypatch.setattr(recommend_module, "ROW_BLOCK", block)
+        tracemalloc.start()
+        try:
+            store.families[0].rows(fresh, capacity)
+            kept, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (store.at[fresh, 1] + store.at[fresh, 2] == columns).all()
+        assert peak - kept < 10 * block * columns * 8
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
