@@ -401,7 +401,11 @@ def load_popularity_file(path: str, weights: dict[ContentId, float | None]) -> N
         header = next(reader, None)
         if header is None or [h.strip() for h in header] != ["id", "weight"]:
             raise DatasetFormatError('popularity file must start with header "id,weight"', line=1)
-        for lineno, row in enumerate(reader, start=2):
+        # A quoted id may hold a line break, so a record is named by the
+        # physical line it starts on, which follows the lines read before it.
+        start = reader.line_num + 1
+        for row in reader:
+            lineno, start = start, reader.line_num + 1
             if not row:
                 continue
             if len(row) != 2:

@@ -16,15 +16,12 @@ ranking under ``top``, and under ``greedy`` the picks of one solve at the
 largest capacity.  ``exact`` optima are not nested, so it solves each
 capacity.  Every solve reads the front page's explorations, built once,
 and every order is solved before the first cell; a solve that raises
-fails each cell that needs its order.  The caches cut from one order make
-a *family*: the whole run under ``top``, one demand under ``greedy``, each
-cache alone under ``exact``.  The runner keeps one
+fails each cell that needs its order.  The runner keeps one
 :class:`~cabaret_sim.recommend.CandidateStore` per run, with one
-:class:`~cabaret_sim.recommend.CacheIndex` over the union of every
-family's largest cache, and each
-:class:`~cabaret_sim.recommend.Family` reads its rows from it.  Each
-content's exploration head (every level but the last, the whole
-exploration at depth 1) is built once per run.
+:class:`~cabaret_sim.recommend.CacheIndex` over the union of every cache
+the run places, and a cabaret table reads its cache's rows from it as a
+set.  Each content's exploration head (every level but the last, the
+whole exploration at depth 1) is built once per run.
 
 Every table of a run numbers its states with one shared
 :class:`~cabaret_sim.recommend.StateNumbers`.  The provider's own table,
@@ -59,7 +56,6 @@ import json
 import math
 import time
 from dataclasses import dataclass, field, fields
-from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Mapping
 
@@ -83,7 +79,6 @@ from .placement import ObjectiveSpec, exact_placement, greedy_placement
 from .recommend import (
     CacheManifest,
     CandidateStore,
-    Family,
     StateNumbers,
     baseline_recommender,
     provider_rows,
@@ -407,27 +402,23 @@ class _Runner:
         # A cache is order[:capacity]: greedy solves once per demand, at the
         # largest capacity, and exact once per capacity and demand.  Every
         # order is solved before the first cell, so that the candidate store
-        # knows every family.  A solve that raises keeps its exception, and
+        # indexes every cache.  A solve that raises keeps its exception, and
         # each cell that needs the order raises it again.
         self._orders: dict[tuple[int, str], tuple[str, ...] | Exception] = {}
         for capacity in config.capacities:
-            high = self._span(capacity)[1]
+            solved_at = self._solved_at(capacity)
             for demand in config.demands:
-                if (high, demand) not in self._orders:
-                    self._orders[high, demand] = self._solve(high, demand)
-        # A family is keyed by its largest cache in selection order and its
-        # least capacity: demands whose greedy orders meet at the largest
-        # capacity may part below it.
-        families = dict.fromkeys(
-            (order[:high], self._span(high)[0])
-            for (high, _), order in self._orders.items()
+                if (solved_at, demand) not in self._orders:
+                    self._orders[solved_at, demand] = self._solve(solved_at, demand)
+        members = frozenset().union(*(
+            order[:solved_at]
+            for (solved_at, _), order in self._orders.items()
             if not isinstance(order, Exception)
-        )
+        ))
         self.store = CandidateStore(
-            list(families), self.oracle, config.bfs_width, self.head, config.bfs_depth,
+            members, self.oracle, config.bfs_width, self.head, config.bfs_depth,
             config.list_size, self.states,
         )
-        self._families = dict(zip(families, self.store.families))
         # Rows depend only on the cached set, so one table serves every demand
         # whose cache it is.  Those cells are adjacent in sweep order (demand
         # and K vary fastest): keep the latest, keyed by kind and cached set.
@@ -443,11 +434,11 @@ class _Runner:
         params = BfsParams(max(self.params.depth - 1, 1), self.params.width)
         return bfs(content, params, self.oracle)
 
-    def _span(self, capacity: int) -> tuple[int, int]:
-        """The least and largest capacity of the family that holds the cache of ``capacity``."""
+    def _solved_at(self, capacity: int) -> int:
+        """The capacity whose solve places the cache of ``capacity``."""
         if self.config.cache_policy == "exact":
-            return capacity, capacity
-        return min(self.config.capacities), max(self.config.capacities)
+            return capacity
+        return max(self.config.capacities)
 
     def _solve(self, capacity: int, demand: str) -> tuple[str, ...] | Exception:
         """The order of ``capacity`` contents placed under ``demand``, or what its solve raised."""
@@ -467,23 +458,12 @@ class _Runner:
         except Exception as exc:
             return exc
 
-    def _order(self, capacity: int, demand: str) -> tuple[tuple[str, ...], int, int]:
-        """The selection order of the cache, and its family's least and largest capacity."""
-        low, high = self._span(capacity)
-        order = self._orders[high, demand]
-        if isinstance(order, Exception):
-            raise order
-        return order, low, high
-
     def placement(self, capacity: int, demand: str) -> CacheManifest:
         """The first ``capacity`` contents of ``demand``'s selection order."""
-        order = self._order(capacity, demand)[0]
+        order = self._orders[self._solved_at(capacity), demand]
+        if isinstance(order, Exception):
+            raise order
         return CacheManifest.from_ids(order[:capacity], capacity)
-
-    def family(self, capacity: int, demand: str) -> Family:
-        """The family of the cache ``demand`` places at ``capacity``."""
-        order, low, high = self._order(capacity, demand)
-        return self._families[order[:high], low]
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:
         """The transition table of one recommender and the cache ``demand`` places."""
@@ -491,7 +471,7 @@ class _Runner:
         key = (kind, cached)
         if self._table is None or self._table[0] != key:
             if kind == "cabaret":
-                rows = partial(self.family(capacity, demand).rows, capacity=capacity)
+                rows = self.store.rows(cached)
             else:
                 rows = provider_rows(kind, cached, self.provider.rows, self.states)
             table = TransitionTable(self.front_page, rows, self.config.list_size, self.states)

@@ -10,24 +10,24 @@ order, then the head of the exploration), which is
 A transition table (see :mod:`cabaret_sim.demand`) reads a recommender as
 *rows*: per state, the list's width, its cached flags and its entries'
 numbers in a run's :class:`StateNumbers`.  This module builds every row
-source.  :func:`list_rows` asks a recommender once per state, and
+source.  :func:`list_rows` asks a recommender once per state.
 :func:`provider_rows` derives any cache's baseline or reordered rows from
-the provider's rows, reading the cache in a bool array indexed by state
-number.  One :class:`CandidateStore` per run derives the cabaret rows of
-every :class:`Family` of nested caches from two lists per content:
-:func:`cached_discovery`, read through one :class:`CacheIndex` over the
-union of the families' largest caches, and :func:`top_up_candidates`, the
+the provider's rows, and :meth:`CandidateStore.rows` any cache's cabaret
+rows from two lists per content, stored once per run; both read the
+cache as a set, in a bool array indexed by state number.  The two lists
+are :func:`cached_discovery`, read through one :class:`CacheIndex` over
+the union of the run's caches, and :func:`top_up_candidates`, the
 exploration's first ``n`` entries.  Both start from the exploration's
-*head*, every level but the last (the whole exploration at depth 1), and
-read the last level only as far as they need.  Every cached-first
-selection over rows is one stable argsort.
+*head*, every level but the last (the whole exploration at depth 1); the
+first reads the last level through the index, the second only as far as
+it needs.  Every cached-first selection over rows is one stable argsort.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, insort
 from dataclasses import dataclass, field
-from itertools import chain, filterfalse, repeat
+from itertools import chain, filterfalse
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -170,40 +170,18 @@ def _last_level_parents(head: ExplorationList, depth: int) -> tuple[ContentId, .
 
 
 def cached_discovery(
-    head: ExplorationList,
-    depth: int,
-    count: int,
-    index: CacheIndex,
-    floors: Sequence[frozenset[ContentId]],
+    head: ExplorationList, depth: int, index: CacheIndex
 ) -> tuple[ContentId, ...]:
     """The entries of ``index.ids`` in the exploration ``head`` begins, in discovery order.
 
     ``head`` holds the first ``max(depth - 1, 1)`` levels of the
     exploration around ``head.seed``; past depth 1 the last level, of width
     ``index.width``, is read from ``index`` one parent at a time.  The
-    result runs until each of ``floors``, subsets of ``index.ids``, holds
-    ``count`` of its entries, so it holds the first ``count`` entries of
-    every cache between a floor and ``index.ids``: the cached part of each
-    one's list.
+    result holds every entry of ``index.ids`` in the depth-``depth``
+    exploration, so for any cache inside ``index.ids`` the entries it holds
+    are that cache's explored-and-cached contents, in discovery order.
     """
-    found: list[ContentId] = []
-    short = [count] * len(floors)
-    pending = len(floors)
-    anywhere = frozenset().union(*floors)
-
-    def reached(content: ContentId) -> bool:
-        """Count a found floor entry; whether every floor now holds ``count``."""
-        nonlocal pending
-        for i, floor in enumerate(floors):
-            if content in floor:
-                short[i] -= 1
-                pending -= short[i] == 0
-        return not pending
-
-    for content in filter(index.ids.__contains__, head.entries):
-        found.append(content)
-        if content in anywhere and reached(content):
-            return tuple(found)
+    found = list(filter(index.ids.__contains__, head.entries))
     # Only the seed and the head's cached entries can repeat a cached
     # entry of the last level before it is found there.
     seen = {head.seed, *found}
@@ -212,8 +190,6 @@ def cached_discovery(
             if content not in seen:
                 seen.add(content)
                 found.append(content)
-                if content in anywhere and reached(content):
-                    return tuple(found)
     return tuple(found)
 
 
@@ -374,47 +350,43 @@ def _cached_first(keys: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.
     return picked, kept == 0, (kept < 2).sum(axis=1)
 
 
-#: The rank of a content outside a family's order: no cache of the family holds it.
-_OUTSIDE = np.iinfo(np.int32).max
-
-#: The most states whose cabaret rows :meth:`CandidateStore.rows` derives at once.
+#: The most states whose cabaret rows a :meth:`CandidateStore.rows` source derives at once.
 ROW_BLOCK = 1024
 
 
+def _held(flagged: np.ndarray, states: StateNumbers) -> np.ndarray:
+    """Whether each state is one of ``flagged``, with one more slot that a ``-1`` pad reads.
+
+    The last slot is never set, so padding is never flagged.
+    """
+    held = np.zeros(len(states) + 1, dtype=bool)
+    held[flagged] = True
+    return held
+
+
 class CandidateStore:
-    """Every content's cabaret candidates, stored once per run for every family of caches.
+    """Every content's cabaret candidates, stored once per run for every cache inside ``members``.
 
-    A *family* is the nested caches cut from one selection order: each
-    ``(order, low)`` of ``families`` gives its largest cache in selection
-    order, and every cache of the family holds ``order[:low]``, its floor.
-    The store's :class:`CacheIndex` covers ``members``, the union of the
-    largest caches, read through ``oracle`` at ``width``.  ``head`` gives
-    the head of a content's depth-``depth`` exploration (every level but
-    the last, the whole exploration at depth 1), and ``states`` numbers the
-    candidates.
+    ``members`` is the union of every cache the run places, and the
+    store's :class:`CacheIndex` covers it, read through ``oracle`` at
+    ``width``.  ``head`` gives the head of a content's depth-``depth``
+    exploration (every level but the last, the whole exploration at depth
+    1), and ``states`` numbers the candidates.
 
-    A content's candidates are its :func:`cached_discovery` until every
-    floor holds ``n`` of them, and its :func:`top_up_candidates`, the
-    first ``n`` entries of its exploration.  Each family's own discovery
-    would be a prefix of the first, and the second holds every cache's
-    top-up, so every cabaret row of every family takes its cached entries
-    from the first and its top-up from the second.  They are stored once
-    per content, side by side in one int32 buffer of state numbers, and
-    ``member`` holds each state's position in ``members`` (``len(members)``
-    for a state outside them), so a family reads its rank of a candidate
-    through it.
+    A content's candidates are its :func:`cached_discovery`, every entry
+    of ``members`` in its exploration, and its :func:`top_up_candidates`,
+    the first ``n`` entries of its exploration.  A cache inside
+    ``members`` takes its list's cached entries from the first and its
+    top-up from the second, so one discovery per content serves every
+    cache of the run.  Both are stored once per content, side by side in
+    one int32 buffer of state numbers.
     """
 
     def __init__(
-        self, families: Sequence[tuple[tuple[ContentId, ...], int]], oracle: RelationOracle,
-        width: int, head: Callable[[ContentId], ExplorationList], depth: int, n: int,
-        states: StateNumbers,
+        self, members: frozenset[ContentId], oracle: RelationOracle, width: int,
+        head: Callable[[ContentId], ExplorationList], depth: int, n: int, states: StateNumbers,
     ):
-        self.members = tuple(dict.fromkeys(chain.from_iterable(order for order, _ in families)))
-        self.position = {content: i for i, content in enumerate(self.members)}
-        self.index = CacheIndex(frozenset(self.members), oracle, width)
-        self.floors = tuple(dict.fromkeys(frozenset(order[:low]) for order, low in families))
-        self.families = [Family(self, order) for order, _ in families]
+        self.index = CacheIndex(members, oracle, width)
         self.head = head
         self.depth = depth
         self.n = n
@@ -422,7 +394,6 @@ class CandidateStore:
         # Per state: where its candidates start in the store, and how many
         # discovery and top-up candidates follow (-1 until stored).
         self.at = np.full((0, 3), -1, dtype=np.intp)
-        self.member = np.empty(0, dtype=np.int32)
         # The candidates' state numbers; the first ``stored`` slots are used.
         self.candidates = np.empty(0, dtype=np.int32)
         self.stored = 0
@@ -432,7 +403,7 @@ class CandidateStore:
 
         An error while exploring or discovering propagates before this
         call changes the store or ``states``.  The store's arrays grow by
-        doubling, except ``member``, which grows to ``states``.
+        doubling.
         """
         if len(self.at) < len(self.states):
             grown = np.full((max(len(self.states), 2 * len(self.at)), 3), -1, dtype=np.intp)
@@ -442,15 +413,11 @@ class CandidateStore:
         if not fresh:
             return
         heads = [self.head(self.states.ids[s]) for s in fresh]
-        found = [cached_discovery(h, self.depth, self.n, self.index, self.floors) for h in heads]
+        found = [cached_discovery(h, self.depth, self.index) for h in heads]
         oracle, width = self.index.oracle, self.index.width
         tops = [top_up_candidates(h, self.depth, self.n, oracle, width) for h in heads]
         found_then_top = chain.from_iterable(chain.from_iterable(zip(found, tops)))
         added = self.states.numbers(list(found_then_top))
-        new = self.states.ids[len(self.member):]
-        outside = repeat(len(self.members))
-        where = np.fromiter(map(self.position.get, new, outside), np.int32, len(new))
-        self.member = np.concatenate((self.member, where))
         end = self.stored + len(added)
         if end > len(self.candidates):
             grown = np.empty(max(end, 2 * len(self.candidates)), dtype=np.int32)
@@ -464,15 +431,16 @@ class CandidateStore:
         self.at[fresh, 2] = top_n
         self.stored = end
 
-    def rows(self, fresh: list[int], family: Family, capacity: int) -> Rows:
-        """The cabaret rows of the states ``fresh`` for ``family``'s cache of ``capacity``.
+    def rows(self, cached: frozenset[ContentId]) -> RowSource:
+        """The cabaret row source of the cache ``cached``, a subset of ``members``.
 
         Phase 1 is the first ``n`` discovery candidates the cache holds, the
         top-up the top-up candidates it does not, each in order: one
         cached-first selection over a state's candidates, where only
         discovery candidates can be keyed 0 and only top-up ones 1.  A row
         is shorter than ``n`` only when the exploration holds fewer than
-        ``n`` entries.
+        ``n`` entries.  A candidate is flagged as :func:`provider_rows`
+        flags an entry, through a bool array indexed by state number.
 
         At most :data:`ROW_BLOCK` states are stored and derived at a
         time, each block as wide as the most candidates of any of its
@@ -481,57 +449,39 @@ class CandidateStore:
         store the batch's candidates in its order, so the rows and state
         numbers equal those of one block over the batch.
         """
-        width = np.empty(len(fresh), dtype=np.intp)
-        cached = np.empty((len(fresh), self.n), dtype=bool)
-        entries = np.empty((len(fresh), self.n), dtype=np.int32)
-        for first in range(0, len(fresh), ROW_BLOCK):
-            block = slice(first, first + ROW_BLOCK)
-            self.add(fresh[block])
-            width[block], cached[block], entries[block] = self._derive(
-                fresh[block], family, capacity
-            )
-        return width, cached, entries
+        flagged = np.array(self.states.numbers(sorted(cached)), dtype=np.intp)
 
-    def _derive(self, fresh: list[int], family: Family, capacity: int) -> Rows:
-        """The rows of the stored states ``fresh``, as :meth:`rows` gives them."""
+        def rows(fresh: list[int]) -> Rows:
+            width = np.empty(len(fresh), dtype=np.intp)
+            hits = np.empty((len(fresh), self.n), dtype=bool)
+            entries = np.empty((len(fresh), self.n), dtype=np.int32)
+            for first in range(0, len(fresh), ROW_BLOCK):
+                block = slice(first, first + ROW_BLOCK)
+                self.add(fresh[block])
+                width[block], hits[block], entries[block] = self._derive(
+                    fresh[block], _held(flagged, self.states)
+                )
+            return width, hits, entries
+
+        return rows
+
+    def _derive(self, fresh: list[int], held: np.ndarray) -> Rows:
+        """The rows of the stored states ``fresh`` for the cache that ``held`` flags."""
         start, found_n, top_n = self.at[fresh].T
         columns = np.arange(max(self.n, (found_n + top_n).max(initial=0)))
         flat = start[:, None] + columns
         is_found = columns < found_n[:, None]
         valid = columns < (found_n + top_n)[:, None]
-        held = np.zeros(flat.shape, dtype=bool)
-        held[valid] = family.member_rank[self.member[self.candidates[flat[valid]]]] < capacity
+        hit = np.zeros(flat.shape, dtype=bool)
+        hit[valid] = held[self.candidates[flat[valid]]]
         keys = np.full(flat.shape, 2, dtype=np.int8)
-        keys[is_found & held] = 0
-        keys[valid & ~is_found & ~held] = 1
+        keys[is_found & hit] = 0
+        keys[valid & ~is_found & ~hit] = 1
         picked, cached, width = _cached_first(keys, self.n)
         filled = np.arange(self.n) < width[:, None]
         entries = np.full(filled.shape, -1, dtype=np.int32)
         entries[filled] = self.candidates[flat[np.nonzero(filled)[0], picked[filled]]]
         return width, cached, entries
-
-
-class Family:
-    """Nested caches cut from one selection order, read from a run's :class:`CandidateStore`.
-
-    ``order`` is the family's largest cache in selection order.  A
-    content's *rank* is its position in ``order``, so the cache of capacity
-    ``c`` holds the ranks below ``c``; a content outside ``order`` ranks
-    ``_OUTSIDE``.  ``member_rank`` holds the rank of each of the store's
-    ``members``, then that of a content outside them.
-    """
-
-    __slots__ = ("store", "order", "member_rank")
-
-    def __init__(self, store: CandidateStore, order: tuple[ContentId, ...]):
-        self.store = store
-        self.order = order
-        self.member_rank = np.full(len(store.members) + 1, _OUTSIDE, dtype=np.int32)
-        self.member_rank[[store.position[c] for c in order]] = np.arange(len(order))
-
-    def rows(self, fresh: list[int], capacity: int) -> Rows:
-        """The cabaret rows of the states ``fresh`` for the cache of ``capacity``."""
-        return self.store.rows(fresh, self, capacity)
 
 
 def provider_rows(
@@ -544,16 +494,14 @@ def provider_rows(
     that ``cached`` holds; a reordered row moves those first, keeping both
     parts in order, which is :func:`select_from_exploration` over the
     provider's list.  An entry is flagged by reading its state number in
-    a bool array with a slot per state and one more, never set, which a
-    ``-1`` pad reads; so padding is never flagged, and stays last.
+    a bool array (see :func:`_held`), so padding is never flagged, and
+    stays last.
     """
     flagged = np.array(states.numbers(sorted(cached)), dtype=np.intp)
 
     def rows(fresh: list[int]) -> Rows:
         width, _, entries = provider(fresh)
-        held = np.zeros(len(states) + 1, dtype=bool)
-        held[flagged] = True
-        hits = held[entries]
+        hits = _held(flagged, states)[entries]
         if kind == "reordered":
             keys = np.where(entries < 0, 2, ~hits).astype(np.int8)
             picked, hits, _ = _cached_first(keys, keys.shape[1])

@@ -12,9 +12,11 @@ objective's monotonicity and diminishing returns.
 ``reference_generate_synthetic`` builds synthetic lists member by member,
 and ``reference_load_related_file`` checks every entry of every line; they
 are the oracles for ``generate_synthetic`` and ``load_related_file``.
-``ReferenceFamilyStore`` finds one family's cabaret candidates on its own,
-over its largest cache alone; it is the oracle for ``CandidateStore``,
-which finds them for every family at once.
+``ReferenceFamilyStore`` finds the cabaret candidates of one family of
+nested caches on its own, over its largest cache alone, and flags a
+candidate by its rank in the family's order; it is the oracle for
+``CandidateStore``, which finds them once for every cache of a run and
+reads each cache as a set.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ from cabaret_sim.errors import (
 from cabaret_sim.explore import bfs
 from cabaret_sim.placement import ObjectiveSpec
 from cabaret_sim.recommend import (
-    _OUTSIDE,
     CacheManifest,
     _cached_first,
     cached_discovery,
@@ -472,22 +473,25 @@ def reference_load_related_file(path: str) -> dict[ContentId, tuple[ContentId, .
     return related
 
 
+#: The rank of a content outside a family's order: no cache of the family holds it.
+_OUTSIDE = np.iinfo(np.int32).max
+
+
 class ReferenceFamilyStore:
     """One family's own cabaret candidates: the oracle for ``CandidateStore``.
 
-    ``order`` is the family's largest cache in selection order, ``index``
-    its :class:`CacheIndex`, and every cache of the family holds the first
-    ``low`` contents.  A content's candidates are its cached discovery
-    through the ``n``-th entry of that floor, then the first ``n`` entries
-    of the exploration, stored as ranks in ``order``.
-    The run's store finds them for every family at once, over the union of
-    the largest caches.
+    A family is the nested caches cut from one selection order.  ``order``
+    is its largest cache in selection order and ``index`` that cache's
+    :class:`CacheIndex`.  A content's candidates are its cached discovery
+    over ``index`` and the first ``n`` entries of its exploration, stored
+    as ranks in ``order`` (``_OUTSIDE`` for a content outside it), so the
+    cache of capacity ``c`` holds the ranks below ``c``.  The run's store
+    finds them over the union of every cache and reads each cache as a set.
     """
 
-    def __init__(self, order, low, index, head, depth, n, states):
+    def __init__(self, order, index, head, depth, n, states):
         self.order = order
         self.rank = {content: rank for rank, content in enumerate(order)}
-        self.floor = frozenset(order[:low])
         self.index = index
         self.head = head
         self.depth = depth
@@ -508,9 +512,7 @@ class ReferenceFamilyStore:
         if not fresh:
             return
         heads = [self.head(self.states.ids[s]) for s in fresh]
-        found = [
-            cached_discovery(h, self.depth, self.n, self.index, (self.floor,)) for h in heads
-        ]
+        found = [cached_discovery(h, self.depth, self.index) for h in heads]
         tops = [
             top_up_candidates(h, self.depth, self.n, self.index.oracle, self.index.width)
             for h in heads

@@ -586,6 +586,25 @@ class TestDatasetFiles:
                 load_dataset(str(rel), str(pop))
             assert err.value.line == 3
 
+    @pytest.mark.parametrize("text, line, message", [
+        ('id,weight\n"a\nb",1\nc,zebra\n', 4, "invalid weight 'zebra'"),
+        ('id,weight\na,1\n\n"b\r\nc",-1\n', 4, "weight must be finite and >= 0, got '-1'"),
+        ('id,weight\n"a\nb",1\n"a\nb",2\n', 4, "popularity for 'a\\nb' defined more than once"),
+    ], ids=[
+        "break-before-bad-row", "bad-multi-line-record-after-blank", "repeat-of-multi-line-id",
+    ])
+    def test_popularity_errors_name_the_line_a_record_starts_on(
+        self, tmp_path, text, line, message
+    ):
+        rel = tmp_path / "rel.jsonl"
+        rel.write_text('{"id":"a","related":[]}\n', encoding="utf-8")
+        pop = tmp_path / "pop.csv"
+        pop.write_bytes(text.encode("utf-8"))
+        with pytest.raises(DatasetFormatError) as err:
+            load_dataset(str(rel), str(pop))
+        assert err.value.line == line
+        assert str(err.value) == f"line {line}: {message}"
+
     @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_round_trip_with_arbitrary_ids(self, data):

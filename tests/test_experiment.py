@@ -510,18 +510,23 @@ class TestRunExperiment:
         config = config_from_mapping(tiny_mapping(
             demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 4, 3],
         ))
-        built: dict[tuple[int, str], int] = {}
+        built: dict[tuple[frozenset[str], str], int] = {}
         discovered: dict[str, int] = {}
         provided: dict[str, int] = {}
-        rows = recommend_module.Family.rows
+        rows = recommend_module.CandidateStore.rows
         discovery = recommend_module.cached_discovery
         top_up = recommend_module.top_up_candidates
         baseline = experiment.baseline_recommender
 
-        def counting(self, fresh, capacity):
-            for v in map(self.store.states.ids.__getitem__, fresh):
-                built[capacity, v] = built.get((capacity, v), 0) + 1
-            return rows(self, fresh, capacity)
+        def counting(self, cached):
+            source = rows(self, cached)
+
+            def counted(fresh):
+                for v in map(self.states.ids.__getitem__, fresh):
+                    built[cached, v] = built.get((cached, v), 0) + 1
+                return source(fresh)
+
+            return counted
 
         def discovering(head, *args):
             discovered[head.seed] = discovered.get(head.seed, 0) + 1
@@ -538,14 +543,15 @@ class TestRunExperiment:
         def reordering(*args):
             raise AssertionError("reordered lists derive from the provider's rows")
 
-        monkeypatch.setattr(recommend_module.Family, "rows", counting)
+        monkeypatch.setattr(recommend_module.CandidateStore, "rows", counting)
         monkeypatch.setattr(recommend_module, "cached_discovery", discovering)
         monkeypatch.setattr(recommend_module, "top_up_candidates", topping)
         monkeypatch.setattr(experiment, "baseline_recommender", providing)
         monkeypatch.setattr(experiment, "reordered_recommender", reordering)
         result = run_experiment(config)
         assert result.failures == []
-        assert {capacity for capacity, _ in built} == set(config.capacities)
+        # Top placement caches the first ``capacity`` contents of the ranking.
+        assert {len(cached) for cached, _ in built} == set(config.capacities)
         assert set(built.values()) == {1}
         assert set(discovered) == {v for _, v in built}
         assert set(discovered.values()) == {1}
@@ -601,7 +607,7 @@ class TestRunExperiment:
     @settings(max_examples=60, deadline=None)
     @given(st.data())
     def test_cabaret_rows_equal_the_lists_built_for_each_cache(self, data):
-        # Every row a cabaret table derives from its family's candidates
+        # Every row a cabaret table derives from the run's candidate store
         # against recommend() for that cache alone.  Drawn catalogs hold
         # empty related lists and lists shorter than N, w_max may cut a
         # query below N, and N may exceed the exploration, so that rows
@@ -816,8 +822,8 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("policy", ["top", "greedy"])
     def test_a_run_looks_each_content_up_once(self, monkeypatch, policy):
-        # Under top the run is one family; under greedy each demand is, and
-        # the families share the run's one index.
+        # Under top every cache is cut from one order; under greedy each
+        # demand has its own, and every cache shares the run's one index.
         config = config_from_mapping(tiny_mapping(
             recommender="cabaret", cache_policy=policy, cache_capacity=[1, 2, 5],
             demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 3],
@@ -862,7 +868,7 @@ class TestRunExperiment:
 
     def test_smaller_caches_of_a_family_make_no_oracle_queries(self, monkeypatch):
         # At depth 1 a head is the whole exploration, so no row reads a
-        # last level: one family queries each content once for every cache.
+        # last level: the run queries each content once for every cache.
         # Two-request sessions visit the front page only, whatever the cache.
         def queries(capacities):
             count = 0
@@ -889,9 +895,10 @@ class TestRunExperiment:
         self, monkeypatch, tmp_path
     ):
         # Two demands' orders hold one set at the largest capacity and
-        # another at the smallest.  A family built for the first demand
-        # reads no parent of s, since s's head holds its smallest cache; the
-        # second demand's smallest cache lies in p's list.
+        # another at the smallest.  The first demand's smaller cache lies in
+        # s's head, the second's in p's list, on the last level: each cache
+        # reads its own cached entries from the store, not those of a cache
+        # that only matches it at the largest capacity.
         related = tmp_path / "rel.jsonl"
         save_dataset(Catalog({"s": ["a", "b", "p"], "p": ["x", "y"]}), str(related))
         orders = iter([("a", "b", "x", "y"), ("y", "x", "b", "a")])
@@ -927,18 +934,22 @@ class TestRunExperiment:
             cache_policy="greedy", demand=["uniform", "zipf:0"], session_length=[2, 3],
         ))
         built: dict[tuple[frozenset[str], str], int] = {}
-        rows = recommend_module.Family.rows
+        rows = recommend_module.CandidateStore.rows
 
-        def counting(self, fresh, capacity):
-            cache = frozenset(self.order[:capacity])
-            for v in map(self.store.states.ids.__getitem__, fresh):
-                built[cache, v] = built.get((cache, v), 0) + 1
-            return rows(self, fresh, capacity)
+        def counting(self, cached):
+            source = rows(self, cached)
+
+            def counted(fresh):
+                for v in map(self.states.ids.__getitem__, fresh):
+                    built[cached, v] = built.get((cached, v), 0) + 1
+                return source(fresh)
+
+            return counted
 
         runner = experiment._Runner(config)
         for capacity in config.capacities:
             assert runner.placement(capacity, "zipf:0") == runner.placement(capacity, "uniform")
-        monkeypatch.setattr(recommend_module.Family, "rows", counting)
+        monkeypatch.setattr(recommend_module.CandidateStore, "rows", counting)
         result = run_experiment(config)
         assert result.failures == []
         assert len({cache for cache, _ in built}) == len(config.capacities)

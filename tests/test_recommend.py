@@ -174,7 +174,8 @@ class TestCabaretList:
             head = head_of(seed, params, oracle)
             tops = top_up_candidates(head, params.depth, count, oracle, params.width)
             assert tops == explored[:count]
-            found = cached_discovery(head, params.depth, count, index, (cache.ids,))
+            found = cached_discovery(head, params.depth, index)
+            assert found == tuple(filter(index.ids.__contains__, explored))
             n_cached = sum(want.cached)
             assert tuple(c for c in found if c in cache.ids)[:count] == want.entries[:n_cached]
             assert family_list(found, tops, count, cache) == want
@@ -182,9 +183,8 @@ class TestCabaretList:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_one_discovery_serves_every_cache_of_a_family(self, data):
-        # A family is the caches cut from one order: each holds the smallest
-        # and lies inside the largest, whose index, discovery and top-up
-        # candidates they share.
+        # A family is the caches cut from one order: each lies inside the
+        # largest, whose index, discovery and top-up candidates they share.
         cat = data.draw(small_catalogs())
         ids = cat.ids()
         oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
@@ -198,11 +198,11 @@ class TestCabaretList:
         params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
         count = data.draw(st.integers(1, 14))
         index = CacheIndex(caches[-1].ids, oracle, params.width)
-        floor = caches[0].ids
         for seed in ids:
             explored = bfs(seed, params, oracle).entries
             head = head_of(seed, params, oracle)
-            found = cached_discovery(head, params.depth, count, index, (floor,))
+            found = cached_discovery(head, params.depth, index)
+            assert found == tuple(filter(index.ids.__contains__, explored))
             tops = top_up_candidates(head, params.depth, count, oracle, params.width)
             for cache in caches:
                 want = select_from_exploration(explored, count, cache)
@@ -236,7 +236,7 @@ class TestCabaretList:
         for _ in range(2):
             states = StateNumbers()
             store = CandidateStore(
-                [(order[: sizes[-1]], sizes[0])], oracle, params.width,
+                frozenset(order[: sizes[-1]]), oracle, params.width,
                 lambda v: head_of(v, params, oracle), params.depth, n, states,
             )
             stores.append((store, states, states.numbers(asked)))
@@ -244,8 +244,8 @@ class TestCabaretList:
         for size in sizes:
             cache = CacheManifest.from_ids(order[:size])
             with patch.object(recommend_module, "ROW_BLOCK", block):
-                width, cached, entries = store.families[0].rows(fresh, size)
-            whole_rows = whole.families[0].rows(whole_fresh, size)
+                width, cached, entries = store.rows(cache.ids)(fresh)
+            whole_rows = whole.rows(cache.ids)(whole_fresh)
             for got, want in zip((width, cached, entries), whole_rows):
                 assert (got == want).all()
             assert states.ids == whole_states.ids
@@ -261,8 +261,8 @@ class TestCabaretList:
         """A store over ``size`` contents whose lists are the next 40 around a ring.
 
         Each content has 30 candidates: the 20 cached entries of its list,
-        since the floor of one content never holds ``n`` = 10 of them, and
-        its first 10.  Returns the store, the states and the largest cache.
+        all of its discovery, and its first 10.  Returns the store, the
+        states and the cache.
         """
         n, width = 10, 40
         ids = [f"c{i:04d}" for i in range(size)]
@@ -272,15 +272,15 @@ class TestCabaretList:
         order = tuple(ids[::2])
         states = StateNumbers()
         head = lambda v: bfs(v, BfsParams(1, width), oracle)  # noqa: E731
-        store = CandidateStore([(order, 1)], oracle, width, head, 1, n, states)
-        return store, states.numbers(ids), len(order)
+        store = CandidateStore(frozenset(order), oracle, width, head, 1, n, states)
+        return store, states.numbers(ids), frozenset(order)
 
     def test_rows_hold_scratch_for_one_block_at_a_time(self, monkeypatch):
         # 512 states, eight blocks.  A derivation over the whole batch
         # holds several (states × candidates) arrays at once: here over 40
         # times one block's (block × candidates) int64s.
         block = 64
-        store, fresh, capacity = self.ring_store(512)
+        store, fresh, cache = self.ring_store(512)
         store.add(fresh)
         columns = (store.at[fresh, 1] + store.at[fresh, 2]).max()
         assert columns == 30
@@ -288,7 +288,7 @@ class TestCabaretList:
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
-            rows = store.families[0].rows(fresh, capacity)
+            rows = store.rows(cache)(fresh)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -302,11 +302,11 @@ class TestCabaretList:
         # block's take about 70 kB.  What the call keeps, the rows and the
         # store, is left out.
         block, columns = 64, 30
-        store, fresh, capacity = self.ring_store(1024)
+        store, fresh, cache = self.ring_store(1024)
         monkeypatch.setattr(recommend_module, "ROW_BLOCK", block)
         tracemalloc.start()
         try:
-            store.families[0].rows(fresh, capacity)
+            store.rows(cache)(fresh)
             kept, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -316,9 +316,10 @@ class TestCabaretList:
     @settings(max_examples=300, deadline=None)
     @given(st.data())
     def test_one_run_store_serves_every_family(self, data):
-        # Up to four families with unrelated orders and floors share one
-        # store.  Every cache's rows equal those of its family's own store
-        # and the selection over the full exploration, at depths 1 to 3.
+        # Up to four families with unrelated orders share one store, which
+        # indexes the union of their caches.  Every cache's rows equal those
+        # of its family's own store, which flags candidates by rank, and the
+        # selection over the full exploration, at depths 1 to 3.
         cat = data.draw(small_catalogs())
         ids = sorted(cat.ids())
         oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
@@ -342,20 +343,20 @@ class TestCabaretList:
             families.append((tuple(order[: sizes[-1]]), sizes))
         states = StateNumbers()
         store = CandidateStore(
-            [(order, sizes[0]) for order, sizes in families], oracle, params.width, head,
+            frozenset().union(*(order for order, _ in families)), oracle, params.width, head,
             params.depth, n, states,
         )
         fresh = states.numbers(ids)
-        for family, (order, sizes) in zip(store.families, families):
+        for order, sizes in families:
             own_states = StateNumbers()
             own = ReferenceFamilyStore(
-                order, sizes[0], CacheIndex(frozenset(order), oracle, params.width), head,
+                order, CacheIndex(frozenset(order), oracle, params.width), head,
                 params.depth, n, own_states,
             )
             own_fresh = own_states.numbers(ids)
             for size in sizes:
                 cache = CacheManifest.from_ids(order[:size])
-                width, cached, entries = family.rows(fresh, size)
+                width, cached, entries = store.rows(cache.ids)(fresh)
                 own_width, own_cached, own_entries = own.rows(own_fresh, size)
                 assert (width == own_width).all() and (cached == own_cached).all()
                 for v, w, flags, row, own_row in zip(ids, width, cached, entries, own_entries):
