@@ -387,7 +387,6 @@ class _Runner:
             self.ranking[: config.front_page_size],
             truncated=config.front_page_size > len(self.catalog),
         )
-        self._explored: dict[str, frozenset[str]] = {}
         self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
         # Every table of the run numbers states alike, so baseline and
         # reordered rows are the provider's rows, flagged per cache.
@@ -403,13 +402,17 @@ class _Runner:
         # largest capacity, and exact once per capacity and demand.  Every
         # order is solved before the first cell, so that the candidate store
         # indexes every cache.  A solve that raises keeps its exception, and
-        # each cell that needs the order raises it again.
+        # each cell that needs the order raises it again.  The first solve
+        # builds the front page's objective spec, every solve re-prices it
+        # under its demand, and it is dropped once every order is solved.
         self._orders: dict[tuple[int, str], tuple[str, ...] | Exception] = {}
+        self._spec: ObjectiveSpec | None = None
         for capacity in config.capacities:
             solved_at = self._solved_at(capacity)
             for demand in config.demands:
                 if (solved_at, demand) not in self._orders:
                     self._orders[solved_at, demand] = self._solve(solved_at, demand)
+        self._spec = None
         members = frozenset().union(*(
             order[:solved_at]
             for (solved_at, _), order in self._orders.items()
@@ -446,15 +449,15 @@ class _Runner:
         if policy == "top":
             return self.ranking
         try:
-            front = self.front_page.ids
-            if not self._explored:
-                self._explored = {
-                    v: frozenset(bfs(v, self.params, self.oracle).entries) for v in front
-                }
-            n, dist = self.config.list_size, self.dists[demand]
-            spec = ObjectiveSpec(front, [1.0] * len(front), n, dist, self._explored)
+            dist = self.dists[demand]
+            if self._spec is None:
+                front = self.front_page.ids
+                explored = {v: frozenset(bfs(v, self.params, self.oracle).entries) for v in front}
+                self._spec = ObjectiveSpec(
+                    front, [1.0] * len(front), self.config.list_size, dist, explored
+                )
             solve = greedy_placement if policy == "greedy" else exact_placement
-            return solve(spec, capacity).chosen
+            return solve(self._spec.under(dist), capacity).chosen
         except Exception as exc:
             return exc
 

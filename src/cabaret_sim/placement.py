@@ -12,28 +12,39 @@ share.
 
 Each row's prefix sums of a non-increasing law are concave in ``c``, so the
 objective is monotone and submodular, and the greedy maximizer is run with
-lazy evaluation: stale marginal gains are kept in a max-heap and only the
-top candidate is re-evaluated, which is valid because gains can only
-shrink as the chosen set grows.  In exact arithmetic its output is that of
-naive greedy, which re-evaluates every gain and takes the first maximum
-in id order.  In floating point it need not be: a gain evaluated earlier
-can round below the same gain evaluated later, so a stale heap entry can
-sit under its content's true gain, and a content of equal gain with a
-larger id is picked first.  The two agree when every gain is exact in
-binary, as with a power-of-two support and a uniform law over ``2**k``
-positions.  A brute-force solver
-provides exact optima for instances of at most :data:`BRUTE_FORCE_LIMIT`
-subsets.  Both solvers choose among the explored universe, the contents
-found in some support content's exploration.
+lazy evaluation (CELF; Leskovec et al., KDD 2007): stale marginal gains are
+kept in a max-heap and only the top candidate is re-evaluated, which is
+valid because gains can only shrink as the chosen set grows.  Candidates
+whose inverted rows (see below) are equal add equal terms in equal order,
+so their gains agree to the last bit.  The heap is therefore held as
+parts, the candidates of one row signature last evaluated at one pick, in
+id order.  One gain evaluation per pick serves every candidate of a
+signature, and the picks, gains and values are those of a heap with one
+entry per candidate.
 
-Exploration lists are computed once per spec; marginal gains then use an
-inverted index (content -> demand contents whose exploration contains it),
-so one gain evaluation touches only the affected demand rows.
+In exact arithmetic lazy greedy's output is that of naive greedy, which
+re-evaluates every gain and takes the first maximum in id order.  In
+floating point it need not be: a gain evaluated earlier can round below
+the same gain evaluated later, so a stale heap entry can sit under its
+content's true gain, and a content of equal gain with a larger id is
+picked first.  The two agree when every gain is exact in binary, as with a
+power-of-two support and a uniform law over ``2**k`` positions.  A
+brute-force solver provides exact optima for instances of at most
+:data:`BRUTE_FORCE_LIMIT` subsets.  Both solvers choose among the explored
+universe, the contents found in some support content's exploration.
+
+Exploration lists are computed once per spec, and a spec is built once per
+front page: :meth:`ObjectiveSpec.under` re-prices it under each position
+law.  Marginal gains use an inverted index (content -> demand contents
+whose exploration contains it), so one gain evaluation touches only the
+affected demand rows.
 """
 
 from __future__ import annotations
 
+import copy
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
@@ -51,13 +62,14 @@ BRUTE_FORCE_LIMIT = 10_000_000
 class ObjectiveSpec:
     """Frozen inputs of the placement objective.
 
-    Holds the demand support with normalized weights, each support row's
-    prefix sums of its truncated position law, the per-content exploration
-    sets, and the inverted index used for fast marginal gains.  Build once,
-    evaluate many times.
+    Holds the demand support with normalized weights, the per-content
+    exploration sets, the inverted index used for fast marginal gains, and
+    each support row's prefix sums of its truncated position law.  Build
+    once per front page and evaluate many times; :meth:`under` derives the
+    prefix sums of another position law and shares everything else.
     """
 
-    __slots__ = ("support", "weights", "masses", "table", "inverted", "universe")
+    __slots__ = ("support", "weights", "list_size", "masses", "table", "inverted", "universe")
 
     def __init__(
         self,
@@ -71,29 +83,47 @@ class ObjectiveSpec:
             raise ParameterError("empty demand support")
         if len(weights) != len(support):
             raise ParameterError("weights must align with support")
+        if list_size < 1:
+            raise ParameterError(f"list_size must be >= 1, got {list_size}")
+        for v, w in zip(support, weights):
+            if not (math.isfinite(w) and w >= 0):
+                raise ParameterError(f"support weight of {v!r} must be finite and >= 0, got {w}")
         self.support = tuple(support)
         total = ordered_sum(weights)
-        if total <= 0:
-            raise ParameterError("support weights must have positive total")
+        if not 0 < total < math.inf:
+            raise ParameterError("support weights must have a finite positive total")
         self.weights = tuple(w / total for w in weights)
+        self.list_size = list_size
         self.table = {v: frozenset(table[v]) for v in self.support}
-        # Row v's list holds min(N, |exploration|) entries; an empty one
-        # collects nothing, and a law truncated past its width keeps it.
-        by_length: dict[int, tuple[float, ...]] = {0: (0.0,)}
-        masses = []
-        for v in self.support:
-            length = min(list_size, len(self.table[v]))
-            mass = by_length.get(length)
-            if mass is None:
-                mass = by_length[length] = (0.0, *accumulate(dist.truncated(length)))
-            masses.append(mass)
-        self.masses = tuple(masses)
         inverted: dict[ContentId, list[int]] = {}
         for i, v in enumerate(self.support):
             for c in self.table[v]:
                 inverted.setdefault(c, []).append(i)
         self.inverted = {c: tuple(rows) for c, rows in inverted.items()}
         self.universe = tuple(sorted(self.inverted))
+        self.masses = self._masses(dist)
+
+    def under(self, dist: PositionDistribution) -> "ObjectiveSpec":
+        """This spec, of its own type, with the prefix sums of ``dist``."""
+        derived = copy.copy(self)
+        derived.masses = self._masses(dist)
+        return derived
+
+    def _masses(self, dist: PositionDistribution) -> tuple[tuple[float, ...], ...]:
+        """Each row's prefix sums of ``dist`` truncated to the row's length."""
+        if dist.n != self.list_size:
+            raise ParameterError(f"position law has n={dist.n}, the list size is {self.list_size}")
+        # Row v's list holds min(N, |exploration|) entries; an empty one
+        # collects nothing, and a law truncated past its width keeps it.
+        by_length: dict[int, tuple[float, ...]] = {0: (0.0,)}
+        masses = []
+        for v in self.support:
+            length = min(self.list_size, len(self.table[v]))
+            mass = by_length.get(length)
+            if mass is None:
+                mass = by_length[length] = (0.0, *accumulate(dist.truncated(length)))
+            masses.append(mass)
+        return tuple(masses)
 
     @classmethod
     def build(
@@ -196,37 +226,78 @@ def greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
     """
     if capacity < 1:
         raise ParameterError(f"capacity must be >= 1, got {capacity}")
+    universe = spec.universe
     rows = [0] * len(spec.support)
-    chosen: list[ContentId] = []
+    chosen: list[int] = []
     values: list[float] = []
     gains: list[float] = []
 
-    heap = [(-spec.gain(c, rows), c, 0) for c in spec.universe]
+    # Candidates with equal inverted rows add equal terms in equal order,
+    # so their gains agree to the last bit: one evaluation per pick serves
+    # each row signature.
+    by_rows: dict[tuple[int, ...], list[int]] = {}
+    for k, c in enumerate(universe):
+        by_rows.setdefault(spec.inverted[c], []).append(k)
+
+    # The lazy heap holds parts: the candidates, in id order, of signature
+    # ``s`` whose gains were last evaluated at pick ``epoch``.  A part is
+    # keyed by its stale gain and its first candidate, so parts pop in the
+    # order that a heap of one entry per candidate pops their first ones.
+    heap = [
+        (-spec.gain(universe[members[0]], rows), members[0], 0, s, members)
+        for s, members in enumerate(by_rows.values())
+    ]
     heapify(heap)
+    fresh: dict[int, float] = {}  # this pick's gain of each signature evaluated
     while len(chosen) < capacity and heap:
-        neg, cid, epoch = heappop(heap)
-        gain = -neg if epoch == len(chosen) else spec.gain(cid, rows)
-        if heap:
-            next_neg, next_cid, _ = heap[0]
-            stale_next = -next_neg
-            if gain < stale_next or (gain == stale_next and next_cid < cid):
-                heappush(heap, (-gain, cid, len(chosen)))
-                continue
+        # Pop the parts of the top stale gain in id order of their first
+        # candidates.  A fresh part gives the pick, and so does a stale one
+        # whose gain, re-evaluated, still reaches the top.  The candidates
+        # of the other stale parts that pop before the pick go back into the
+        # heap under their new gain.
+        epoch = len(chosen)
+        neg_top = heap[0][0]
+        stale = []
+        pick = None
+        while heap and heap[0][0] == neg_top:
+            part = heappop(heap)
+            _, first, evaluated, s, _ = part
+            if evaluated == epoch:
+                pick, gain = part, -neg_top
+                break
+            gain = fresh.get(s)
+            if gain is None:
+                gain = fresh[s] = spec.gain(universe[first], rows)
+            if gain >= -neg_top:
+                pick = part
+                break
+            stale.append((gain, part))
+        cut = pick[1] if pick is not None else len(universe)
+        for now, (neg, first, evaluated, s, members) in stale:
+            i = bisect_left(members, cut)
+            heappush(heap, (-now, first, epoch, s, members[:i]))
+            if i < len(members):
+                heappush(heap, (neg, members[i], evaluated, s, members[i:]))
+        if pick is None:
+            continue
         if gain <= 0.0:
-            heappush(heap, (-gain, cid, len(chosen)))
             break
-        chosen.append(cid)
-        spec.add_to_counts(cid, rows)
+        neg, k, evaluated, s, members = pick
+        if len(members) > 1:
+            heappush(heap, (neg, members[1], evaluated, s, members[1:]))
+        chosen.append(k)
+        spec.add_to_counts(universe[k], rows)
         values.append(spec.value_of_counts(rows))
         gains.append(gain)
+        fresh = {}
 
-    # The heap holds every candidate not chosen.
-    fill = sorted(c for _, c, _ in heap)[: capacity - len(chosen)]
-    chosen += fill
+    picked = set(chosen)
+    fill = [k for k in range(len(universe)) if k not in picked][: capacity - len(chosen)]
     values += [values[-1] if values else 0.0] * len(fill)
     gains += [0.0] * len(fill)
     return PlacementResult(
-        "greedy", tuple(chosen), tuple(values), tuple(gains), len(fill)
+        "greedy", tuple(universe[k] for k in chosen + fill), tuple(values), tuple(gains),
+        len(fill),
     )
 
 

@@ -8,7 +8,10 @@ they can serve as oracles for it.  ``reference_exact_hit_rates`` and
 dicts and lists, and ``reference_walk`` runs one session from given random
 numbers; they are the oracles for ``TransitionTable``.
 ``check_submodularity`` samples nested cache sets to test the placement
-objective's monotonicity and diminishing returns.
+objective's monotonicity and diminishing returns, and
+``reference_greedy_placement`` runs lazy greedy one heap entry per content;
+it is the oracle for ``greedy_placement``, which does the heap's work once
+per row signature.
 ``reference_generate_synthetic`` builds synthetic lists member by member,
 and ``reference_load_related_file`` checks every entry of every line; they
 are the oracles for ``generate_synthetic`` and ``load_related_file``.
@@ -24,6 +27,7 @@ from __future__ import annotations
 import json
 from bisect import bisect_right
 from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from itertools import accumulate, chain, repeat
 
 import numpy as np
@@ -38,7 +42,7 @@ from cabaret_sim.errors import (
     utf8_errors,
 )
 from cabaret_sim.explore import bfs
-from cabaret_sim.placement import ObjectiveSpec
+from cabaret_sim.placement import ObjectiveSpec, PlacementResult
 from cabaret_sim.recommend import (
     CacheManifest,
     _cached_first,
@@ -83,6 +87,47 @@ def weighted_spec(support, weights, list_size, dist, params, oracle) -> Objectiv
     """``ObjectiveSpec.build`` under the demand ``weights`` (content -> weight)."""
     table = {v: frozenset(bfs(v, params, oracle).entries) for v in support}
     return ObjectiveSpec(support, [weights[v] for v in support], list_size, dist, table)
+
+
+def reference_greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
+    """Lazy greedy over a heap of one (stale gain, content, epoch) entry per content.
+
+    A popped entry whose epoch is not the pick count is re-evaluated and
+    pushed back unless its gain still leads the heap.  Every content gets
+    its own gain evaluations; ``greedy_placement`` must pick as this does.
+    """
+    if capacity < 1:
+        raise ParameterError(f"capacity must be >= 1, got {capacity}")
+    rows = [0] * len(spec.support)
+    chosen: list[ContentId] = []
+    values: list[float] = []
+    gains: list[float] = []
+
+    heap = [(-spec.gain(c, rows), c, 0) for c in spec.universe]
+    heapify(heap)
+    while len(chosen) < capacity and heap:
+        neg, cid, epoch = heappop(heap)
+        gain = -neg if epoch == len(chosen) else spec.gain(cid, rows)
+        if heap:
+            next_neg, next_cid, _ = heap[0]
+            stale_next = -next_neg
+            if gain < stale_next or (gain == stale_next and next_cid < cid):
+                heappush(heap, (-gain, cid, len(chosen)))
+                continue
+        if gain <= 0.0:
+            heappush(heap, (-gain, cid, len(chosen)))
+            break
+        chosen.append(cid)
+        spec.add_to_counts(cid, rows)
+        values.append(spec.value_of_counts(rows))
+        gains.append(gain)
+
+    # The heap holds every candidate not chosen.
+    fill = sorted(c for _, c, _ in heap)[: capacity - len(chosen)]
+    chosen += fill
+    values += [values[-1] if values else 0.0] * len(fill)
+    gains += [0.0] * len(fill)
+    return PlacementResult("greedy", tuple(chosen), tuple(values), tuple(gains), len(fill))
 
 
 def reference_bfs(seed, depth, width, oracle):

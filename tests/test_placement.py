@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from itertools import accumulate
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -18,7 +19,9 @@ from cabaret_sim.placement import (
 )
 from cabaret_sim.recommend import CacheManifest, recommend
 
-from conftest import check_submodularity, random_catalog, weighted_spec
+from conftest import (
+    check_submodularity, random_catalog, reference_greedy_placement, weighted_spec,
+)
 
 
 def spec_of(table: dict, list_size: int, weights=None) -> ObjectiveSpec:
@@ -111,10 +114,11 @@ def objective_cases(draw):
     known = catalog.ids()
     front = draw(st.lists(st.sampled_from(known), min_size=1, max_size=5, unique=True))
     cached = draw(st.lists(st.sampled_from(pool), unique=True, max_size=len(pool)))
-    n = draw(st.integers(1, 6))
-    kind = draw(st.sampled_from(["uniform", "zipf"]))
-    dist = position_probs(kind, draw(st.floats(0.0, 2.0)) if kind == "zipf" else 0.0, n)
+    # The law spans the list, as the runner pairs them: a spec refuses
+    # any other width.
     list_size = draw(st.integers(1, 6))
+    kind = draw(st.sampled_from(["uniform", "zipf"]))
+    dist = position_probs(kind, draw(st.floats(0.0, 2.0)) if kind == "zipf" else 0.0, list_size)
     params = BfsParams(draw(st.integers(1, 3)), draw(st.integers(1, 4)))
     return catalog, PopularityRegion(tuple(front)), cached, dist, list_size, params
 
@@ -165,6 +169,25 @@ def saturating_specs(draw):
     return ObjectiveSpec(tuple(table), weights, list_size, dist, table)
 
 
+@st.composite
+def signature_specs(draw):
+    """Uniform weights over rows that share many contents: whole runs of
+    candidates have equal inverted rows, and a uniform law over up to 25
+    positions has prefix differences that round."""
+    pool = [f"x{i:02d}" for i in range(draw(st.integers(1, 40)))]
+    blocks = draw(st.lists(st.frozensets(st.sampled_from(pool)), min_size=1, max_size=4))
+    rows = draw(st.lists(
+        st.lists(st.sampled_from(blocks), max_size=3).map(lambda parts: frozenset().union(*parts)),
+        min_size=1, max_size=8,
+    ))
+    list_size = draw(st.integers(1, 25))
+    kind = draw(st.sampled_from(["uniform", "zipf"]))
+    alpha = draw(st.floats(0.0, 2.0)) if kind == "zipf" else 0.0
+    dist = position_probs(kind, alpha, list_size)
+    table = {f"v{i}": row for i, row in enumerate(rows)}
+    return ObjectiveSpec(tuple(table), [1.0] * len(rows), list_size, dist, table)
+
+
 class TestGreedy:
     @settings(max_examples=300, deadline=None)
     @given(saturating_specs(), st.integers(1, 12))
@@ -178,6 +201,13 @@ class TestGreedy:
             assert part.gains == full.gains[:c]
             # A capacity past the universe keeps only what the universe holds.
             assert part.filled == max(0, min(c, len(full)) - picked)
+
+    @settings(max_examples=400, deadline=None)
+    @given(saturating_specs() | signature_specs(), st.integers(1, 45))
+    def test_equals_the_reference_heap(self, spec, capacity):
+        # Picks, values, gains and fill, bit for bit, also where a stale
+        # gain rounds below its content's true gain.
+        assert greedy_placement(spec, capacity) == reference_greedy_placement(spec, capacity)
 
     def test_single_slot_is_argmax(self, rng):
         for _ in range(20):
@@ -383,3 +413,71 @@ class TestSpecValidation:
             ObjectiveSpec(
                 ("v",), (1.0, 2.0), 2, position_probs("uniform", n=2), {"v": frozenset("a")}
             )
+
+    @pytest.mark.parametrize("weights, bad", [
+        ((math.nan, 1.0), "v"), ((1.0, math.inf), "w"), ((-1.0, 2.0), "v"),
+        ((-math.inf, 1.0), "v"),
+    ])
+    def test_weights_that_are_no_demand_share_are_rejected(self, weights, bad):
+        table = {"v": frozenset("ab"), "w": frozenset("bc")}
+        with pytest.raises(ParameterError, match=f"'{bad}'"):
+            ObjectiveSpec(("v", "w"), weights, 2, position_probs("uniform", n=2), table)
+
+    def test_weights_whose_total_overflows_are_rejected(self):
+        table = {"v": frozenset("ab"), "w": frozenset("bc")}
+        with pytest.raises(ParameterError, match="finite positive total"):
+            ObjectiveSpec(("v", "w"), (1e308, 1e308), 2, position_probs("uniform", n=2), table)
+
+    def test_zero_weights_keep_their_rows(self):
+        spec = spec_of({"v": frozenset("ab"), "w": frozenset("cd")}, 2, weights=[0.0, 1.0])
+        assert objective(spec, "ab") == 0.0
+        assert objective(spec, "cd") == 1.0
+
+    @pytest.mark.parametrize("list_size", [0, -1])
+    def test_empty_lists_are_rejected(self, list_size):
+        # Lists of no entries would price every cache at zero.
+        with pytest.raises(ParameterError, match="list_size"):
+            ObjectiveSpec(
+                ("v",), (1.0,), list_size, position_probs("uniform", n=1), {"v": frozenset("a")}
+            )
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_a_law_of_another_width_is_rejected(self, n):
+        # As TransitionTable does: the law's n is the lists' length.
+        table = {"v": frozenset("abcd")}
+        with pytest.raises(ParameterError, match=f"n={n}"):
+            ObjectiveSpec(("v",), (1.0,), 3, position_probs("uniform", n=n), table)
+        spec = spec_of(table, 3)
+        with pytest.raises(ParameterError, match=f"n={n}"):
+            spec.under(position_probs("uniform", n=n))
+
+
+class TestRepricing:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.frozensets(st.sampled_from("abcdefgh")), min_size=1, max_size=5),
+        st.integers(1, 6), st.floats(0.0, 3.0), st.floats(0.0, 3.0),
+    )
+    def test_a_repriced_spec_equals_one_built_under_its_law(self, rows, n, alpha, beta):
+        table = {f"v{i}": row for i, row in enumerate(rows)}
+        weights = [1.0 + i / 3 for i in range(len(rows))]
+        laws = [position_probs("zipf", a, n) for a in (alpha, beta)]
+        spec, built = (ObjectiveSpec(tuple(table), weights, n, law, table) for law in laws)
+        priced = spec.under(laws[1])
+        assert priced.masses == built.masses
+        assert (priced.weights, priced.inverted, priced.universe) == (
+            built.weights, built.inverted, built.universe
+        )
+        capacity = len(spec.universe) + 1
+        assert greedy_placement(priced, capacity) == greedy_placement(built, capacity)
+
+    def test_repricing_keeps_the_type_and_leaves_the_spec(self):
+        class Sub(ObjectiveSpec):
+            __slots__ = ()
+
+        table = {"v": frozenset("abc")}
+        spec = Sub(("v",), (1.0,), 3, position_probs("uniform", n=3), table)
+        priced = spec.under(position_probs("zipf", 1.0, 3))
+        assert type(priced) is Sub
+        assert spec.masses[0] == (0.0, *accumulate((1 / 3,) * 3))
+        assert priced.masses != spec.masses
