@@ -13,24 +13,17 @@ share.
 Each row's prefix sums of a non-increasing law are concave in ``c``, so the
 objective is monotone and submodular, and the greedy maximizer is run with
 lazy evaluation (CELF; Leskovec et al., KDD 2007): stale marginal gains are
-kept in a max-heap and only the top candidate is re-evaluated, which is
-valid because gains can only shrink as the chosen set grows.  Candidates
-whose inverted rows (see below) are equal add equal terms in equal order,
-so their gains agree to the last bit.  The heap is therefore held as
-parts, the candidates of one row signature last evaluated at one pick, in
-id order.  One gain evaluation per pick serves every candidate of a
-signature, and the picks, gains and values are those of a heap with one
-entry per candidate.
-
-In exact arithmetic lazy greedy's output is that of naive greedy, which
-re-evaluates every gain and takes the first maximum in id order.  In
-floating point it need not be: a gain evaluated earlier can round below
-the same gain evaluated later, so a stale heap entry can sit under its
-content's true gain, and a content of equal gain with a larger id is
-picked first.  The two agree when every gain is exact in binary, as with a
-power-of-two support and a uniform law over ``2**k`` positions.  A
-brute-force solver provides exact optima for instances of at most
-:data:`BRUTE_FORCE_LIMIT` subsets.  Both solvers choose among the explored
+kept in a max-heap and only the top entry is re-evaluated, which is valid
+because gains can only shrink as the chosen set grows.  A gain is the
+correctly rounded sum (``math.fsum``) of one rounded term per affected row,
+and a row's term can only fall or drop out as the set grows, so a stale
+gain is never below the fresh one, bit for bit, and equal exact sums give
+equal floats.  Lazy greedy therefore picks as naive greedy does, which
+re-evaluates every gain and takes the first maximum in id order.
+Candidates found in the explorations of the same support contents (equal
+inverted rows, see below) have equal gains, so the heap holds one entry
+per such row signature, not per candidate.  A brute-force solver provides
+exact optima for instances of at most :data:`BRUTE_FORCE_LIMIT` subsets.  Both solvers choose among the explored
 universe, the contents found in some support content's exploration.
 
 Exploration lists are computed once per spec, and a spec is built once per
@@ -44,7 +37,6 @@ from __future__ import annotations
 
 import copy
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
@@ -64,12 +56,17 @@ class ObjectiveSpec:
 
     Holds the demand support with normalized weights, the per-content
     exploration sets, the inverted index used for fast marginal gains, and
-    each support row's prefix sums of its truncated position law.  Build
-    once per front page and evaluate many times; :meth:`under` derives the
-    prefix sums of another position law and shares everything else.
+    each support row's prefix sums of its truncated position law, beside
+    the law itself weighted by the row's demand share.  Build once per
+    front page and evaluate many times; :meth:`under` derives the prices of
+    another position law and shares everything else.  The law must be
+    non-increasing, as every law that :func:`~cabaret_sim.demand.position_probs`
+    builds is: monotonicity, submodularity and the lazy greedy both rest on it.
     """
 
-    __slots__ = ("support", "weights", "list_size", "masses", "table", "inverted", "universe")
+    __slots__ = (
+        "support", "weights", "list_size", "masses", "increments", "table", "inverted", "universe",
+    )
 
     def __init__(
         self,
@@ -101,29 +98,37 @@ class ObjectiveSpec:
                 inverted.setdefault(c, []).append(i)
         self.inverted = {c: tuple(rows) for c, rows in inverted.items()}
         self.universe = tuple(sorted(self.inverted))
-        self.masses = self._masses(dist)
+        self._price(dist)
 
     def under(self, dist: PositionDistribution) -> "ObjectiveSpec":
-        """This spec, of its own type, with the prefix sums of ``dist``."""
+        """This spec, of its own type, priced under ``dist``."""
         derived = copy.copy(self)
-        derived.masses = self._masses(dist)
+        derived._price(dist)
         return derived
 
-    def _masses(self, dist: PositionDistribution) -> tuple[tuple[float, ...], ...]:
-        """Each row's prefix sums of ``dist`` truncated to the row's length."""
+    def _price(self, dist: PositionDistribution) -> None:
+        """Set each row's prefix sums and weighted probabilities of ``dist``
+        truncated to the row's length."""
         if dist.n != self.list_size:
             raise ParameterError(f"position law has n={dist.n}, the list size is {self.list_size}")
+        if any(p < q for p, q in zip(dist.probs, dist.probs[1:])):
+            raise ParameterError("position law must be non-increasing")
         # Row v's list holds min(N, |exploration|) entries; an empty one
         # collects nothing, and a law truncated past its width keeps it.
-        by_length: dict[int, tuple[float, ...]] = {0: (0.0,)}
+        by_length: dict[int, tuple[tuple[float, ...], tuple[float, ...]]] = {0: ((), (0.0,))}
         masses = []
-        for v in self.support:
+        increments = []
+        for q, v in zip(self.weights, self.support):
             length = min(self.list_size, len(self.table[v]))
-            mass = by_length.get(length)
-            if mass is None:
-                mass = by_length[length] = (0.0, *accumulate(dist.truncated(length)))
+            priced = by_length.get(length)
+            if priced is None:
+                law = dist.truncated(length)
+                priced = by_length[length] = (law, (0.0, *accumulate(law)))
+            law, mass = priced
             masses.append(mass)
-        return tuple(masses)
+            increments.append(tuple(q * p for p in law))
+        self.masses = tuple(masses)
+        self.increments = tuple(increments)
 
     @classmethod
     def build(
@@ -154,15 +159,17 @@ class ObjectiveSpec:
         )
 
     def gain(self, content: ContentId, rows: Sequence[int]) -> float:
-        """Marginal objective increase of adding ``content`` given row counts."""
-        masses = self.masses
-        total = 0.0
-        for i in self.inverted.get(content, ()):
-            mass = masses[i]
-            n = rows[i]
-            if n + 1 < len(mass):
-                total += self.weights[i] * (mass[n + 1] - mass[n])
-        return total
+        """Marginal objective increase of adding ``content`` given row counts.
+
+        The correctly rounded sum of each affected row's weighted next
+        position probability, so it does not depend on the order of rows.
+        """
+        increments = self.increments
+        return math.fsum(
+            increments[i][rows[i]]
+            for i in self.inverted.get(content, ())
+            if rows[i] < len(increments[i])
+        )
 
     def add_to_counts(self, content: ContentId, rows: list[int]) -> None:
         for i in self.inverted.get(content, ()):
@@ -179,9 +186,11 @@ class PlacementResult:
     """A chosen cache set with its objective trajectory.
 
     ``chosen`` is in selection order for greedy and top placements and in
-    id order for the exact solver.  ``filled`` counts trailing slots that
-    were topped up in id order after every remaining candidate's marginal
-    gain hit zero.
+    id order for the exact solver.  Greedy ``gains`` are the
+    :meth:`ObjectiveSpec.gain` values it picked by; exact and top ``gains``
+    are differences of successive ``objective_values``.  ``filled`` counts
+    trailing slots that were topped up in id order after every remaining
+    candidate's marginal gain hit zero.
     """
 
     method: str
@@ -218,11 +227,9 @@ def _trajectory(
 def greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
     """Pick ``capacity`` contents by repeated best-marginal-gain selection.
 
-    Ties break toward the smallest content id among the gains compared;
-    a stale gain that rounds below its content's true gain can lose a tie
-    that naive greedy would give it (see the module docstring).  Once
-    every remaining candidate's gain is zero, the remaining slots are
-    filled in id order and reported via ``filled``.
+    Ties break toward the smallest content id, as naive greedy's do (see
+    the module docstring).  Once every remaining candidate's gain is zero,
+    the remaining slots are filled in id order and reported via ``filled``.
     """
     if capacity < 1:
         raise ParameterError(f"capacity must be >= 1, got {capacity}")
@@ -232,64 +239,30 @@ def greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
     values: list[float] = []
     gains: list[float] = []
 
-    # Candidates with equal inverted rows add equal terms in equal order,
-    # so their gains agree to the last bit: one evaluation per pick serves
-    # each row signature.
+    # Candidates with equal inverted rows have equal gains: one heap entry
+    # (-stale gain, first unpicked candidate, pick evaluated at, members)
+    # serves each row signature, its members in id order.
     by_rows: dict[tuple[int, ...], list[int]] = {}
     for k, c in enumerate(universe):
         by_rows.setdefault(spec.inverted[c], []).append(k)
-
-    # The lazy heap holds parts: the candidates, in id order, of signature
-    # ``s`` whose gains were last evaluated at pick ``epoch``.  A part is
-    # keyed by its stale gain and its first candidate, so parts pop in the
-    # order that a heap of one entry per candidate pops their first ones.
     heap = [
-        (-spec.gain(universe[members[0]], rows), members[0], 0, s, members)
-        for s, members in enumerate(by_rows.values())
+        (-spec.gain(universe[members[0]], rows), members[0], 0, members)
+        for members in by_rows.values()
     ]
     heapify(heap)
-    fresh: dict[int, float] = {}  # this pick's gain of each signature evaluated
     while len(chosen) < capacity and heap:
-        # Pop the parts of the top stale gain in id order of their first
-        # candidates.  A fresh part gives the pick, and so does a stale one
-        # whose gain, re-evaluated, still reaches the top.  The candidates
-        # of the other stale parts that pop before the pick go back into the
-        # heap under their new gain.
-        epoch = len(chosen)
-        neg_top = heap[0][0]
-        stale = []
-        pick = None
-        while heap and heap[0][0] == neg_top:
-            part = heappop(heap)
-            _, first, evaluated, s, _ = part
-            if evaluated == epoch:
-                pick, gain = part, -neg_top
-                break
-            gain = fresh.get(s)
-            if gain is None:
-                gain = fresh[s] = spec.gain(universe[first], rows)
-            if gain >= -neg_top:
-                pick = part
-                break
-            stale.append((gain, part))
-        cut = pick[1] if pick is not None else len(universe)
-        for now, (neg, first, evaluated, s, members) in stale:
-            i = bisect_left(members, cut)
-            heappush(heap, (-now, first, epoch, s, members[:i]))
-            if i < len(members):
-                heappush(heap, (neg, members[i], evaluated, s, members[i:]))
-        if pick is None:
+        neg, k, evaluated, members = heappop(heap)
+        if neg >= 0.0:
+            break  # a stale gain bounds the fresh one: no gain is left
+        if evaluated < len(chosen):
+            heappush(heap, (-spec.gain(universe[k], rows), k, len(chosen), members))
             continue
-        if gain <= 0.0:
-            break
-        neg, k, evaluated, s, members = pick
         if len(members) > 1:
-            heappush(heap, (neg, members[1], evaluated, s, members[1:]))
+            heappush(heap, (neg, members[1], evaluated, members[1:]))
         chosen.append(k)
         spec.add_to_counts(universe[k], rows)
         values.append(spec.value_of_counts(rows))
-        gains.append(gain)
-        fresh = {}
+        gains.append(-neg)
 
     picked = set(chosen)
     fill = [k for k in range(len(universe)) if k not in picked][: capacity - len(chosen)]

@@ -9,9 +9,10 @@ dicts and lists, and ``reference_walk`` runs one session from given random
 numbers; they are the oracles for ``TransitionTable``.
 ``check_submodularity`` samples nested cache sets to test the placement
 objective's monotonicity and diminishing returns, and
-``reference_greedy_placement`` runs lazy greedy one heap entry per content;
-it is the oracle for ``greedy_placement``, which does the heap's work once
-per row signature.
+``reference_greedy_placement`` runs lazy greedy one heap entry per content,
+and ``naive_greedy_placement`` re-evaluates every gain at every pick; they
+are the oracles for ``greedy_placement``, which keeps one heap entry per
+row signature.
 ``reference_generate_synthetic`` builds synthetic lists member by member,
 and ``reference_load_related_file`` checks every entry of every line; they
 are the oracles for ``generate_synthetic`` and ``load_related_file``.
@@ -128,6 +129,39 @@ def reference_greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementR
     values += [values[-1] if values else 0.0] * len(fill)
     gains += [0.0] * len(fill)
     return PlacementResult("greedy", tuple(chosen), tuple(values), tuple(gains), len(fill))
+
+
+def naive_greedy_placement(spec: ObjectiveSpec, capacity: int) -> PlacementResult:
+    """Greedy that evaluates every candidate's ``spec.gain`` at every pick.
+
+    Each pick is the first maximum in id order; once no gain is positive,
+    the remaining slots are filled in id order.
+    """
+    if capacity < 1:
+        raise ParameterError(f"capacity must be >= 1, got {capacity}")
+    rows = [0] * len(spec.support)
+    pool = list(spec.universe)
+    chosen: list[ContentId] = []
+    values: list[float] = []
+    gains: list[float] = []
+    while len(chosen) < capacity and pool:
+        best, best_gain = None, 0.0
+        for cid in pool:
+            gain = spec.gain(cid, rows)
+            if gain > best_gain:
+                best, best_gain = cid, gain
+        if best is None:
+            break
+        pool.remove(best)
+        chosen.append(best)
+        spec.add_to_counts(best, rows)
+        values.append(spec.value_of_counts(rows))
+        gains.append(best_gain)
+
+    fill = pool[: capacity - len(chosen)]
+    values += [values[-1] if values else 0.0] * len(fill)
+    gains += [0.0] * len(fill)
+    return PlacementResult("greedy", tuple(chosen + fill), tuple(values), tuple(gains), len(fill))
 
 
 def reference_bfs(seed, depth, width, oracle):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle, top_popular
-from cabaret_sim.demand import exact_hit_rates, position_probs
+from cabaret_sim.demand import PositionDistribution, exact_hit_rates, position_probs
 from cabaret_sim.errors import InstanceTooLargeError, ParameterError
 from cabaret_sim.explore import BfsParams
 from cabaret_sim.placement import (
@@ -20,7 +20,8 @@ from cabaret_sim.placement import (
 from cabaret_sim.recommend import CacheManifest, recommend
 
 from conftest import (
-    check_submodularity, random_catalog, reference_greedy_placement, weighted_spec,
+    check_submodularity, naive_greedy_placement, random_catalog, reference_greedy_placement,
+    weighted_spec,
 )
 
 
@@ -205,9 +206,15 @@ class TestGreedy:
     @settings(max_examples=400, deadline=None)
     @given(saturating_specs() | signature_specs(), st.integers(1, 45))
     def test_equals_the_reference_heap(self, spec, capacity):
-        # Picks, values, gains and fill, bit for bit, also where a stale
-        # gain rounds below its content's true gain.
+        # Picks, values, gains and fill, bit for bit.
         assert greedy_placement(spec, capacity) == reference_greedy_placement(spec, capacity)
+
+    @settings(max_examples=400, deadline=None)
+    @given(saturating_specs() | signature_specs(), st.integers(1, 45))
+    def test_equals_naive_greedy(self, spec, capacity):
+        # Picks, values, gains and fill, bit for bit: a stale gain is never
+        # below the fresh one, and equal gains go to the smaller id.
+        assert greedy_placement(spec, capacity) == naive_greedy_placement(spec, capacity)
 
     def test_single_slot_is_argmax(self, rng):
         for _ in range(20):
@@ -273,6 +280,17 @@ class TestGreedy:
         spec = spec_of({"v": frozenset(["b", "d"]), "w": frozenset(["a", "c"])}, 2)
         result = greedy_placement(spec, 2)
         assert result.chosen == ("a", "b")
+
+    def test_tie_breaks_toward_smaller_id_where_prefix_sums_round(self):
+        # After x03 and x00, x01 would fill the second third of row v and
+        # x04 the last third of row w.  As a prefix-sum difference, that
+        # last third is 1 - 0.6666666666666666, which rounds above 1/3; as
+        # gains both are equal, so x01 goes first.
+        table = {"v": frozenset(["x01", "x03", "x05"]), "w": frozenset(["x00", "x03", "x04"])}
+        spec = spec_of(table, 3)
+        result = greedy_placement(spec, 5)
+        assert result.chosen == ("x03", "x00", "x01", "x04", "x05")
+        assert result == naive_greedy_placement(spec, 5)
 
     def test_zero_gain_fill_by_id_order(self):
         # One slot per row: the first pick saturates the universe, so the
@@ -376,6 +394,19 @@ class TestSubmodularity:
             assert report.ok
             assert report.violations == 0
 
+    @settings(max_examples=300, deadline=None)
+    @given(saturating_specs() | signature_specs(), st.data())
+    def test_adding_a_content_never_raises_a_gain(self, spec, data):
+        # Bit for bit, after each content added in a drawn order: this lets
+        # lazy greedy trust a stale gain as a bound.
+        rows = [0] * len(spec.support)
+        last = {c: spec.gain(c, rows) for c in spec.universe}
+        for added in data.draw(st.permutations(spec.universe), label="order"):
+            spec.add_to_counts(added, rows)
+            for c, before in last.items():
+                last[c] = spec.gain(c, rows)
+                assert last[c] <= before
+
     def test_equal_sets_equal_gains(self, rng):
         spec = random_spec(rng)
         rows = spec.counts(["x"])  # arbitrary context
@@ -450,6 +481,26 @@ class TestSpecValidation:
         spec = spec_of(table, 3)
         with pytest.raises(ParameterError, match=f"n={n}"):
             spec.under(position_probs("uniform", n=n))
+
+    def test_a_rising_law_is_rejected(self):
+        # A non-increasing law is what makes the objective submodular and
+        # a stale gain an upper bound.
+        rising = PositionDistribution("zipf", 0.0, 3, (0.2, 0.3, 0.5))
+        table = {"v": frozenset("abcd")}
+        with pytest.raises(ParameterError, match="non-increasing"):
+            ObjectiveSpec(("v",), (1.0,), 3, rising, table)
+        with pytest.raises(ParameterError, match="non-increasing"):
+            spec_of(table, 3).under(rising)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.sampled_from(["uniform", "zipf"]), st.floats(0.0, 400.0), st.integers(1, 500),
+    )
+    def test_every_built_law_is_accepted_at_every_truncation(self, kind, alpha, n):
+        law = position_probs(kind, alpha, n)
+        for length in range(1, n + 1):
+            truncated = PositionDistribution(kind, law.alpha, length, law.truncated(length))
+            ObjectiveSpec(("v",), (1.0,), length, truncated, {"v": frozenset(range(length))})
 
 
 class TestRepricing:
