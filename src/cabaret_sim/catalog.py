@@ -44,7 +44,7 @@ import io
 import json
 import math
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, filterfalse, islice
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
@@ -348,6 +348,11 @@ def load_related_file(path: str) -> dict[ContentId, tuple[ContentId, ...]]:
     object, so the parser's strings are freed line by line.  Each distinct
     entry is checked once, on the first line that holds it.
     """
+    return _read_related(path)[0]
+
+
+def _read_related(path: str) -> tuple[dict[ContentId, tuple[ContentId, ...]], dict]:
+    """The mapping, and every id's shared object in order of first reference."""
     related: dict[ContentId, tuple[ContentId, ...]] = {}
     # Every key of ``canon`` is a non-empty string, so an entry that is not
     # one is always new to it and is checked on its line.
@@ -373,7 +378,7 @@ def load_related_file(path: str) -> dict[ContentId, tuple[ContentId, ...]]:
                     f"content {cid!r} defined more than once", line=lineno
                 )
             related[canon.setdefault(cid, cid)] = entries
-    return related
+    return related, canon
 
 
 def _line_of(path: str, cid: ContentId) -> int | None:
@@ -435,8 +440,10 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
     leaves added, and reads the popularity file into its weights; see the
     module docstring for which rule is checked where.
     """
-    related = load_related_file(related_path)
-    _add_leaves(related)
+    related, canon = _read_related(related_path)
+    # The ids that no line defines are the leaves, in order of first reference.
+    related.update(dict.fromkeys(filterfalse(related.__contains__, canon), ()))
+    del canon
     weights: dict[ContentId, float | None] = dict.fromkeys(related)
     if popularity_path:
         load_popularity_file(popularity_path, weights)

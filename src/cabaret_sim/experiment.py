@@ -20,8 +20,9 @@ fails each cell that needs its order.  The runner keeps one
 :class:`~cabaret_sim.recommend.CandidateStore` per run, with one
 :class:`~cabaret_sim.recommend.CacheIndex` over the union of every cache
 the run places, and a cabaret table reads its cache's rows from it as a
-set.  Each content's exploration head (every level but the last, the
-whole exploration at depth 1) is built once per run.
+set.  The store explores each content's head once per run, and
+``ObjectiveSpec.build`` the front page once, both through this module's
+``bfs`` name, so whatever it is bound to sees every exploration.
 
 Every table of a run numbers its states with one shared
 :class:`~cabaret_sim.recommend.StateNumbers`.  The provider's own table,
@@ -40,7 +41,8 @@ set, under the cell's demand law, so cells whose caches hold the same
 contents share their rows and each list is built once; cells differing
 only in session length also share, in exact mode, their per-step rates.
 A sampled cell walks all its sessions together and reads ``chr``, the
-per-step rates and ``chr_se`` from their matrix of hit flags.
+per-step rates and ``chr_se`` from their matrix of hit flags, through
+:meth:`~cabaret_sim.metrics.ChrReport.from_hits`.
 
 Each cell's RNG seed is ``sha256("<seed>|recommender=<r>|capacity=<c>|``
 ``demand=<d>|k=<k>")``, first 8 bytes big-endian, so adding sweep values
@@ -73,7 +75,7 @@ from .demand import (
     run_session,  # noqa: F401  (kept bound for bench/tracing.py)
 )
 from .errors import ConfigError, utf8_errors
-from .explore import BfsParams, ExplorationList, bfs
+from .explore import BfsParams, bfs
 from .metrics import ChrReport, chr_sequential  # noqa: F401  (kept bound for bench/tracing.py)
 from .placement import ObjectiveSpec, exact_placement, greedy_placement
 from .recommend import (
@@ -419,23 +421,12 @@ class _Runner:
             if not isinstance(order, Exception)
         ))
         self.store = CandidateStore(
-            members, self.oracle, config.bfs_width, self.head, config.bfs_depth,
-            config.list_size, self.states,
+            members, self.oracle, self.params, config.list_size, self.states, explore=bfs
         )
         # Rows depend only on the cached set, so one table serves every demand
         # whose cache it is.  Those cells are adjacent in sweep order (demand
         # and K vary fastest): keep the latest, keyed by kind and cached set.
         self._table: tuple[tuple[str, frozenset[str]], TransitionTable] | None = None
-
-    def head(self, content: str) -> ExplorationList:
-        """The exploration around ``content`` but its last level, shared by every cache.
-
-        At depth 1 it is the whole exploration.  It is not kept: the
-        candidate store asks for a content's head only while storing its
-        candidates, once per run.
-        """
-        params = BfsParams(max(self.params.depth - 1, 1), self.params.width)
-        return bfs(content, params, self.oracle)
 
     def _solved_at(self, capacity: int) -> int:
         """The capacity whose solve places the cache of ``capacity``."""
@@ -451,10 +442,8 @@ class _Runner:
         try:
             dist = self.dists[demand]
             if self._spec is None:
-                front = self.front_page.ids
-                explored = {v: frozenset(bfs(v, self.params, self.oracle).entries) for v in front}
-                self._spec = ObjectiveSpec(
-                    front, [1.0] * len(front), self.config.list_size, dist, explored
+                self._spec = ObjectiveSpec.build(
+                    self.front_page.ids, self.config.list_size, dist, self.params, self.oracle, bfs
                 )
             solve = greedy_placement if policy == "greedy" else exact_placement
             return solve(self._spec.under(dist), capacity).chosen
@@ -485,29 +474,18 @@ class _Runner:
         config = self.config
         table = self.table(cell.recommender, cell.capacity, cell.demand)
         dist = self.dists[cell.demand]
-        exact = config.evaluator == "exact" or (
-            config.evaluator == "auto" and cell.session_length == 2
-        )
-        se = None
-        if exact:
-            rates = table.hit_rates(dist, cell.session_length)
-            report = ChrReport.from_exact(rates, cell.session_length)
+        length = cell.session_length
+        if config.evaluator == "exact" or (config.evaluator == "auto" and length == 2):
+            report = ChrReport.from_exact(table.hit_rates(dist, length), length)
         else:
             rng = np.random.Generator(np.random.PCG64(derive_cell_seed(config.seed, cell)))
-            hits = table.sample(dist, cell.session_length, config.sessions, rng)
-            report = ChrReport.from_hits(hits)
-            # One sample leaves the standard error undefined: the field stays blank.
-            if config.sessions > 1:
-                means = hits.sum(axis=1) / (cell.session_length - 1)
-                # np.std of equal means need not round to exactly 0.
-                spread = means.min() < means.max()
-                se = float(np.std(means, ddof=1) / np.sqrt(config.sessions)) if spread else 0.0
+            report = ChrReport.from_hits(table.sample(dist, length, config.sessions, rng))
         row: dict[str, Any] = {
             **_coordinates(config, cell),
             "evaluator": report.mode,
             "sessions": report.sessions,
             "chr": report.chr,
-            "chr_se": se,
+            "chr_se": report.se,
         }
         for k, rate in report.per_step_rows():
             row[f"hit_rate_k{k}"] = rate

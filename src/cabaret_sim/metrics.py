@@ -95,13 +95,15 @@ class ChrReport:
     ``per_step`` holds the hit rate of each step 2..K.  ``chr`` is their
     mean, which equals total hits divided by ``sessions * (K - 1)`` for
     sampled data.  ``mode`` records whether the numbers come from sampled
-    sessions or an exact computation (``sessions`` is None).
+    sessions or an exact computation (``sessions`` is None).  ``se`` is the
+    standard error of a sampled ``chr``: None when exact or of one session.
     """
 
     chr: float
     per_step: tuple[float, ...]
     mode: str = "sampled"
     sessions: int | None = None
+    se: float | None = None
 
     def per_step_rows(self) -> list[tuple[int, float]]:
         return [(k, rate) for k, rate in enumerate(self.per_step, start=2)]
@@ -111,12 +113,12 @@ class ChrReport:
         """Summary of a sessions × steps matrix of hit flags for steps 2..K."""
         sessions, steps = hits.shape
         per_step = tuple(h / sessions for h in hits.sum(axis=0).tolist())
-        return cls(
-            chr=ordered_sum(per_step) / steps,
-            per_step=per_step,
-            mode="sampled",
-            sessions=sessions,
-        )
+        means = hits.sum(axis=1) / steps
+        # None for one session; np.std of equal means need not round to exactly 0.
+        se = None if sessions == 1 else 0.0
+        if means.min() < means.max():
+            se = float(np.std(means, ddof=1) / np.sqrt(sessions))
+        return cls(ordered_sum(per_step) / steps, per_step, "sampled", sessions, se)
 
     @classmethod
     def from_exact(cls, per_step: Sequence[float], length: int) -> "ChrReport":

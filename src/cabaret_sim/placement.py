@@ -40,12 +40,12 @@ import math
 from dataclasses import dataclass
 from heapq import heapify, heappop, heappush
 from itertools import accumulate, combinations
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .catalog import Catalog, ContentId, RelationOracle, top_popular
 from .demand import PositionDistribution, ordered_sum
 from .errors import InstanceTooLargeError, ParameterError
-from .explore import BfsParams, bfs
+from .explore import BfsParams, ExplorationList, bfs
 
 #: The most subsets :func:`exact_placement` enumerates.
 BRUTE_FORCE_LIMIT = 10_000_000
@@ -138,10 +138,11 @@ class ObjectiveSpec:
         dist: PositionDistribution,
         params: BfsParams,
         oracle: RelationOracle,
+        explore: Callable[..., ExplorationList] = bfs,
     ) -> "ObjectiveSpec":
-        """Explore every support content and assemble the spec, under uniform demand."""
+        """The spec of uniform demand over ``support``, each content explored by ``explore``."""
         support = tuple(support)
-        table = {v: frozenset(bfs(v, params, oracle).entries) for v in support}
+        table = {v: frozenset(explore(v, params, oracle).entries) for v in support}
         return cls(support, [1.0] * len(support), list_size, dist, table)
 
     def counts(self, cache_ids: Iterable[ContentId]) -> list[int]:

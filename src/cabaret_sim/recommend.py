@@ -18,9 +18,10 @@ cache as a set, in a bool array indexed by state number.  The two lists
 are :func:`cached_discovery`, read through one :class:`CacheIndex` over
 the union of the run's caches, and :func:`top_up_candidates`, the
 exploration's first ``n`` entries.  Both start from the exploration's
-*head*, every level but the last (the whole exploration at depth 1); the
-first reads the last level through the index, the second only as far as
-it needs.  Every cached-first selection over rows is one stable argsort.
+*head*, every level but the last (:func:`head_params`), explored once per
+content and run; the first reads the last level through the index, the
+second only as far as it needs.  Every cached-first selection over rows
+is one stable argsort.
 """
 
 from __future__ import annotations
@@ -161,6 +162,11 @@ class CacheIndex(dict):
         return found
 
 
+def head_params(params: BfsParams) -> BfsParams:
+    """The parameters of an exploration's head: every level but the last, all of it at depth 1."""
+    return BfsParams(max(params.depth - 1, 1), params.width)
+
+
 def _last_level_parents(head: ExplorationList, depth: int) -> tuple[ContentId, ...]:
     """The contents whose related lists make the depth-``depth`` level ``head`` lacks.
 
@@ -174,9 +180,9 @@ def cached_discovery(
 ) -> tuple[ContentId, ...]:
     """The entries of ``index.ids`` in the exploration ``head`` begins, in discovery order.
 
-    ``head`` holds the first ``max(depth - 1, 1)`` levels of the
-    exploration around ``head.seed``; past depth 1 the last level, of width
-    ``index.width``, is read from ``index`` one parent at a time.  The
+    ``head`` is the exploration around ``head.seed`` under the
+    :func:`head_params` of depth ``depth``; past depth 1 the last level, of
+    width ``index.width``, is read from ``index`` one parent at a time.  The
     result holds every entry of ``index.ids`` in the depth-``depth``
     exploration, so for any cache inside ``index.ids`` the entries it holds
     are that cache's explored-and-cached contents, in discovery order.
@@ -368,10 +374,10 @@ class CandidateStore:
     """Every content's cabaret candidates, stored once per run for every cache inside ``members``.
 
     ``members`` is the union of every cache the run places, and the
-    store's :class:`CacheIndex` covers it, read through ``oracle`` at
-    ``width``.  ``head`` gives the head of a content's depth-``depth``
-    exploration (every level but the last, the whole exploration at depth
-    1), and ``states`` numbers the candidates.
+    store's :class:`CacheIndex` covers it, read through ``oracle`` at the
+    width of the run's ``params``.  ``explore`` explores a content's head
+    (:func:`head_params`) once, as its candidates are stored, and
+    ``states`` numbers the candidates.
 
     A content's candidates are its :func:`cached_discovery`, every entry
     of ``members`` in its exploration, and its :func:`top_up_candidates`,
@@ -383,12 +389,13 @@ class CandidateStore:
     """
 
     def __init__(
-        self, members: frozenset[ContentId], oracle: RelationOracle, width: int,
-        head: Callable[[ContentId], ExplorationList], depth: int, n: int, states: StateNumbers,
+        self, members: frozenset[ContentId], oracle: RelationOracle, params: BfsParams,
+        n: int, states: StateNumbers, explore: Callable[..., ExplorationList] = bfs,
     ):
-        self.index = CacheIndex(members, oracle, width)
-        self.head = head
-        self.depth = depth
+        self.index = CacheIndex(members, oracle, params.width)
+        self.depth = params.depth
+        self.head_params = head_params(params)
+        self.explore = explore
         self.n = n
         self.states = states
         # Per state: where its candidates start in the store, and how many
@@ -412,9 +419,9 @@ class CandidateStore:
         fresh = [s for s, stored in zip(fresh, self.at[fresh, 1] >= 0) if not stored]
         if not fresh:
             return
-        heads = [self.head(self.states.ids[s]) for s in fresh]
-        found = [cached_discovery(h, self.depth, self.index) for h in heads]
         oracle, width = self.index.oracle, self.index.width
+        heads = [self.explore(self.states.ids[s], self.head_params, oracle) for s in fresh]
+        found = [cached_discovery(h, self.depth, self.index) for h in heads]
         tops = [top_up_candidates(h, self.depth, self.n, oracle, width) for h in heads]
         found_then_top = chain.from_iterable(chain.from_iterable(zip(found, tops)))
         added = self.states.numbers(list(found_then_top))

@@ -495,6 +495,9 @@ class TestDatasetFiles:
     @settings(max_examples=300, deadline=None)
     @given(_dataset_files())
     @example(('{"id":"v1","related":["v2","v2"]}\n', "id,weight\nv1,1\nv2,zebra\n"))
+    # Two leaves first named on different lines, the later id first: the
+    # catalog keys them in order of first reference, not of id.
+    @example(('{"id":"v1","related":["v9"]}\n{"id":"v2","related":["v3","v9"]}\n', None))
     def test_dataset_matches_the_mapping_constructor(self, files):
         related_text, popularity_text = files
         with tempfile.TemporaryDirectory() as tmp:

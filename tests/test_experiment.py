@@ -462,6 +462,7 @@ class TestRunExperiment:
             assert row["chr"] == report.chr
             assert [row[f"hit_rate_k{k}"] for k in range(2, 5)] == list(report.per_step)
             assert row["chr_se"] == se
+            assert row["chr_se"] == report.se
 
     def test_truncated_steps_count_as_misses(self, tmp_path):
         # The front page holds "a", whose only entry "b" is cached and a leaf:
@@ -512,15 +513,16 @@ class TestRunExperiment:
             level = list(dict.fromkeys(reached))
             request.update(dict.fromkeys(level, depth))
         target = min(c for c, r in request.items() if r == 3)
-        # Only the target's own row explores around it.
-        head = experiment._Runner.head
+        # Only the target's own row explores around it: the store explores
+        # each head through the bfs the runner hands it.
+        explore = experiment.bfs
 
-        def raising(self, content):
+        def raising(content, params, oracle):
             if content == target:
                 raise ValueError("no list")
-            return head(self, content)
+            return explore(content, params, oracle)
 
-        monkeypatch.setattr(experiment._Runner, "head", raising)
+        monkeypatch.setattr(experiment, "bfs", raising)
         result = run_experiment(config)
         assert sorted(f["k"] for f in result.failures) == [4, 5, 6]
         assert sorted(r["k"] for r in result.rows) == [2, 3]
@@ -913,6 +915,34 @@ class TestRunExperiment:
         assert misses
         assert set(misses.values()) == {1}
 
+    @pytest.mark.parametrize("depth, explorations, queries", [
+        (1, 28, 46), (2, 28, 144), (3, 28, 270),
+    ])
+    def test_explorations_and_queries_at_each_depth(
+        self, monkeypatch, depth, explorations, queries
+    ):
+        # The greedy spec explores the 10 front-page contents and the store
+        # the heads of 18 stored states, all through the runner's bfs name,
+        # so a wrapper bound to it sees each one.  The counts are pinned.
+        counts = {"bfs": 0, "related": 0}
+        explore, related = experiment.bfs, RelationOracle.related
+
+        def exploring(*args):
+            counts["bfs"] += 1
+            return explore(*args)
+
+        def querying(*args):
+            counts["related"] += 1
+            return related(*args)
+
+        monkeypatch.setattr(experiment, "bfs", exploring)
+        monkeypatch.setattr(RelationOracle, "related", querying)
+        result = run_experiment(config_from_mapping(tiny_mapping(
+            bfs_depth=depth, cache_policy="greedy"
+        )))
+        assert result.failures == []
+        assert counts == {"bfs": explorations, "related": queries}
+
     @pytest.mark.parametrize("policy", ["top", "greedy"])
     def test_each_stored_state_has_its_head_explored_once(self, monkeypatch, policy):
         # No head is kept, so only the store's one add per state keeps the
@@ -921,20 +951,28 @@ class TestRunExperiment:
             recommender="cabaret", cache_policy=policy, cache_capacity=[1, 2, 5],
             demand=["uniform", "zipf:1", "zipf:2"], session_length=[2, 3, 4],
         ))
+        # The store explores heads through the bfs the runner hands it, under
+        # head parameters it derives once; the greedy spec explores the front
+        # page through the same name, before the store exists.
         explored: dict[str, int] = {}
-        runners = []
-        head = experiment._Runner.head
+        stores = []
+        explore = experiment.bfs
 
-        def counting(runner, content):
-            runners.append(runner)
-            explored[content] = explored.get(content, 0) + 1
-            return head(runner, content)
+        def keeping(*args, **kwargs):
+            stores.append(recommend_module.CandidateStore(*args, **kwargs))
+            return stores[-1]
 
-        monkeypatch.setattr(experiment._Runner, "head", counting)
+        def counting(content, params, oracle):
+            if stores and params is stores[0].head_params:
+                explored[content] = explored.get(content, 0) + 1
+            return explore(content, params, oracle)
+
+        monkeypatch.setattr(experiment, "CandidateStore", keeping)
+        monkeypatch.setattr(experiment, "bfs", counting)
         result = run_experiment(config)
         assert result.failures == []
         assert set(explored.values()) == {1}
-        store = runners[0].store
+        store = stores[0]
         stored = np.flatnonzero(store.at[:, 1] >= 0)
         assert sorted(explored) == sorted(store.states.ids[s] for s in stored)
 

@@ -2,6 +2,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra.numpy import arrays
 
 from cabaret_sim.catalog import Catalog, PopularityRegion, RelationOracle
 from cabaret_sim.demand import Session
@@ -157,6 +159,7 @@ class TestChrReport:
         assert report.mode == "exact"
         assert report.chr == pytest.approx(0.375)
         assert report.sessions is None
+        assert report.se is None
         assert report.per_step_rows() == [(2, 0.5), (3, 0.25)]
 
     def test_from_exact_validates_length(self):
@@ -169,3 +172,19 @@ class TestChrReport:
         hits = np.zeros((10, 10), dtype=bool)
         hits[0] = True
         assert ChrReport.from_hits(hits).chr == 0.9999999999999999 / 10
+
+    @settings(max_examples=300, deadline=None)
+    @given(arrays(bool, st.tuples(st.integers(1, 40), st.integers(1, 6))))
+    # Three equal means of 1/5, whose np.std is not exactly 0.
+    @example(np.tile([True, False, False, False, False], (3, 1)))
+    def test_from_hits_standard_error(self, hits):
+        report = ChrReport.from_hits(hits)
+        sessions, steps = hits.shape
+        means = hits.sum(axis=1) / steps
+        if sessions == 1:
+            assert report.se is None
+        elif means.min() == means.max():
+            assert report.se == 0.0
+        else:
+            assert report.se == np.std(means, ddof=1) / np.sqrt(sessions)
+            assert type(report.se) is float

@@ -23,6 +23,7 @@ from cabaret_sim.recommend import (
     StateNumbers,
     baseline_recommender,
     cached_discovery,
+    head_params,
     provider_rows,
     recommend,
     reordered_recommender,
@@ -137,8 +138,8 @@ def small_catalogs(draw):
 
 
 def head_of(seed, params, oracle):
-    """The exploration around ``seed`` but its last level; all of it at depth 1."""
-    return bfs(seed, BfsParams(max(params.depth - 1, 1), params.width), oracle)
+    """The head of the exploration around ``seed``, under the store's own rule."""
+    return bfs(seed, head_params(params), oracle)
 
 
 def family_list(found, tops, count, cache):
@@ -235,10 +236,7 @@ class TestCabaretList:
         stores = []
         for _ in range(2):
             states = StateNumbers()
-            store = CandidateStore(
-                frozenset(order[: sizes[-1]]), oracle, params.width,
-                lambda v: head_of(v, params, oracle), params.depth, n, states,
-            )
+            store = CandidateStore(frozenset(order[: sizes[-1]]), oracle, params, n, states)
             stores.append((store, states, states.numbers(asked)))
         (store, states, fresh), (whole, whole_states, whole_fresh) = stores
         for size in sizes:
@@ -271,8 +269,7 @@ class TestCabaretList:
         oracle = RelationOracle(cat)
         order = tuple(ids[::2])
         states = StateNumbers()
-        head = lambda v: bfs(v, BfsParams(1, width), oracle)  # noqa: E731
-        store = CandidateStore(frozenset(order), oracle, width, head, 1, n, states)
+        store = CandidateStore(frozenset(order), oracle, BfsParams(1, width), n, states)
         return store, states.numbers(ids), frozenset(order)
 
     def test_rows_hold_scratch_for_one_block_at_a_time(self, monkeypatch):
@@ -343,8 +340,7 @@ class TestCabaretList:
             families.append((tuple(order[: sizes[-1]]), sizes))
         states = StateNumbers()
         store = CandidateStore(
-            frozenset().union(*(order for order, _ in families)), oracle, params.width, head,
-            params.depth, n, states,
+            frozenset().union(*(order for order, _ in families)), oracle, params, n, states
         )
         fresh = states.numbers(ids)
         for order, sizes in families:
