@@ -9,14 +9,7 @@ from .catalog import (
     save_dataset,
     top_popular,
 )
-from .demand import (
-    PositionDistribution,
-    Session,
-    TransitionTable,
-    exact_hit_rates,
-    position_probs,
-    run_session,
-)
+from .demand import PositionDistribution, TransitionTable, position_probs
 from .experiment import (
     ExperimentConfig,
     ExperimentResult,
@@ -24,7 +17,7 @@ from .experiment import (
     run_experiment,
 )
 from .explore import BfsParams, ExplorationList, bfs
-from .metrics import ChrReport, OverlapReport, chr_sequential, eval_iv
+from .metrics import ChrReport, OverlapReport, eval_iv
 from .placement import (
     ObjectiveSpec,
     PlacementResult,
@@ -33,13 +26,7 @@ from .placement import (
     objective,
     top_placement,
 )
-from .recommend import (
-    CacheManifest,
-    RecommendationList,
-    baseline_recommender,
-    recommend,
-    reordered_recommender,
-)
+from .recommend import CacheManifest
 from .synthetic import generate_synthetic
 from .version import __version__
 
@@ -57,16 +44,11 @@ __all__ = [
     "PlacementResult",
     "PopularityRegion",
     "PositionDistribution",
-    "RecommendationList",
     "RelationOracle",
-    "Session",
     "TransitionTable",
     "__version__",
-    "baseline_recommender",
     "bfs",
-    "chr_sequential",
     "eval_iv",
-    "exact_hit_rates",
     "exact_placement",
     "generate_synthetic",
     "greedy_placement",
@@ -74,10 +56,7 @@ __all__ = [
     "load_dataset",
     "objective",
     "position_probs",
-    "recommend",
-    "reordered_recommender",
     "run_experiment",
-    "run_session",
     "save_dataset",
     "top_placement",
     "top_popular",

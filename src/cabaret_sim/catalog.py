@@ -45,7 +45,7 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice
-from typing import Iterator, Mapping, Sequence
+from typing import Iterable, Iterator, Mapping, Sequence
 
 import numpy as np
 
@@ -104,7 +104,7 @@ class Catalog:
             if "" in entries:
                 raise ParameterError(f"related list of {cid!r} holds an empty id")
             rel[cid] = entries
-        _add_leaves(rel)
+        _add_leaves(rel, chain.from_iterable(rel.values()))
         pop: dict[ContentId, float] = {}
         if popularity is not None:
             for cid, weight in popularity.items():
@@ -245,17 +245,11 @@ def _check_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None:
         seen.add(entry)
 
 
-def _add_leaves(related: dict[ContentId, tuple[ContentId, ...]]) -> None:
-    """Add each id that a list names but no key is, as a leaf, in order of first reference."""
-    leaves = set().union(*related.values()).difference(related)
-    if not leaves:
-        return
-    for entry in chain.from_iterable(list(related.values())):
-        if entry in leaves:
-            leaves.discard(entry)
-            related[entry] = ()
-            if not leaves:
-                return
+def _add_leaves(
+    related: dict[ContentId, tuple[ContentId, ...]], referenced: Iterable[ContentId]
+) -> None:
+    """Add each id of ``referenced`` that no key is, as a leaf, in order of first reference."""
+    related.update(dict.fromkeys(filterfalse(related.__contains__, referenced), ()))
 
 
 @dataclass(frozen=True)
@@ -441,8 +435,7 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
     module docstring for which rule is checked where.
     """
     related, canon = _read_related(related_path)
-    # The ids that no line defines are the leaves, in order of first reference.
-    related.update(dict.fromkeys(filterfalse(related.__contains__, canon), ()))
+    _add_leaves(related, canon)
     del canon
     weights: dict[ContentId, float | None] = dict.fromkeys(related)
     if popularity_path:

@@ -4,7 +4,8 @@ Subcommands::
 
     generate   write a synthetic catalog to dataset files
     explore    emit the exploration list around a seed content as CSV
-    recommend  emit a cache-aware recommendation list as CSV
+    recommend  emit a cache-aware recommendation list as CSV: the row
+               that the runner's CandidateStore builds for one cache
     optimize   compute a cache placement; write manifest + trajectory CSV
     eval-iv    depth-overlap report over the most popular contents
     run        execute an experiment config; write results/failures CSV
@@ -28,7 +29,7 @@ from .experiment import SCHEMA, load_config, parse_demand, run_experiment
 from .explore import BfsParams, bfs
 from .metrics import eval_iv
 from .placement import ObjectiveSpec, exact_placement, greedy_placement, top_placement
-from .recommend import CacheManifest, recommend
+from .recommend import CacheManifest, CandidateStore, StateNumbers
 from .demand import position_probs
 from .synthetic import generate_synthetic
 from .version import SCHEMA_VERSION, __version__
@@ -116,16 +117,19 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 def _cmd_recommend(args: argparse.Namespace) -> int:
     oracle = RelationOracle(_load_catalog(args), args.w_max)
     cache = CacheManifest.from_file(args.cache_file)
-    shown = recommend(
-        args.seed_id, args.count, cache, BfsParams(args.depth, args.width), oracle
+    # The runner's row builder, whose union of caches is this one cache.
+    states = StateNumbers()
+    store = CandidateStore(
+        cache.ids, oracle, BfsParams(args.depth, args.width), args.count, states
     )
-    rows = enumerate(zip(shown.entries, shown.cached), start=1)
+    [width], [cached], [entries] = store.rows(cache.ids)(states.numbers([args.seed_id]))
+    rows = enumerate(zip(entries[:width].tolist(), cached[:width].tolist()), start=1)
     _emit(
         args.out,
         ("rank", "id", "cached"),
-        ((rank, cid, "true" if hit else "false") for rank, (cid, hit) in rows),
+        ((rank, states.ids[s], "true" if hit else "false") for rank, (s, hit) in rows),
     )
-    if shown.empty:
+    if not width:
         print("empty exploration: no recommendations", file=sys.stderr)
     return 0
 

@@ -33,8 +33,10 @@ evaluators read the rows through the law truncated to each width:
   the cumulative sums for its row's width by one sorted search, which
   picks the same positions as bisecting them one session at a time.
 
-:func:`exact_hit_rates` is the exact evaluator over a fresh table, and
-:func:`run_session` samples one session straight from the recommender.
+:class:`Session`, :func:`run_session` (one session sampled straight from
+a recommender) and :func:`exact_hit_rates` (the exact evaluator over a
+fresh table) are per-content reference code kept for the tests and
+``bench/tracing.py``; the runner evaluates its tables directly.
 All sampling uses numpy's PCG64 generator; a session is a pure function of
 its seed.
 """

@@ -1,11 +1,15 @@
-"""Recommendation lists, and the rows that transition tables read from them.
+"""Recommendation rows, the lists that transition tables read.
 
-Three recommenders share one output type: :func:`recommend`, the
-cache-aware list (explored-and-cached contents first, in exploration
-order, then the head of the exploration), which is
-:func:`select_from_exploration` over the full exploration;
-:func:`baseline_recommender`, the provider's top-N related list; and
-:func:`reordered_recommender`, that list with its cached entries first.
+A CABaRet list holds the explored-and-cached contents first, in
+exploration order, then the head of the exploration.  The runner and
+``cabaret-sim recommend`` both build it as a row of a
+:class:`CandidateStore`.  The per-content lists, of one type
+:class:`RecommendationList`, are reference code kept for the tests and
+``bench/tracing.py``: :func:`select_from_exploration`, the CABaRet
+selection over a given exploration; :func:`baseline_recommender`, the
+provider's top-N related list, which also fills the runner's provider
+table through :func:`list_rows`; and :func:`reordered_recommender`, that
+list with its cached entries first.
 
 A transition table (see :mod:`cabaret_sim.demand`) reads a recommender as
 *rows*: per state, the list's width, its cached flags and its entries'
@@ -225,18 +229,6 @@ def top_up_candidates(
     return tuple(taken)
 
 
-def recommend(
-    seed: ContentId, count: int, cache: CacheManifest, params: BfsParams, oracle: RelationOracle
-) -> RecommendationList:
-    """Build the cache-aware recommendation list for ``seed``.
-
-    This is :func:`select_from_exploration` over the full exploration
-    around the seed.  An empty exploration yields an empty (flagged,
-    non-error) list.
-    """
-    return select_from_exploration(bfs(seed, params, oracle).entries, count, cache)
-
-
 def baseline_recommender(
     seed: ContentId,
     count: int,
@@ -392,6 +384,8 @@ class CandidateStore:
         self, members: frozenset[ContentId], oracle: RelationOracle, params: BfsParams,
         n: int, states: StateNumbers, explore: Callable[..., ExplorationList] = bfs,
     ):
+        if n < 1:
+            raise ParameterError(f"count must be >= 1, got {n}")
         self.index = CacheIndex(members, oracle, params.width)
         self.depth = params.depth
         self.head_params = head_params(params)

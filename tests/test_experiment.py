@@ -19,6 +19,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cabaret_sim.demand as demand_module
+import cabaret_sim.recommend as recommend_module
 from cabaret_sim import experiment
 from cabaret_sim.catalog import Catalog, RelationOracle, save_dataset
 from cabaret_sim.errors import ConfigError
@@ -41,16 +43,13 @@ from cabaret_sim.placement import ObjectiveSpec, exact_placement, greedy_placeme
 from cabaret_sim.recommend import (
     CacheIndex,
     baseline_recommender,
-    recommend,
     reordered_recommender,
     select_from_exploration,
 )
 
-from conftest import naive_greedy_placement, reference_greedy_placement, reference_walk
-
-# The package exports the function ``recommend``, which hides its module.
-recommend_module = importlib.import_module("cabaret_sim.recommend")
-demand_module = importlib.import_module("cabaret_sim.demand")
+from conftest import (
+    naive_greedy_placement, reference_greedy_placement, reference_recommend, reference_walk,
+)
 
 
 def tiny_mapping(**over):
@@ -107,7 +106,7 @@ def oracle_recommender(runner, kind, capacity, demand):
     """The lists a cell's table must hold, built one at a time for its cache."""
     cache, n = runner.placement(capacity, demand), runner.config.list_size
     if kind == "cabaret":
-        return lambda v: recommend(v, n, cache, runner.params, runner.oracle)
+        return lambda v: reference_recommend(v, n, cache, runner.params, runner.oracle)
     if kind == "baseline":
         return lambda v: baseline_recommender(v, n, runner.oracle, cache)
     return lambda v: reordered_recommender(v, n, cache, runner.oracle)
@@ -633,10 +632,10 @@ class TestRunExperiment:
     @given(st.data())
     def test_cabaret_rows_equal_the_lists_built_for_each_cache(self, data):
         # Every row a cabaret table derives from the run's candidate store
-        # against recommend() for that cache alone.  Drawn catalogs hold
-        # empty related lists and lists shorter than N, w_max may cut a
-        # query below N, and N may exceed the exploration, so that rows
-        # fall back on the last level's uncached entries.
+        # against reference_recommend() for that cache alone.  Drawn
+        # catalogs hold empty related lists and lists shorter than N, w_max
+        # may cut a query below N, and N may exceed the exploration, so that
+        # rows fall back on the last level's uncached entries.
         size = data.draw(st.integers(2, 12), label="size")
         ids = [f"c{i:02d}" for i in range(size)]
         related = {
@@ -976,7 +975,7 @@ class TestRunExperiment:
         stored = np.flatnonzero(store.at[:, 1] >= 0)
         assert sorted(explored) == sorted(store.states.ids[s] for s in stored)
 
-    def test_smaller_caches_of_a_family_make_no_oracle_queries(self, monkeypatch):
+    def test_smaller_caches_of_a_selection_order_make_no_oracle_queries(self, monkeypatch):
         # At depth 1 a head is the whole exploration, so no row reads a
         # last level: the run queries each content once for every cache.
         # Two-request sessions visit the front page only, whatever the cache.

@@ -17,11 +17,11 @@ from cabaret_sim.placement import (
     objective,
     top_placement,
 )
-from cabaret_sim.recommend import CacheManifest, recommend
+from cabaret_sim.recommend import CacheManifest
 
 from conftest import (
     check_submodularity, naive_greedy_placement, random_catalog, reference_greedy_placement,
-    weighted_spec,
+    reference_recommend, weighted_spec,
 )
 
 
@@ -138,7 +138,7 @@ class TestObjectiveIsTheEvaluatedRate:
 
         def rate(cached):
             cache = CacheManifest.from_ids(cached)
-            rec = lambda v: recommend(v, 5, cache, params, oracle)
+            rec = lambda v: reference_recommend(v, 5, cache, params, oracle)
             return exact_hit_rates(front, rec, dist, 2)[0]
 
         assert objective(spec, ["x"]) == rate(["x"]) == 0.5
@@ -153,7 +153,7 @@ class TestObjectiveIsTheEvaluatedRate:
         oracle = RelationOracle(catalog)
         spec = ObjectiveSpec.build(front.ids, list_size, dist, params, oracle)
         cache = CacheManifest.from_ids(cached)
-        rec = lambda v: recommend(v, list_size, cache, params, oracle)
+        rec = lambda v: reference_recommend(v, list_size, cache, params, oracle)
         rate = exact_hit_rates(front, rec, dist, 2)[0]
         assert objective(spec, cached) == pytest.approx(rate, abs=1e-12)
 

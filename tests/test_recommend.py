@@ -1,8 +1,8 @@
 from __future__ import annotations
 
 import ast
-import importlib
 import tracemalloc
+import types
 from pathlib import Path
 from unittest.mock import patch
 
@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import cabaret_sim.recommend as recommend_module
 from cabaret_sim.catalog import Catalog, RelationOracle
 from cabaret_sim.demand import exact_hit_rates, position_probs
 from cabaret_sim.catalog import PopularityRegion
@@ -25,16 +26,12 @@ from cabaret_sim.recommend import (
     cached_discovery,
     head_params,
     provider_rows,
-    recommend,
     reordered_recommender,
     select_from_exploration,
     top_up_candidates,
 )
 
-from conftest import ReferenceFamilyStore, random_catalog
-
-# The package exports the function ``recommend``, which hides its module.
-recommend_module = importlib.import_module("cabaret_sim.recommend")
+from conftest import ReferenceSelectionOrderStore, random_catalog, reference_recommend
 
 
 @pytest.fixture
@@ -65,7 +62,7 @@ class TestCacheManifest:
 class TestRecommend:
     def test_no_cached_gives_exploration_head(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
-        shown = recommend("s", 6, cache_of("x", "y"), BfsParams(1, 12), oracle)
+        shown = reference_recommend("s", 6, cache_of("x", "y"), BfsParams(1, 12), oracle)
         assert shown.entries == tuple("abcdef")
         assert shown.cached == (False,) * 6
 
@@ -73,25 +70,25 @@ class TestRecommend:
         # Hand execution: phase 1 picks d then f; phase 2 tops up with
         # a, b, c, then e (d and f already selected).
         oracle = RelationOracle(flat_catalog)
-        shown = recommend("s", 6, cache_of("d", "f", "x"), BfsParams(1, 12), oracle)
+        shown = reference_recommend("s", 6, cache_of("d", "f", "x"), BfsParams(1, 12), oracle)
         assert shown.entries == ("d", "f", "a", "b", "c", "e")
         assert shown.cached == (True, True, False, False, False, False)
 
     def test_all_cached_short_circuits(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
-        shown = recommend("s", 4, cache_of(*"abcdefghijkl"), BfsParams(1, 12), oracle)
+        shown = reference_recommend("s", 4, cache_of(*"abcdefghijkl"), BfsParams(1, 12), oracle)
         assert shown.entries == ("a", "b", "c", "d")
         assert all(shown.cached)
 
     def test_empty_exploration_flagged_not_error(self):
         oracle = RelationOracle(Catalog({"s": []}))
-        shown = recommend("s", 5, cache_of("a"), BfsParams(2, 3), oracle)
+        shown = reference_recommend("s", 5, cache_of("a"), BfsParams(2, 3), oracle)
         assert shown.empty
         assert len(shown) == 0
 
     def test_short_exploration_returns_short_list(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
-        shown = recommend("s", 100, cache_of("g"), BfsParams(1, 12), oracle)
+        shown = reference_recommend("s", 100, cache_of("g"), BfsParams(1, 12), oracle)
         assert len(shown) == 12
         assert shown.entries[0] == "g"
 
@@ -101,7 +98,7 @@ class TestRecommend:
             oracle = RelationOracle(cat)
             ids = cat.ids()
             cached = [ids[i] for i in rng.choice(20, size=6, replace=False)]
-            shown = recommend(
+            shown = reference_recommend(
                 ids[0], 8, cache_of(*cached), BfsParams(2, 3), oracle
             )
             flags = list(shown.cached)
@@ -115,14 +112,14 @@ class TestRecommend:
             ids = cat.ids()
             small = [ids[i] for i in rng.choice(18, size=4, replace=False)]
             large = small + [ids[i] for i in rng.choice(18, size=6, replace=False)]
-            shown_small = recommend(ids[0], 6, cache_of(*small), BfsParams(2, 3), oracle)
-            shown_large = recommend(ids[0], 6, cache_of(*large), BfsParams(2, 3), oracle)
+            shown_small = reference_recommend(ids[0], 6, cache_of(*small), BfsParams(2, 3), oracle)
+            shown_large = reference_recommend(ids[0], 6, cache_of(*large), BfsParams(2, 3), oracle)
             assert sum(shown_large.cached) >= sum(shown_small.cached)
 
     def test_deterministic(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
-        first = recommend("s", 6, cache_of("d"), BfsParams(1, 12), oracle)
-        second = recommend("s", 6, cache_of("d"), BfsParams(1, 12), oracle)
+        first = reference_recommend("s", 6, cache_of("d"), BfsParams(1, 12), oracle)
+        second = reference_recommend("s", 6, cache_of("d"), BfsParams(1, 12), oracle)
         assert first == second
 
 
@@ -142,8 +139,8 @@ def head_of(seed, params, oracle):
     return bfs(seed, head_params(params), oracle)
 
 
-def family_list(found, tops, count, cache):
-    """A cache's list from its family's discovery and top-up candidates."""
+def selection_order_list(found, tops, count, cache):
+    """A cache's list from its selection order's discovery and top-up candidates."""
     picked = [c for c in found if c in cache.ids][:count]
     n_cached = len(picked)
     picked += [c for c in tops if c not in cache.ids][: count - n_cached]
@@ -171,7 +168,7 @@ class TestCabaretList:
         for seed in ids:
             explored = bfs(seed, params, oracle).entries
             want = select_from_exploration(explored, count, cache)
-            assert recommend(seed, count, cache, params, oracle) == want
+            assert reference_recommend(seed, count, cache, params, oracle) == want
             head = head_of(seed, params, oracle)
             tops = top_up_candidates(head, params.depth, count, oracle, params.width)
             assert tops == explored[:count]
@@ -179,13 +176,13 @@ class TestCabaretList:
             assert found == tuple(filter(index.ids.__contains__, explored))
             n_cached = sum(want.cached)
             assert tuple(c for c in found if c in cache.ids)[:count] == want.entries[:n_cached]
-            assert family_list(found, tops, count, cache) == want
+            assert selection_order_list(found, tops, count, cache) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_one_discovery_serves_every_cache_of_a_family(self, data):
-        # A family is the caches cut from one order: each lies inside the
-        # largest, whose index, discovery and top-up candidates they share.
+    def test_one_discovery_serves_every_cache_of_a_selection_order(self, data):
+        # The caches cut from one order each lie inside the largest, whose
+        # index, discovery and top-up candidates they share.
         cat = data.draw(small_catalogs())
         ids = cat.ids()
         oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
@@ -210,11 +207,11 @@ class TestCabaretList:
                 n_cached = sum(want.cached)
                 cached = tuple(c for c in found if c in cache.ids)
                 assert cached[:count] == want.entries[:n_cached]
-                assert family_list(found, tops, count, cache) == want
+                assert selection_order_list(found, tops, count, cache) == want
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_a_family_store_derives_the_rows_of_every_cache(self, data):
+    def test_a_selection_order_store_derives_the_rows_of_every_cache(self, data):
         # The store built from its inputs alone, with no runner: every
         # nested cache's rows against the selection over the full
         # exploration, at depths 1 to 3.
@@ -312,10 +309,10 @@ class TestCabaretList:
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
-    def test_one_run_store_serves_every_family(self, data):
-        # Up to four families with unrelated orders share one store, which
+    def test_one_run_store_serves_every_selection_order(self, data):
+        # Up to four unrelated selection orders share one store, which
         # indexes the union of their caches.  Every cache's rows equal those
-        # of its family's own store, which flags candidates by rank, and the
+        # of its order's own store, which flags candidates by rank, and the
         # selection over the full exploration, at depths 1 to 3.
         cat = data.draw(small_catalogs())
         ids = sorted(cat.ids())
@@ -345,7 +342,7 @@ class TestCabaretList:
         fresh = states.numbers(ids)
         for order, sizes in families:
             own_states = StateNumbers()
-            own = ReferenceFamilyStore(
+            own = ReferenceSelectionOrderStore(
                 order, CacheIndex(frozenset(order), oracle, params.width), head,
                 params.depth, n, own_states,
             )
@@ -367,7 +364,12 @@ class TestCabaretList:
     def test_rejects_zero_count(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
         with pytest.raises(ParameterError):
-            recommend("s", 0, cache_of("a"), BfsParams(2, 3), oracle)
+            reference_recommend("s", 0, cache_of("a"), BfsParams(2, 3), oracle)
+
+    def test_store_rejects_zero_count(self, flat_catalog):
+        oracle = RelationOracle(flat_catalog)
+        with pytest.raises(ParameterError, match=r"^count must be >= 1, got 0$"):
+            CandidateStore(frozenset("a"), oracle, BfsParams(2, 3), 0, StateNumbers())
 
 
 class TestStateNumbers:
@@ -400,7 +402,7 @@ class TestPerRequestDominance:
             ids = cat.ids()
             cached = cache_of(*(ids[i] for i in rng.choice(20, size=7, replace=False)))
             seed = ids[int(rng.integers(20))]
-            ours = recommend(seed, n, cached, BfsParams(2, n), oracle)
+            ours = reference_recommend(seed, n, cached, BfsParams(2, n), oracle)
             base = baseline_recommender(seed, n, oracle, cached)
             mass_ours = sum(p for p, hit in zip(dist.probs, ours.cached) if hit)
             mass_base = sum(p for p, hit in zip(dist.probs, base.cached) if hit)
@@ -412,13 +414,13 @@ class TestCountCachedIn:
 
     def test_empty_cache(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
-        shown = recommend("s", 12, cache_of("zz"), BfsParams(1, 12), oracle)
+        shown = reference_recommend("s", 12, cache_of("zz"), BfsParams(1, 12), oracle)
         assert shown.cached == (False,) * 12
 
     def test_superset_cache(self, flat_catalog):
         oracle = RelationOracle(flat_catalog)
         full = cache_of(*"abcdefghijkl")
-        shown = recommend("s", 12, full, BfsParams(1, 12), oracle)
+        shown = reference_recommend("s", 12, full, BfsParams(1, 12), oracle)
         assert shown.cached == (True,) * 12
 
     def test_consistent_with_recommend_flags(self, rng):
@@ -436,7 +438,7 @@ class TestCountCachedIn:
             if len(explored) < n:
                 continue
             total = sum(c in cached for c in explored)
-            shown = recommend(seed, n, cached, params, oracle)
+            shown = reference_recommend(seed, n, cached, params, oracle)
             assert min(total, n) == sum(shown.cached)
 
 
@@ -470,7 +472,7 @@ class TestProviderRecommenders:
             cat = random_catalog(rng, 15, 8)
             oracle = RelationOracle(cat)
             seed = cat.ids()[int(rng.integers(15))]
-            ours = recommend(seed, 5, empty, BfsParams(1, 5), oracle)
+            ours = reference_recommend(seed, 5, empty, BfsParams(1, 5), oracle)
             base = baseline_recommender(seed, 5, oracle, empty)
             assert ours.entries == base.entries
             assert not any(base.cached)
@@ -485,7 +487,7 @@ class TestProviderRecommenders:
             cached = cache_of(*(ids[i] for i in rng.choice(20, size=6, replace=False)))
             seed = ids[int(rng.integers(20))]
             n = 5
-            assert reordered_recommender(seed, n, cached, oracle) == recommend(
+            assert reordered_recommender(seed, n, cached, oracle) == reference_recommend(
                 seed, n, cached, BfsParams(1, n), oracle
             )
 
@@ -567,6 +569,15 @@ def imported_modules(name):
         elif isinstance(node, ast.Import):
             found.update(part for alias in node.names for part in alias.name.split("."))
     return found
+
+
+def test_the_package_does_not_hide_its_recommend_module():
+    # The package must bind no name ``recommend`` of its own, or this
+    # import binds that name instead of the module.
+    import cabaret_sim.recommend as module
+
+    assert isinstance(module, types.ModuleType)
+    assert module.StateNumbers is StateNumbers
 
 
 def test_row_building_sits_below_the_modules_that_read_rows():
