@@ -9,10 +9,14 @@ threads.
 checks every rule.  ``Catalog.from_arrays(ids, lists, weights)`` builds one
 from a matrix of row numbers, as the synthetic generator does: it checks
 the same rules with numpy.  ``load_dataset`` builds one from files: it
-keeps :func:`load_related_file`'s mapping, adds the leaves to it, and
-reads the popularity file straight into the catalog's weights, keyed by
-the mapping's own ids.  The tests hold both to the mapping constructor as
-their oracle.
+keeps :func:`load_related_file`'s mapping, adds the leaves to it, reads
+the popularity file into a map keyed by the mapping's own ids, and keeps
+that map's weights as an array once every check has passed.  The tests
+hold both to the mapping constructor as their oracle.
+
+Every constructor keeps the weights as one read-only float64 array whose
+rows follow the mapping's key order: contents are ranked on the array,
+and only :meth:`Catalog.popularity_of` maps an id to its row.
 
 ``load_dataset`` checks each rule once, in this order.  The related-file
 parser checks each line's record and each distinct entry, on the first
@@ -39,7 +43,6 @@ id, as a key or inside any related list, is the same object.
 from __future__ import annotations
 
 import csv
-import heapq
 import io
 import json
 import math
@@ -82,7 +85,7 @@ class Catalog:
             leaves.
     """
 
-    __slots__ = ("_related", "_popularity")
+    __slots__ = ("_related", "_weights", "_rows")
 
     def __init__(
         self,
@@ -128,8 +131,7 @@ class Catalog:
             for cid in rel:
                 if not isinstance(cid, str):
                     raise ParameterError(f"content id must be a string, got {cid!r}")
-        self._related = rel
-        self._popularity = {cid: pop.get(cid, 0.0) for cid in rel}
+        self._set(rel, np.fromiter((pop.get(cid, 0.0) for cid in rel), np.float64, len(rel)))
 
     @classmethod
     def from_arrays(
@@ -142,7 +144,8 @@ class Catalog:
         weight.  Every rule of the mapping form is checked, with its error
         type and, for the first bad row, its message; ids must also be
         distinct and every entry in range, which a mapping cannot break.
-        Keys keep ``ids`` order and every entry is its key's object.
+        Keys keep ``ids`` order, every entry is its key's object, and the
+        catalog keeps a copy of ``weights``.
         """
         ids = list(ids)
         n = len(ids)
@@ -159,7 +162,7 @@ class Catalog:
         if lists.size and not (lists.min() >= 0 and lists.max() < n):
             raise ParameterError(f"related-list entries must be row numbers in [0, {n})")
         try:
-            weights = np.asarray(weights, dtype=np.float64)
+            weights = np.array(weights, dtype=np.float64)
         except (TypeError, ValueError, OverflowError):
             raise ParameterError("weights must be numbers") from None
         if weights.shape != (n,):
@@ -192,9 +195,16 @@ class Catalog:
             cid, w = ids[i], float(weights[i])
             raise ParameterError(f"popularity weight for {cid!r} must be finite and >= 0, got {w}")
         catalog = cls.__new__(cls)
-        catalog._related = rel
-        catalog._popularity = dict(zip(ids, weights.tolist()))
+        catalog._set(rel, weights)
         return catalog
+
+    def _set(self, related: dict[ContentId, tuple[ContentId, ...]], weights: np.ndarray) -> None:
+        """Keep checked ``related`` and ``weights``, row ``i`` the weight of key ``i``."""
+        weights.flags.writeable = False
+        self._related = related
+        self._weights = weights
+        # id -> row, built on the first ``popularity_of``.
+        self._rows: dict[ContentId, int] | None = None
 
     def __len__(self) -> int:
         return len(self._related)
@@ -205,9 +215,7 @@ class Catalog:
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Catalog):
             return NotImplemented
-        return (
-            self._related == other._related and self._popularity == other._popularity
-        )
+        return self._related == other._related and _weight_map(self) == _weight_map(other)
 
     def ids(self) -> list[ContentId]:
         """All content ids in sorted order."""
@@ -221,10 +229,16 @@ class Catalog:
             raise UnknownContentError(content_id) from None
 
     def popularity_of(self, content_id: ContentId) -> float:
+        if self._rows is None:
+            self._rows = dict(zip(self._related, range(len(self._related))))
         try:
-            return self._popularity[content_id]
+            return float(self._weights[self._rows[content_id]])
         except KeyError:
             raise UnknownContentError(content_id) from None
+
+
+def _weight_map(catalog: Catalog) -> dict[ContentId, float]:
+    return dict(zip(catalog._related, catalog._weights.tolist()))
 
 
 def _check_related_list(cid: ContentId, entries: tuple[ContentId, ...]) -> None:
@@ -298,18 +312,24 @@ class RelationOracle:
 def top_popular(catalog: Catalog, count: int) -> PopularityRegion:
     """The ``count`` highest-weight contents, ties broken by id order.
 
-    When ``count`` exceeds the catalog size the result is truncated to the
-    whole catalog and flagged.
+    ``np.partition`` finds the ``count``-th highest weight, and only the
+    rows at or above it, ties at the cut included, are sorted by
+    ``(-weight, id)``; that key orders the contents totally, so the result
+    is the head of a full sort.  When ``count`` exceeds the catalog size
+    the result is truncated to the whole catalog and flagged.
     """
     if count < 1:
         raise ParameterError(f"count must be >= 1, got {count}")
-    # (-weight, id) orders the contents totally, so a partial selection
-    # ranks exactly as a full sort would.
-    ranked = heapq.nsmallest(
-        count, catalog._popularity.items(), key=lambda item: (-item[1], item[0])
-    )
+    weights = catalog._weights
+    cut = len(weights) - count
+    if cut > 0:
+        rows = np.flatnonzero(weights >= np.partition(weights, cut)[cut])
+    else:
+        rows = np.arange(len(weights))
+    ids = list(catalog._related)
+    ranked = sorted(zip((-weights[rows]).tolist(), map(ids.__getitem__, rows.tolist())))
     return PopularityRegion(
-        tuple(cid for cid, _ in ranked), truncated=count > len(catalog)
+        tuple(cid for _, cid in ranked[:count]), truncated=count > len(catalog)
     )
 
 
@@ -431,8 +451,9 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
     """Build a catalog from a related-lists file and optional popularity file.
 
     The catalog keeps the mapping of :func:`load_related_file`, with its
-    leaves added, and reads the popularity file into its weights; see the
-    module docstring for which rule is checked where.
+    leaves added, and reads the popularity file into a map keyed by its
+    ids whose weights become the catalog's array; see the module docstring
+    for which rule is checked where.
     """
     related, canon = _read_related(related_path)
     _add_leaves(related, canon)
@@ -443,9 +464,6 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
         # An id that only the popularity file names is a leaf.
         for cid in islice(weights, len(related), None):
             related[cid] = ()
-    for cid, weight in weights.items():
-        if weight is None:
-            weights[cid] = 0.0
     try:
         for cid, entries in related.items():
             _check_related_list(cid, entries)
@@ -453,9 +471,13 @@ def load_dataset(related_path: str, popularity_path: str | None = None) -> Catal
         raise DatasetFormatError(
             exc.args[0], line=_line_of(related_path, exc.content_id), content_id=exc.content_id
         ) from None
+    # The map's keys are the mapping's, in its order.
+    array = np.fromiter(
+        (0.0 if w is None else w for w in weights.values()), np.float64, len(weights)
+    )
+    del weights
     catalog = Catalog.__new__(Catalog)
-    catalog._related = related
-    catalog._popularity = weights
+    catalog._set(related, array)
     return catalog
 
 
@@ -474,8 +496,9 @@ def dumps_related(catalog: Catalog) -> str:
 def dumps_popularity(catalog: Catalog) -> str:
     """Canonical popularity serialization: ``id,weight`` rows sorted by id."""
     out = io.StringIO()
-    rows = ((cid, catalog.popularity_of(cid)) for cid in catalog.ids())
-    write_csv(out, ("id", "weight"), rows)
+    ids, weights = list(catalog._related), catalog._weights.tolist()
+    order = sorted(range(len(ids)), key=ids.__getitem__)
+    write_csv(out, ("id", "weight"), ((ids[i], weights[i]) for i in order))
     return out.getvalue()
 
 

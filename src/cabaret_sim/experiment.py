@@ -302,12 +302,22 @@ def load_config(path: str) -> ExperimentConfig:
     """Load and validate a flat JSON config file."""
     try:
         with open(path, encoding="utf-8") as handle, utf8_errors(path, ConfigError):
-            raw = json.load(handle)
+            raw = json.load(handle, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from None
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     return config_from_mapping(raw)
+
+
+def _unique_keys(pairs: list[tuple[str, Any]]) -> dict[str, Any]:
+    """A JSON object's mapping; a repeated key, which json would keep the last of, raises."""
+    obj: dict[str, Any] = {}
+    for key, value in pairs:
+        if key in obj:
+            raise ConfigError(f"config repeats key {key!r}")
+        obj[key] = value
+    return obj
 
 
 @dataclass(frozen=True)

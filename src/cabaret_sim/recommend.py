@@ -78,8 +78,21 @@ class CacheManifest:
         return cls.from_ids(ids)
 
     def to_file(self, path: str) -> None:
+        """Write one id per line; an id that :meth:`from_file` would read back changed raises.
+
+        Raises:
+            ParameterError: naming the first id that is empty, holds a line
+                break, or starts or ends with whitespace; no file is written.
+        """
+        ids = self.ordered if self.ordered else sorted(self.ids)
+        for cid in ids:
+            if not cid or cid != cid.strip() or "\n" in cid or "\r" in cid:
+                raise ParameterError(
+                    f"cache id {cid!r} cannot be written to a manifest: ids are read back one"
+                    " per line, stripped of whitespace"
+                )
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
-            for cid in self.ordered if self.ordered else sorted(self.ids):
+            for cid in ids:
                 handle.write(cid + "\n")
 
     def __contains__(self, content_id: object) -> bool:

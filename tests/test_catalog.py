@@ -138,6 +138,24 @@ def _outcome(load, *paths):
         return exc
 
 
+def _traced(build, *args):
+    """``build(*args)``, with the bytes it keeps and its peak as tracemalloc counts them."""
+    tracemalloc.start()
+    try:
+        result = build(*args)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return result, kept, peak
+
+
+def _loader_weight_map(catalog):
+    """An id -> weight map as the loader builds one: presized, one float per content."""
+    weights = dict.fromkeys(catalog._related)
+    weights.update(zip(catalog._related, catalog._weights.tolist()))
+    return weights
+
+
 def stream_dumps_related(catalog):
     """The canonical related-lists form written record by record to a stream."""
     out = io.StringIO()
@@ -186,7 +204,7 @@ class TestCatalog:
     def test_leaves_follow_first_reference_order(self):
         cat = Catalog({"a": ["z", "b"], "b": ["y", "z", "a"]}, {"p": 1.0, "a": 2.0})
         assert list(cat._related) == ["a", "b", "z", "y", "p"]
-        assert list(cat._popularity) == ["a", "b", "z", "y", "p"]
+        assert cat._weights.tolist() == [2.0, 0.0, 0.0, 0.0, 1.0]
 
     def test_rejects_negative_weight(self):
         for weight in (-1.0, math.nan, math.inf, -math.inf):
@@ -258,7 +276,7 @@ class TestFromArrays:
         cat = Catalog.from_arrays(*arrays)
         assert cat == _mapping_form(*arrays)
         assert all(key is cid for key, cid in zip(cat._related, ids, strict=True))
-        assert list(cat._popularity) == ids
+        assert cat._weights.tolist() == weights.tolist()
         for cid, row in zip(ids, lists.tolist()):
             assert all(entry is ids[x] for entry, x in zip(cat.related_list(cid), row, strict=True))
 
@@ -304,6 +322,16 @@ class TestFromArrays:
             lists = lists.astype(np.float64)
         with pytest.raises(ParameterError):
             Catalog.from_arrays(ids, lists, weights)
+
+    def test_keeps_a_copy_of_its_weights(self):
+        weights = np.array([1.0, 2.0])
+        cat = Catalog.from_arrays(["a", "b"], np.zeros((2, 0), np.int32), weights)
+        weights[0] = 5.0
+        assert cat.popularity_of("a") == 1.0
+        assert top_popular(cat, 1).ids == ("b",)
+        assert not cat._weights.flags.writeable
+        with pytest.raises(ValueError):
+            cat._weights[0] = 5.0
 
 
 class TestRelatedQueries:
@@ -360,17 +388,29 @@ class TestTopPopular:
 
     @settings(max_examples=100, deadline=None)
     @given(
-        st.lists(st.sampled_from([0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=30),
+        st.lists(st.sampled_from([0.0, -0.0, 0.5, 1.0, 2.0]), min_size=1, max_size=30),
         st.integers(1, 40),
     )
+    @example([0.0, -0.0, 0.0, -0.0, 0.0], 2)
+    @example([1.0, 0.5, 1.0, 2.0, 1.0, 0.5], 3)
     def test_equals_full_sort(self, weights, count):
-        # Few distinct weights, zeros included, so most ranks are ties; ids
-        # are inserted in descending order so ties must be broken by id.
-        cat = Catalog({}, {f"c{99 - i:02d}": w for i, w in enumerate(weights)})
-        ranked = sorted(cat.ids(), key=lambda c: (-cat.popularity_of(c), c))
-        region = top_popular(cat, count)
-        assert region.ids == tuple(ranked[:count])
-        assert region.truncated == (count > len(weights))
+        # Few distinct weights, zeros of both signs included, so most ranks
+        # are ties, many across the cut; ids are inserted in descending
+        # order so ties must be broken by id.  The loaded catalog keys its
+        # contents in id order, the other two in descending order.
+        ids = [f"c{99 - i:02d}" for i in range(len(weights))]
+        mapped = Catalog({}, dict(zip(ids, weights)))
+        arrays = Catalog.from_arrays(ids, np.zeros((len(ids), 0), np.int32), np.array(weights))
+        with tempfile.TemporaryDirectory() as tmp:
+            rel, pop = Path(tmp) / "rel.jsonl", Path(tmp) / "pop.csv"
+            save_dataset(mapped, str(rel), str(pop))
+            loaded = load_dataset(str(rel), str(pop))
+        by_id = dict(zip(ids, weights))
+        ranked = sorted(ids, key=lambda c: (-by_id[c], c))
+        for cat in (mapped, arrays, loaded):
+            region = top_popular(cat, count)
+            assert region.ids == tuple(ranked[:count])
+            assert region.truncated == (count > len(weights))
 
     def test_oversized_request_truncates_with_flag(self):
         cat = Catalog({"a": [], "b": []}, {"a": 2.0, "b": 1.0})
@@ -516,8 +556,8 @@ class TestDatasetFiles:
         else:
             assert got == want
             assert list(got._related.items()) == list(want._related.items())
-            assert list(got._popularity.items()) == list(want._popularity.items())
-            occurrences = [*got._related, *got._popularity]
+            assert got._weights.tolist() == want._weights.tolist()
+            occurrences = [*got._related]
             occurrences += [x for lst in got._related.values() for x in lst]
             assert len({id(x) for x in occurrences}) == len(got)
 
@@ -543,19 +583,29 @@ class TestDatasetFiles:
 
     def test_load_holds_one_mapping(self, tmp_path):
         # The catalog keeps the loader's mapping and reads the weights
-        # straight into its own map.  Copying the mapping and parsing the
-        # weights into a dict of the file's own id strings first held
-        # about half the catalog again on top of it; loading holds 3%.
+        # straight into a map keyed by its ids.  Copying the mapping and
+        # parsing the weights into a dict of the file's own id strings first
+        # held about half the catalog again on top of it.  The bound is on
+        # what the mapping and an id -> weight map hold, as the catalog did
+        # before it kept its weights in an array, so that the smaller
+        # catalog admits no larger peak.
         rel, pop = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
         save_dataset(generate_synthetic(3000, 20, 0.9, 3), str(rel), str(pop))
-        tracemalloc.start()
-        try:
-            loaded = load_dataset(str(rel), str(pop))
-            kept, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        loaded, _, peak = _traced(load_dataset, str(rel), str(pop))
+        _, mapping, _ = _traced(load_related_file, str(rel))
+        _, weight_map, _ = _traced(_loader_weight_map, loaded)
         assert len(loaded) == 3000
-        assert peak - kept < kept // 8
+        held = mapping + weight_map
+        assert peak - held < held // 8
+
+    def test_weights_cost_under_16_bytes_a_content(self, tmp_path):
+        # One float64 a content; a map of the ids to weights costs about 58.
+        rel, pop = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
+        save_dataset(generate_synthetic(3000, 20, 0.9, 3), str(rel), str(pop))
+        loaded, kept, _ = _traced(load_dataset, str(rel), str(pop))
+        _, mapping, _ = _traced(load_related_file, str(rel))
+        assert len(loaded) == 3000
+        assert kept - mapping < 16 * 3000
 
     def test_catalog_keeps_the_loaders_tuples(self, tmp_path):
         path = tmp_path / "rel.jsonl"

@@ -310,6 +310,35 @@ def test_optimize_writes_manifest_and_trajectory(tmp_path):
     assert values == sorted(values)
 
 
+def test_run_rejects_a_repeated_config_key(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(
+        '{"seed": 1, "seed": 2, "catalog_kind": "synthetic", "catalog_size": 300, '
+        '"catalog_out_degree": 10, "catalog_overlap": 0.8, "front_page_size": 10, '
+        '"recommender": "baseline", "cache_capacity": 1, "demand": "uniform", '
+        '"session_length": 2}',
+        encoding="utf-8",
+    )
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: config repeats key 'seed'\n"
+    assert not out.exists()
+
+
+# Ids are read back one per line, stripped, so optimize refuses to write
+# a manifest that recommend --cache-file would read as another cache.
+def test_optimize_refuses_a_manifest_that_reads_back_changed(tmp_path, capsys):
+    related, weights = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
+    related.write_text('{"id":" s","related":["a"]}\n', encoding="utf-8")
+    weights.write_text('id,weight\n" s",2\na,1\n', encoding="utf-8")
+    manifest = tmp_path / "cache.txt"
+    argv = ["optimize", "--related-file", str(related), "--popularity-file", str(weights),
+            "--method", "top", "--capacity", "1", "--manifest-out", str(manifest)]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: cache id ' s' cannot be written")
+    assert not manifest.exists()
+
+
 def test_eval_iv_outputs(tmp_path, capsys):
     code = main(
         [

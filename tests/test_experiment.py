@@ -360,6 +360,15 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             load_config(str(path))
 
+    # json keeps the last of a repeated key, so the run would take seed 2
+    # without a word.
+    def test_load_config_rejects_a_repeated_key(self, tmp_path):
+        path = tmp_path / "c.json"
+        rest = {key: value for key, value in tiny_mapping().items() if key != "seed"}
+        path.write_text('{"seed": 1, "seed": 2, ' + json.dumps(rest)[1:], encoding="utf-8")
+        with pytest.raises(ConfigError, match="^config repeats key 'seed'$"):
+            load_config(str(path))
+
 
 class TestSeedDerivation:
     def test_frozen_values(self):

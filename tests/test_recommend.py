@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import re
 import tracemalloc
 import types
 from pathlib import Path
@@ -57,6 +58,13 @@ class TestCacheManifest:
         again = CacheManifest.from_file(str(path))
         assert again.ids == manifest.ids
         assert again.ordered == ("b", "a")
+
+    @pytest.mark.parametrize("bad", [" a", "b\n", "c ", "d\re", "\t", ""])
+    def test_an_id_that_reads_back_changed_is_not_written(self, tmp_path, bad):
+        path = tmp_path / "cache.txt"
+        with pytest.raises(ParameterError, match=f"^cache id {re.escape(repr(bad))} cannot"):
+            CacheManifest.from_ids(["ok", bad, " z"]).to_file(str(path))
+        assert not path.exists()
 
 
 class TestRecommend:
