@@ -271,11 +271,18 @@ class PopularityRegion:
     """The most popular contents of a region, most popular first.
 
     ``truncated`` is set when more contents were requested than the catalog
-    holds.
+    holds.  An id that appears twice raises ``ParameterError``.
     """
 
     ids: tuple[ContentId, ...]
     truncated: bool = False
+
+    def __post_init__(self) -> None:
+        seen: set[ContentId] = set()
+        for cid in self.ids:
+            if cid in seen:
+                raise ParameterError(f"region repeats content {cid!r}")
+            seen.add(cid)
 
     def __len__(self) -> int:
         return len(self.ids)

@@ -138,8 +138,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     catalog = _load_catalog(args)
     oracle = RelationOracle(catalog, args.w_max)
     front = top_popular(catalog, args.front_page)
-    kind, alpha = parse_demand(args.demand)
-    dist = position_probs(kind, alpha, args.count)
+    dist = position_probs(*parse_demand(args.demand), args.count)
     spec = ObjectiveSpec.build(
         front.ids, args.count, dist, BfsParams(args.depth, args.width), oracle
     )

@@ -43,6 +43,7 @@ its seed.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from functools import cache, reduce
@@ -75,12 +76,31 @@ def ordered_sum(values: Iterable[float]) -> float:
 
 @dataclass(frozen=True)
 class PositionDistribution:
-    """Selection probabilities over recommendation-list positions."""
+    """Selection probabilities over recommendation-list positions.
+
+    ``probs`` holds ``n >= 1`` finite, non-negative probabilities that sum
+    to 1 within 1e-9, the first of them positive, since every truncation
+    renormalizes a prefix; any other law raises ``ParameterError``.
+    ``kind`` and ``alpha`` only name the law.
+    """
 
     kind: str
     alpha: float
     n: int
     probs: tuple[float, ...]
+
+    def __post_init__(self) -> None:
+        if self.n < 1 or len(self.probs) != self.n:
+            raise ParameterError(
+                f"position law needs n >= 1 probabilities, got n={self.n} "
+                f"and {len(self.probs)}"
+            )
+        if not all(math.isfinite(p) and p >= 0 for p in self.probs):
+            raise ParameterError(f"position probabilities must be finite and >= 0: {self.probs}")
+        if abs(math.fsum(self.probs) - 1.0) > 1e-9:
+            raise ParameterError(f"position probabilities must sum to 1: {self.probs}")
+        if self.probs[0] == 0:
+            raise ParameterError(f"position 1 must have a positive probability: {self.probs}")
 
     def truncated(self, length: int) -> tuple[float, ...]:
         """The first ``length`` probabilities, renormalized to sum to 1."""
@@ -113,8 +133,8 @@ def position_probs(kind: str, alpha: float = 0.0, n: int = 1) -> PositionDistrib
     if kind == "uniform":
         return PositionDistribution("uniform", 0.0, n, (1.0 / n,) * n)
     if kind == "zipf":
-        if alpha < 0:
-            raise ParameterError(f"zipf alpha must be >= 0, got {alpha}")
+        if not (math.isfinite(alpha) and alpha >= 0):
+            raise ParameterError(f"zipf alpha must be finite and >= 0, got {alpha}")
         weights = [_zipf_weight(i, alpha) for i in range(1, n + 1)]
         total = ordered_sum(weights)
         return PositionDistribution("zipf", alpha, n, tuple(w / total for w in weights))
@@ -212,7 +232,7 @@ class TransitionTable:
         run = self._runs.get(dist)
         if run is None:
             ids = self.front_page.ids
-            states = np.array(self._numbers(sorted(set(ids))), dtype=np.intp)
+            states = np.array(self._numbers(sorted(ids)), dtype=np.intp)
             run = self._runs[dist] = _Propagation(states, np.full(len(states), 1.0 / len(ids)))
         while len(run.rates) < length - 1:
             self._step(law, run)

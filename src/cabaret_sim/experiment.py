@@ -2,14 +2,19 @@
 
 A configuration is a flat JSON object.  Its keys are the fields of
 :class:`ExperimentConfig`: each field declares its key's type, default,
-allowed range and meaning once, and :data:`SCHEMA` reads those rows to
-drive parsing, validation, defaults, the CLI's shared defaults and the
-``config.json`` echo.  Sweep keys (``recommender``, ``cache_capacity``,
-``demand``, ``session_length``) may hold either a scalar or a non-empty
-array; the experiment runs one scenario cell per element of their cross
-product, in that key order.  All other keys are scalars.  A key that only
-the other catalog kind reads (``catalog_size`` in a ``files`` config, say)
-is rejected.
+allowed range and meaning once, and a catalog key's field the catalog
+kind that reads it and whether that kind requires it.  :data:`SCHEMA`
+reads those rows to drive parsing, validation, defaults, the CLI's shared
+defaults and the ``config.json`` echo.  Sweep keys (``recommender``,
+``cache_capacity``, ``demand``, ``session_length``) may hold either a
+scalar or a non-empty array; the experiment runs one scenario cell per
+element of their cross product, in that key order.  All other keys are
+scalars.  A key that only the other catalog kind reads (``catalog_size``
+in a ``files`` config, say) is rejected, and the one rule across keys is
+``catalog_size > catalog_out_degree``.  The fixed columns of
+``results.csv`` and ``failures.csv`` are declared once as well, each with
+the type :func:`read_results_csv` parses; result rows, failure rows and
+the reader all follow that declaration.
 
 Each demand's caches are prefixes of one selection order: the popularity
 ranking under ``top``, and under ``greedy`` the picks of one solve at the
@@ -59,7 +64,7 @@ import math
 import time
 from dataclasses import dataclass, field, fields
 from pathlib import Path
-from typing import Any, Callable, Mapping
+from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -68,7 +73,6 @@ from .catalog import (
 )
 from .csvio import write_csv
 from .demand import (
-    PositionDistribution,
     TransitionTable,
     exact_hit_rates,  # noqa: F401  (kept bound for bench/tracing.py)
     position_probs,
@@ -113,11 +117,6 @@ def parse_demand(label: str) -> tuple[str, float]:
     )
 
 
-def _demand_dist(label: str, list_size: int) -> PositionDistribution:
-    kind, alpha = parse_demand(label)
-    return position_probs(kind, alpha, list_size)
-
-
 REQUIRED = object()  # default of a key every config must set
 
 
@@ -127,10 +126,13 @@ class ConfigKey:
 
     ``kind`` is ``int``, ``float`` (which takes ints too) or ``str``; a bool
     is never a number.  ``low`` and ``high`` bound numbers inclusively,
-    ``choices`` restricts strings and ``check`` validates further.  A key
-    whose default is ``None`` is optional and is left out of the
-    ``config.json`` echo while unset.  ``field`` names the config field,
-    which differs from the key only for the four sweeps.
+    ``choices`` restricts strings and ``check(name, value)`` validates
+    further.  A key whose default is ``None`` is optional, reads ``null``
+    as unset, and is left out of the ``config.json`` echo while unset.
+    ``catalog`` names the one catalog kind that reads the key: a config of
+    the other kind must leave it unset, and one of that kind must set it
+    when ``needed``.  ``field`` names the config field, which differs from
+    the key only for the four sweeps.
     """
 
     name: str
@@ -141,8 +143,10 @@ class ConfigKey:
     low: float | None = None
     high: float | None = None
     choices: tuple[str, ...] = ()
-    check: Callable[[Any], Any] | None = None
+    check: Callable[[str, Any], Any] | None = None
     sweep: bool = False
+    catalog: str | None = None
+    needed: bool = False
 
     def describe(self) -> str:
         if self.choices:
@@ -169,13 +173,18 @@ class ConfigKey:
         if not ok:
             raise ConfigError(f"{self.name} must be {self.describe()}, got {value!r}")
         if self.check is not None:
-            self.check(value)
+            self.check(self.name, value)
         return value
 
 
 def _key(kind: type, default: Any, doc: str, **row: Any) -> Any:
     """A config field whose metadata is its schema row (``name`` defaults to the field's)."""
     return field(metadata={"kind": kind, "default": default, "doc": doc, **row})
+
+
+def _is_file(name: str, path: str) -> None:
+    if not Path(path).is_file():
+        raise ConfigError(f"{name} does not exist: {path}")
 
 
 @dataclass(frozen=True)
@@ -192,17 +201,23 @@ class ExperimentConfig:
         str, "synthetic", "generate the catalog or load it from files",
         choices=("synthetic", "files"),
     )
-    catalog_size: int | None = _key(int, None, "synthetic: number of contents", low=1)
-    catalog_out_degree: int | None = _key(int, None, "synthetic: related-list length", low=1)
+    catalog_size: int | None = _key(
+        int, None, "number of contents", low=1, catalog="synthetic", needed=True
+    )
+    catalog_out_degree: int | None = _key(
+        int, None, "related-list length", low=1, catalog="synthetic", needed=True
+    )
     catalog_overlap: float | None = _key(
-        float, None, "synthetic: depth-overlap target", low=0, high=1
+        float, None, "depth-overlap target", low=0, high=1, catalog="synthetic", needed=True
     )
     catalog_seed: int | None = _key(
-        int, None, "synthetic: generator seed (derived from seed when unset)", low=0
+        int, None, "generator seed (derived from seed when unset)", low=0, catalog="synthetic"
     )
-    catalog_related_file: str | None = _key(str, None, "files: JSON-lines related lists path")
+    catalog_related_file: str | None = _key(
+        str, None, "JSON-lines related lists path", check=_is_file, catalog="files", needed=True
+    )
     catalog_popularity_file: str | None = _key(
-        str, None, "files: id,weight CSV path (optional)"
+        str, None, "id,weight CSV path", check=_is_file, catalog="files"
     )
     w_max: int = _key(int, DEFAULT_W_MAX, "per-query related-list cap", low=1)
     front_page_size: int = _key(int, 50, "entry-page size", low=1)
@@ -219,7 +234,7 @@ class ExperimentConfig:
     )
     demands: tuple[str, ...] = _key(
         str, REQUIRED, "position bias: 'uniform' or 'zipf:<alpha>'",
-        check=parse_demand, sweep=True, name="demand",
+        check=lambda _, label: parse_demand(label), sweep=True, name="demand",
     )
     session_lengths: tuple[int, ...] = _key(
         int, REQUIRED, "requests per session K", low=2, sweep=True, name="session_length"
@@ -243,21 +258,23 @@ SCHEMA = tuple(
     for f in fields(ExperimentConfig)
 )
 
-#: Keys that only one catalog kind reads; a config of the other kind rejects them.
-_KIND_KEYS = {
-    "synthetic": ("catalog_size", "catalog_out_degree", "catalog_overlap", "catalog_seed"),
-    "files": ("catalog_related_file", "catalog_popularity_file"),
-}
 
-
-def _parse_key(key: ConfigKey, raw: Mapping[str, Any]) -> Any:
-    if key.name not in raw:
+def _parse_key(key: ConfigKey, raw: Mapping[str, Any], catalog: str | None) -> Any:
+    """``key``'s value in ``raw``, in a config of catalog kind ``catalog``."""
+    value = raw.get(key.name)
+    unset = key.name not in raw or (value is None and key.default is None)
+    if key.catalog not in (None, catalog):
+        if not unset:
+            raise ConfigError(
+                f"{key.name} is a {key.catalog} catalog key, but catalog_kind is {catalog!r}"
+            )
+        return None
+    if unset:
         if key.default is REQUIRED:
             raise ConfigError(f"config must set {key.name!r}")
+        if key.needed:
+            raise ConfigError(f"{catalog} catalog requires {key.name!r}")
         return key.default
-    value = raw[key.name]
-    if value is None and key.default is None:
-        return None
     if not key.sweep:
         return key.validate(value)
     values = value if isinstance(value, list) else [value]
@@ -271,31 +288,17 @@ def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
     unknown = set(raw) - {key.name for key in SCHEMA}
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    values = {key.field: _parse_key(key, raw) for key in SCHEMA}
-    if values["catalog_kind"] == "synthetic":
-        for name in ("catalog_size", "catalog_out_degree", "catalog_overlap"):
-            if values[name] is None:
-                raise ConfigError(f"synthetic catalog requires {name!r}")
-        if values["catalog_size"] <= values["catalog_out_degree"]:
-            raise ConfigError(
-                f"catalog_size ({values['catalog_size']}) must exceed "
-                f"catalog_out_degree ({values['catalog_out_degree']})"
-            )
-    else:
-        if values["catalog_related_file"] is None:
-            raise ConfigError("files catalog requires 'catalog_related_file'")
-        for name in ("catalog_related_file", "catalog_popularity_file"):
-            path = values[name]
-            if path is not None and not Path(path).is_file():
-                raise ConfigError(f"{name} does not exist: {path}")
-    for kind, names in _KIND_KEYS.items():
-        for name in names:
-            if kind != values["catalog_kind"] and values[name] is not None:
-                raise ConfigError(
-                    f"{name} is a {kind} catalog key, but catalog_kind is "
-                    f"{values['catalog_kind']!r}"
-                )
-    return ExperimentConfig(**values)
+    values: dict[str, Any] = {}
+    for key in SCHEMA:
+        # catalog_kind's row comes before every row of one kind.
+        values[key.field] = _parse_key(key, raw, values.get("catalog_kind"))
+    config = ExperimentConfig(**values)
+    if config.catalog_kind == "synthetic" and config.catalog_size <= config.catalog_out_degree:
+        raise ConfigError(
+            f"catalog_size ({config.catalog_size}) must exceed "
+            f"catalog_out_degree ({config.catalog_out_degree})"
+        )
+    return config
 
 
 def load_config(path: str) -> ExperimentConfig:
@@ -399,7 +402,9 @@ class _Runner:
             self.ranking[: config.front_page_size],
             truncated=config.front_page_size > len(self.catalog),
         )
-        self.dists = {d: _demand_dist(d, config.list_size) for d in config.demands}
+        self.dists = {
+            d: position_probs(*parse_demand(d), config.list_size) for d in config.demands
+        }
         # Every table of the run numbers states alike, so baseline and
         # reordered rows are the provider's rows, flagged per cache.
         self.states = StateNumbers()
@@ -490,43 +495,35 @@ class _Runner:
         else:
             rng = np.random.Generator(np.random.PCG64(derive_cell_seed(config.seed, cell)))
             report = ChrReport.from_hits(table.sample(dist, length, config.sessions, rng))
-        row: dict[str, Any] = {
-            **_coordinates(config, cell),
-            "evaluator": report.mode,
-            "sessions": report.sessions,
-            "chr": report.chr,
-            "chr_se": report.se,
-        }
-        for k, rate in report.per_step_rows():
-            row[f"hit_rate_k{k}"] = rate
+        row = _row(
+            _RESULT_COLUMNS, config, cell, report.mode, report.sessions, report.chr, report.se
+        )
+        row.update((_PER_STEP.format(k), rate) for k, rate in report.per_step_rows())
         return row
 
 
-_CELL_COLUMNS = ("recommender", "cache_policy", "cache_capacity", "demand", "k")
+#: The fixed columns of ``results.csv``, each with the type
+#: :func:`read_results_csv` parses: the cell's coordinates, which
+#: ``failures.csv`` leads with too, then its hit ratio.  One float column
+#: per step 2..K of the longest session follows them.
+_CELL_COLUMNS = dict(recommender=str, cache_policy=str, cache_capacity=int, demand=str, k=int)
+_RESULT_COLUMNS = dict(_CELL_COLUMNS, evaluator=str, sessions=int, chr=float, chr_se=float)
+_PER_STEP = "hit_rate_k{}"
 FAILURE_COLUMNS = [*_CELL_COLUMNS, "error", "message"]
 
 
-def _coordinates(config: ExperimentConfig, cell: CellSpec) -> dict[str, Any]:
-    """The leading columns shared by result and failure rows."""
-    return {
-        "recommender": cell.recommender,
-        "cache_policy": config.cache_policy,
-        "cache_capacity": cell.capacity,
-        "demand": cell.demand,
-        "k": cell.session_length,
-    }
+def _row(
+    columns: Iterable[str], config: ExperimentConfig, cell: CellSpec, *values: Any
+) -> dict[str, Any]:
+    """The row of ``columns``: ``cell``'s coordinates, then ``values``."""
+    coordinates = (
+        cell.recommender, config.cache_policy, cell.capacity, cell.demand, cell.session_length
+    )
+    return dict(zip(columns, (*coordinates, *values), strict=True))
 
 
 def results_columns(config: ExperimentConfig) -> list[str]:
-    max_k = max(config.session_lengths)
-    return [
-        *_CELL_COLUMNS,
-        "evaluator",
-        "sessions",
-        "chr",
-        "chr_se",
-        *(f"hit_rate_k{k}" for k in range(2, max_k + 1)),
-    ]
+    return [*_RESULT_COLUMNS, *map(_PER_STEP.format, range(2, max(config.session_lengths) + 1))]
 
 
 def _write_csv(path: Path, columns: list[str], rows: list[dict[str, Any]]) -> None:
@@ -534,25 +531,15 @@ def _write_csv(path: Path, columns: list[str], rows: list[dict[str, Any]]) -> No
         write_csv(handle, columns, ([row.get(col) for col in columns] for row in rows))
 
 
-_INT_COLUMNS = {"cache_capacity", "k", "sessions"}
-_FLOAT_COLUMNS_PREFIX = ("chr", "hit_rate_k")
-
-
-def _parse_field(column: str, field: str) -> Any:
-    if column in _INT_COLUMNS:
-        return int(field)
-    if column.startswith(_FLOAT_COLUMNS_PREFIX):
-        return float(field)
-    return field
-
-
 def read_results_csv(path: str | Path) -> list[dict[str, Any]]:
     """Load a ``results.csv`` back into typed row mappings (lossless)."""
     with open(path, newline="", encoding="utf-8") as handle:
         reader = csv.reader(handle)
         columns = next(reader)
+        # A column that is not declared is a per-step rate.
+        kinds = [_RESULT_COLUMNS.get(col, float) for col in columns]
         return [
-            {col: _parse_field(col, field) for col, field in zip(columns, record) if field}
+            {col: kind(field) for col, kind, field in zip(columns, kinds, record) if field}
             for record in reader
         ]
 
@@ -574,11 +561,8 @@ def run_experiment(
         try:
             rows.append(runner.evaluate(cell))
         except Exception as exc:
-            failures.append({
-                **_coordinates(config, cell),
-                "error": type(exc).__name__,
-                "message": str(exc).replace("\n", " "),
-            })
+            message = str(exc).replace("\n", " ")
+            failures.append(_row(FAILURE_COLUMNS, config, cell, type(exc).__name__, message))
     result = ExperimentResult(
         rows=rows,
         failures=failures,

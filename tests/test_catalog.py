@@ -14,6 +14,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from cabaret_sim.catalog import (
     Catalog,
+    PopularityRegion,
     RelationOracle,
     dumps_popularity,
     dumps_related,
@@ -411,6 +412,15 @@ class TestTopPopular:
             region = top_popular(cat, count)
             assert region.ids == tuple(ranked[:count])
             assert region.truncated == (count > len(weights))
+
+    def test_a_region_refuses_a_repeated_id(self):
+        # The exact evaluator counted a repeated front-page id once and the
+        # sampler twice: on (a, a, b) they read 0.267 and 0.399.
+        with pytest.raises(ParameterError, match="region repeats content 'a'"):
+            PopularityRegion(("a", "a"))
+        with pytest.raises(ParameterError, match="'b'"):
+            PopularityRegion(("b", "a", "c", "b"))
+        assert PopularityRegion(("b", "a")).ids == ("b", "a")
 
     def test_oversized_request_truncates_with_flag(self):
         cat = Catalog({"a": [], "b": []}, {"a": 2.0, "b": 1.0})

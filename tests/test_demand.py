@@ -61,6 +61,37 @@ class TestPositionProbs:
         with pytest.raises(ParameterError):
             position_probs("zipf", -0.5, 4)
 
+    @pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+    def test_non_finite_alpha_rejected(self, alpha):
+        # A NaN alpha gave NaN probabilities, so NaN exact rates and a
+        # sampled chr of 1.0.
+        with pytest.raises(ParameterError, match="alpha"):
+            position_probs("zipf", alpha, 3)
+
+    @pytest.mark.parametrize(
+        "n, probs",
+        [
+            # Sums to 3: exact rates read 1.0 where sampling read 0.28.
+            (3, (1.0, 1.0, 1.0)),
+            (3, (0.6, 0.4)),
+            (2, (0.5, 0.5, 0.0)),
+            (2, (1.5, -0.5)),
+            (2, (math.nan, 0.5)),
+            (2, (math.inf, 0.0)),
+            (2, (0.5, 0.5 - 1e-8)),
+            # A list of one entry would renormalize 0.0 by itself.
+            (2, (0.0, 1.0)),
+            (0, ()),
+        ],
+    )
+    def test_malformed_law_rejected(self, n, probs):
+        with pytest.raises(ParameterError, match="position"):
+            PositionDistribution("uniform", 0.0, n, probs)
+
+    def test_law_within_rounding_of_one_accepted(self):
+        probs = (0.5, 0.5 - 1e-10)
+        assert PositionDistribution("custom", 0.0, 2, probs).probs == probs
+
     def test_bad_kind_and_n(self):
         with pytest.raises(ParameterError):
             position_probs("pareto", 1.0, 4)
@@ -263,7 +294,10 @@ def markov_scenarios(draw):
         | st.lists(st.sampled_from(every), unique=True).map(tuple)
     )
     cache = CacheManifest.from_ids(cached)
-    front = PopularityRegion(tuple(draw(st.lists(st.sampled_from(every), min_size=1, max_size=6))))
+    # A front page never repeats an id: PopularityRegion refuses one.
+    front = PopularityRegion(
+        tuple(draw(st.lists(st.sampled_from(every), min_size=1, max_size=6, unique=True)))
+    )
     # Lists may be longer or shorter than the law.  Laws of 9 and more
     # positions tell an in-order sum from numpy's pairwise one.
     count = draw(st.integers(1, 12))

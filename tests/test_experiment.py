@@ -23,6 +23,7 @@ import cabaret_sim.demand as demand_module
 import cabaret_sim.recommend as recommend_module
 from cabaret_sim import experiment
 from cabaret_sim.catalog import Catalog, RelationOracle, save_dataset
+from cabaret_sim.demand import position_probs
 from cabaret_sim.errors import ConfigError
 from cabaret_sim.experiment import (
     REQUIRED,
@@ -34,6 +35,7 @@ from cabaret_sim.experiment import (
     derive_cell_seed,
     iter_cells,
     load_config,
+    parse_demand,
     read_results_csv,
     run_experiment,
 )
@@ -146,15 +148,16 @@ def malformed(key):
     return bad
 
 
-#: The keys that only one catalog kind reads, and those it requires.
-KIND_KEYS = {
-    "synthetic": ("catalog_size", "catalog_out_degree", "catalog_overlap", "catalog_seed"),
-    "files": ("catalog_related_file", "catalog_popularity_file"),
-}
-KIND_REQUIRES = {
-    "synthetic": ("catalog_size", "catalog_out_degree", "catalog_overlap"),
-    "files": ("catalog_related_file",),
-}
+#: The catalog kinds; each catalog key's row names the one that reads it.
+CATALOG_KINDS = next(key for key in SCHEMA if key.name == "catalog_kind").choices
+
+
+def kind_mapping(kind, related):
+    """tiny_mapping() as a config of catalog ``kind``, reading ``related`` if it is files."""
+    unset = {key.name: None for key in SCHEMA if key.catalog not in (None, kind)}
+    if kind == "synthetic":
+        return {**tiny_mapping(), **unset}
+    return {**tiny_mapping(catalog_kind=kind, catalog_related_file=str(related)), **unset}
 
 
 def valid(key):
@@ -176,13 +179,12 @@ def valid(key):
 @st.composite
 def valid_mappings(draw):
     """A valid flat config: any subset of optional keys, one catalog kind."""
-    kind = draw(st.sampled_from(sorted(KIND_KEYS)))
-    other = {name for k, names in KIND_KEYS.items() if k != kind for name in names}
+    kind = draw(st.sampled_from(CATALOG_KINDS))
     mapping = {}
     for key in SCHEMA:
-        if key.name in other:
+        if key.catalog not in (None, kind):
             continue
-        required = key.default is REQUIRED or key.name in KIND_REQUIRES[kind]
+        required = key.default is REQUIRED or key.needed
         if required or draw(st.booleans()):
             mapping[key.name] = draw(valid(key))
     mapping["catalog_kind"] = kind
@@ -312,32 +314,41 @@ class TestConfigValidation:
                 )
             )
 
+    def test_catalog_rows_name_a_kind(self):
+        assert CATALOG_KINDS == ("synthetic", "files")
+        assert {key.catalog for key in SCHEMA} == {None, *CATALOG_KINDS}
+        assert {key.catalog for key in SCHEMA if key.needed} == set(CATALOG_KINDS)
+
     @pytest.mark.parametrize(
-        "owner, key, value",
-        [
-            ("synthetic", "catalog_size", 10),
-            ("synthetic", "catalog_out_degree", 5),
-            ("synthetic", "catalog_overlap", 0.5),
-            ("synthetic", "catalog_seed", 3),
-            ("files", "catalog_related_file", "missing.jsonl"),
-            ("files", "catalog_popularity_file", "missing.csv"),
-        ],
+        "key", [key for key in SCHEMA if key.catalog], ids=lambda key: key.name
     )
-    def test_key_of_the_other_catalog_kind_is_rejected(self, tmp_path, owner, key, value):
+    def test_key_of_the_other_catalog_kind_is_rejected(self, tmp_path, key):
         # Each kind reads only its own keys: one set for the other kind would
-        # be echoed in config.json as if it had been used.
+        # be echoed in config.json as if it had been used.  The value is one
+        # the key's own kind accepts.
         related = tmp_path / "rel.jsonl"
         related.touch()
-        mapping = tiny_mapping()
-        if owner == "synthetic":
-            mapping.update(
-                catalog_kind="files", catalog_related_file=str(related),
-                catalog_size=None, catalog_out_degree=None, catalog_overlap=None,
-            )
-        else:
-            value = str(tmp_path / value)
-        with pytest.raises(ConfigError, match=f"^{key} is a {owner} catalog key"):
-            config_from_mapping({**mapping, key: value})
+        own = kind_mapping(key.catalog, related)
+        if own.get(key.name) is None:
+            own[key.name] = str(related) if key.kind is str else key.low
+        config_from_mapping(own)
+        other = next(kind for kind in CATALOG_KINDS if kind != key.catalog)
+        with pytest.raises(ConfigError, match=f"^{key.name} is a {key.catalog} catalog key"):
+            config_from_mapping({**kind_mapping(other, related), key.name: own[key.name]})
+
+    @pytest.mark.parametrize(
+        "key", [key for key in SCHEMA if key.needed], ids=lambda key: key.name
+    )
+    def test_unset_required_catalog_key_names_its_kind(self, tmp_path, key):
+        related = tmp_path / "rel.jsonl"
+        related.touch()
+        mapping = kind_mapping(key.catalog, related)
+        match = f"^{key.catalog} catalog requires '{key.name}'$"
+        with pytest.raises(ConfigError, match=match):
+            config_from_mapping({**mapping, key.name: None})
+        del mapping[key.name]
+        with pytest.raises(ConfigError, match=match):
+            config_from_mapping(mapping)
 
     def test_synthetic_requires_generator_params(self):
         mapping = tiny_mapping()
@@ -459,7 +470,7 @@ class TestRunExperiment:
                     cell.session_length, int(start), [u[m] for u in uniforms],
                     runner.front_page,
                     oracle_recommender(runner, cell.recommender, cell.capacity, cell.demand),
-                    experiment._demand_dist(cell.demand, config.list_size),
+                    position_probs(*parse_demand(cell.demand), config.list_size),
                     runner.placement(cell.capacity, cell.demand),
                 )
                 for m, start in enumerate(starts)
@@ -1194,14 +1205,26 @@ class TestRunExperiment:
         for a, b in zip(synth.rows, from_files.rows):
             assert a["chr"] == b["chr"]
 
-    def test_results_csv_round_trips_losslessly(self, tiny_config, tmp_path):
-        result = run_experiment(tiny_config, out_dir=tmp_path)
-        loaded = read_results_csv(tmp_path / "results.csv")
-        stripped = [
-            {key: value for key, value in row.items() if value is not None}
-            for row in result.rows
-        ]
-        assert loaded == stripped
+    def test_results_csv_round_trips_losslessly(self, tmp_path):
+        # Auto, sampled, and one session per cell, which leaves chr_se blank.
+        for name, over in (
+            ("auto", {}), ("sampled", {"evaluator": "sampled"}),
+            ("one", {"evaluator": "sampled", "sessions": 1}),
+        ):
+            config = config_from_mapping(tiny_mapping(**over))
+            result = run_experiment(config, out_dir=tmp_path / name)
+            loaded = read_results_csv(tmp_path / name / "results.csv")
+            stripped = [
+                {key: value for key, value in row.items() if value is not None}
+                for row in result.rows
+            ]
+            assert loaded == stripped
+            # Every column reads back as its declared type; the undeclared
+            # ones are the per-step rates.
+            for row in loaded:
+                for column, value in row.items():
+                    assert type(value) is experiment._RESULT_COLUMNS.get(column, float)
+            assert all(("chr_se" in row) == (name != "one") for row in loaded if row["k"] > 2)
 
     def test_results_csv_shape(self, tiny_config, tmp_path):
         run_experiment(tiny_config, out_dir=tmp_path)
