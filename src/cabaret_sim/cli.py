@@ -10,10 +10,9 @@ Subcommands::
     eval-iv    depth-overlap report over the most popular contents
     run        execute an experiment config; write results/failures CSV
 
-Every subcommand that needs a catalog accepts either dataset files
-(``--related-file``/``--popularity-file``) or synthetic-generator
-parameters (``--synthetic-size``/``--synthetic-out-degree``/
-``--synthetic-overlap``/``--catalog-seed``), not both.
+Every subcommand that needs a catalog reads it from dataset files: a
+required ``--related-file`` and an optional ``--popularity-file``.  A
+synthetic catalog is written to such files by ``generate`` first.
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import argparse
 import sys
 from typing import Any, Iterable, Sequence
 
-from .catalog import Catalog, RelationOracle, load_dataset, save_dataset, top_popular
+from .catalog import RelationOracle, load_dataset, save_dataset, top_popular
 from .csvio import write_csv
 from .errors import SimulatorError
 from .experiment import SCHEMA, load_config, parse_demand, run_experiment
@@ -37,55 +36,14 @@ from .version import SCHEMA_VERSION, __version__
 #: Options that mirror a config key take its default.
 _DEFAULT = {key.name: key.default for key in SCHEMA}
 
-#: The generator's defaults, read by ``generate`` and the ``--synthetic-*`` options.
-DEFAULT_OUT_DEGREE = 50
-DEFAULT_OVERLAP = 0.9
-
-#: The synthetic-catalog options, in order; none of them may join ``--related-file``.
-_SYNTHETIC_OPTIONS = (
-    "--synthetic-size", "--synthetic-out-degree", "--synthetic-overlap", "--catalog-seed",
-)
-
 
 def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("catalog source")
-    group.add_argument("--related-file", help="JSON-lines related-lists file")
+    group.add_argument("--related-file", required=True, help="JSON-lines related-lists file")
     group.add_argument("--popularity-file", help="id,weight CSV file")
-    group.add_argument("--synthetic-size", type=int, help="synthetic catalog size")
-    group.add_argument(
-        "--synthetic-out-degree", type=int,
-        help=f"related-list length (default {DEFAULT_OUT_DEGREE})",
-    )
-    group.add_argument(
-        "--synthetic-overlap", type=float,
-        help=f"depth-overlap target (default {DEFAULT_OVERLAP})",
-    )
-    group.add_argument("--catalog-seed", type=int, help="generator seed (default 0)")
     group.add_argument(
         "--w-max", type=int, default=_DEFAULT["w_max"], help="per-query related-list cap"
     )
-
-
-def _or(value: Any, default: Any) -> Any:
-    return default if value is None else value
-
-
-def _load_catalog(args: argparse.Namespace) -> Catalog:
-    if args.related_file is not None:
-        for option in _SYNTHETIC_OPTIONS:
-            if getattr(args, option[2:].replace("-", "_")) is not None:
-                raise SimulatorError(f"{option} cannot be given with --related-file")
-        return load_dataset(args.related_file, args.popularity_file)
-    if args.popularity_file is not None:
-        raise SimulatorError("--popularity-file needs --related-file")
-    if args.synthetic_size is not None:
-        return generate_synthetic(
-            args.synthetic_size,
-            _or(args.synthetic_out_degree, DEFAULT_OUT_DEGREE),
-            _or(args.synthetic_overlap, DEFAULT_OVERLAP),
-            _or(args.catalog_seed, 0),
-        )
-    raise SimulatorError("give --related-file or --synthetic-size")
 
 
 def _emit(
@@ -107,7 +65,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    oracle = RelationOracle(_load_catalog(args), args.w_max)
+    oracle = RelationOracle(load_dataset(args.related_file, args.popularity_file), args.w_max)
     result = bfs(args.seed_id, BfsParams(args.depth, args.width), oracle)
     rows = enumerate(zip(result.entries, result.depths), start=1)
     _emit(args.out, ("rank", "id", "depth"), ((rank, *entry) for rank, entry in rows))
@@ -115,7 +73,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    oracle = RelationOracle(_load_catalog(args), args.w_max)
+    oracle = RelationOracle(load_dataset(args.related_file, args.popularity_file), args.w_max)
     cache = CacheManifest.from_file(args.cache_file)
     # The runner's row builder, whose union of caches is this one cache.
     states = StateNumbers()
@@ -135,7 +93,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args)
+    catalog = load_dataset(args.related_file, args.popularity_file)
     oracle = RelationOracle(catalog, args.w_max)
     front = top_popular(catalog, args.front_page)
     dist = position_probs(*parse_demand(args.demand), args.count)
@@ -161,7 +119,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_eval_iv(args: argparse.Namespace) -> int:
-    catalog = _load_catalog(args)
+    catalog = load_dataset(args.related_file, args.popularity_file)
     oracle = RelationOracle(catalog, args.w_max)
     seeds = top_popular(catalog, args.top)
     report = eval_iv(seeds, args.width, oracle)
@@ -196,8 +154,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("generate", help="write a synthetic catalog")
     p.add_argument("--size", type=int, required=True)
-    p.add_argument("--out-degree", type=int, default=DEFAULT_OUT_DEGREE)
-    p.add_argument("--overlap", type=float, default=DEFAULT_OVERLAP)
+    p.add_argument("--out-degree", type=int, default=50)
+    p.add_argument("--overlap", type=float, default=0.9)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--related-out", required=True)
     p.add_argument("--popularity-out", required=True)

@@ -210,7 +210,6 @@ class TransitionTable:
     def rows(self, states: list[int]) -> Rows:
         """The rows of ``states``, building those not built yet."""
         at = np.array(states, dtype=np.intp)
-        self._reserve()
         self._load(at)
         return self._width[at], self._cached[at], self._next[at]
 
@@ -232,7 +231,7 @@ class TransitionTable:
         run = self._runs.get(dist)
         if run is None:
             ids = self.front_page.ids
-            states = np.array(self._numbers(sorted(ids)), dtype=np.intp)
+            states = np.array(self.states.numbers(sorted(ids)), dtype=np.intp)
             run = self._runs[dist] = _Propagation(states, np.full(len(states), 1.0 / len(ids)))
         while len(run.rates) < length - 1:
             self._step(law, run)
@@ -277,7 +276,7 @@ class TransitionTable:
         law = self._law(dist)
         sessions, steps = uniforms.shape
         hits = np.zeros((sessions, steps), dtype=bool)
-        front = np.array(self._numbers(list(self.front_page.ids)), dtype=np.intp)
+        front = np.array(self.states.numbers(list(self.front_page.ids)), dtype=np.intp)
         state = front[starts]
         live = np.arange(sessions)
         for j in range(steps):
@@ -298,23 +297,21 @@ class TransitionTable:
         return _law_arrays(dist)
 
     def _load(self, states: np.ndarray) -> None:
-        """Build the rows of ``states`` not built yet, in sorted-id order."""
+        """Build the rows of ``states`` not built yet, in sorted-id order.
+
+        Every read of the row store follows a load of the states it reads,
+        so the store grows here only.
+        """
+        self._reserve()
         fresh = states[self._width[states] < 0]
         if not len(fresh):
             return
         fresh = fresh[np.argsort(self.states.rank[fresh])].tolist()
         # The only call that can raise; nothing has changed before it.
         width, cached, entries = self._rows(fresh)
-        self._reserve()
         self._width[fresh] = width
         self._cached[fresh] = cached
         self._next[fresh] = entries
-
-    def _numbers(self, contents: list[ContentId]) -> list[int]:
-        """The state numbers of ``contents``, with a row slot for each."""
-        numbers = self.states.numbers(contents)
-        self._reserve()
-        return numbers
 
     def _reserve(self) -> None:
         """Grow the row store to cover every numbered state."""

@@ -407,11 +407,13 @@ class _Runner:
         }
         # Every table of the run numbers states alike, so baseline and
         # reordered rows are the provider's rows, flagged per cache.
+        # The row source closes over the oracle, not the runner, so that no
+        # cycle keeps a finished run alive until the cycle collector runs.
         self.states = StateNumbers()
-        n, no_cache = config.list_size, CacheManifest(frozenset(), 1)
+        n, no_cache, oracle = config.list_size, CacheManifest(frozenset(), 1), self.oracle
         self.provider = TransitionTable.from_recommender(
             self.front_page,
-            lambda v: baseline_recommender(v, n, self.oracle, no_cache),
+            lambda v: baseline_recommender(v, n, oracle, no_cache),
             n,
             self.states,
         )

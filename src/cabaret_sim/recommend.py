@@ -73,7 +73,8 @@ class CacheManifest:
     @classmethod
     def from_file(cls, path: str) -> "CacheManifest":
         """Read a manifest from a text file holding one content id per line."""
-        with open(path, encoding="utf-8") as handle, utf8_errors(path, DatasetFormatError):
+        # utf-8-sig drops a byte-order mark, which would otherwise lead the first id.
+        with open(path, encoding="utf-8-sig") as handle, utf8_errors(path, DatasetFormatError):
             ids = [line.strip() for line in handle if line.strip()]
         return cls.from_ids(ids)
 
@@ -82,14 +83,15 @@ class CacheManifest:
 
         Raises:
             ParameterError: naming the first id that is empty, holds a line
-                break, or starts or ends with whitespace; no file is written.
+                break, starts or ends with whitespace, or starts with a
+                byte-order mark; no file is written.
         """
         ids = self.ordered if self.ordered else sorted(self.ids)
         for cid in ids:
-            if not cid or cid != cid.strip() or "\n" in cid or "\r" in cid:
+            if not cid or cid != cid.strip() or "\n" in cid or "\r" in cid or cid[0] == "\ufeff":
                 raise ParameterError(
                     f"cache id {cid!r} cannot be written to a manifest: ids are read back one"
-                    " per line, stripped of whitespace"
+                    " per line, stripped of whitespace and of a leading byte-order mark"
                 )
         with open(path, "w", encoding="utf-8", newline="\n") as handle:
             for cid in ids:

@@ -30,6 +30,15 @@ def dataset(tmp_path):
     return related, weights
 
 
+def _generate(tmp_path, size, out_degree, overlap, seed):
+    """Write ``generate``'s catalog files into ``tmp_path``; the related and popularity paths."""
+    related, weights = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
+    assert main(["generate", "--size", str(size), "--out-degree", str(out_degree),
+                 "--overlap", str(overlap), "--seed", str(seed),
+                 "--related-out", str(related), "--popularity-out", str(weights)]) == 0
+    return related, weights
+
+
 def test_version(capsys):
     with pytest.raises(SystemExit) as exit_info:
         main(["--version"])
@@ -42,7 +51,8 @@ def test_version(capsys):
 def test_option_defaults_are_the_config_defaults():
     default = {key.name: key.default for key in SCHEMA}
     args = build_parser().parse_args(
-        ["optimize", "--method", "top", "--capacity", "1", "--manifest-out", "m.txt"]
+        ["optimize", "--related-file", "rel.jsonl", "--method", "top", "--capacity", "1",
+         "--manifest-out", "m.txt"]
     )
     assert (args.w_max, args.count, args.depth, args.width, args.front_page) == (
         default["w_max"], default["list_size"], default["bfs_depth"],
@@ -50,81 +60,34 @@ def test_option_defaults_are_the_config_defaults():
     )
 
 
-def test_generate_and_synthetic_options_share_the_generator_defaults(tmp_path, capsys):
-    # The same catalog, generated to files with generate's defaults and
-    # in memory with the --synthetic-* defaults, explores the same.
-    related, weights = tmp_path / "rel.jsonl", tmp_path / "pop.csv"
-    assert main(["generate", "--size", "300", "--seed", "0", "--related-out", str(related),
-                 "--popularity-out", str(weights)]) == 0
-    seed = load_dataset(str(related), str(weights)).ids()[0]
-    explore = ["explore", "--seed-id", seed, "--depth", "2", "--width", "60"]
-    assert main([*explore, "--related-file", str(related)]) == 0
-    from_files = capsys.readouterr().out
-    assert main([*explore, "--synthetic-size", "300"]) == 0
-    assert capsys.readouterr().out == from_files
-    assert from_files.count("\n") > 60
-
-
-@pytest.mark.parametrize("extra, named", [
-    (["--synthetic-size", "10", "--synthetic-overlap", "5"], "--synthetic-size"),
-    (["--synthetic-overlap", "0.5", "--synthetic-out-degree", "3"], "--synthetic-out-degree"),
-    (["--catalog-seed", "0"], "--catalog-seed"),
-])
-def test_synthetic_options_next_to_a_related_file_are_rejected(dataset, capsys, extra, named):
-    related, _ = dataset
-    argv = ["explore", "--related-file", str(related), *extra,
-            "--seed-id", "s", "--depth", "1", "--width", "2"]
-    assert main(argv) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"error: {named} cannot be given with --related-file\n"
-
-
-@pytest.mark.parametrize("extra", [
-    ["--synthetic-size", "60"], ["--synthetic-size", "0"], [],
-], ids=["synthetic", "synthetic-size-0", "alone"])
-def test_popularity_file_without_a_related_file_is_rejected(dataset, capsys, extra):
+def test_popularity_file_without_a_related_file_is_rejected(dataset, capsys):
     _, weights = dataset
-    argv = ["explore", *extra, "--popularity-file", str(weights),
+    argv = ["explore", "--popularity-file", str(weights),
             "--seed-id", "v00", "--depth", "1", "--width", "2"]
-    assert main(argv) == 1
-    assert capsys.readouterr().err == "error: --popularity-file needs --related-file\n"
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: --related-file" in capsys.readouterr().err
 
 
-def test_synthetic_size_zero_reports_the_generator_error(capsys):
-    argv = ["explore", "--synthetic-size", "0", "--seed-id", "v00", "--depth", "1", "--width", "2"]
+def test_generate_size_zero_reports_the_generator_error(tmp_path, capsys):
+    argv = ["generate", "--size", "0", "--seed", "0",
+            "--related-out", str(tmp_path / "rel.jsonl"),
+            "--popularity-out", str(tmp_path / "pop.csv")]
     assert main(argv) == 1
     assert capsys.readouterr().err.startswith("error: size must be at least out_degree + 1")
 
 
-@pytest.mark.parametrize("command", [
-    ["generate", "--size", "100", "--seed", "-1"],
-    ["explore", "--synthetic-size", "100", "--catalog-seed", "-1",
-     "--seed-id", "v00", "--depth", "1", "--width", "2"],
-])
-def test_negative_seed_reports_the_generator_error(tmp_path, capsys, command):
-    if command[0] == "generate":
-        command = [*command, "--related-out", str(tmp_path / "rel.jsonl"),
-                   "--popularity-out", str(tmp_path / "pop.csv")]
+def test_negative_seed_reports_the_generator_error(tmp_path, capsys):
+    command = ["generate", "--size", "100", "--seed", "-1",
+               "--related-out", str(tmp_path / "rel.jsonl"),
+               "--popularity-out", str(tmp_path / "pop.csv")]
     assert main(command) == 1
     assert capsys.readouterr().err == "error: seed must be an integer >= 0, got -1\n"
 
 
 def test_generate_matches_api(tmp_path):
-    related = tmp_path / "rel.jsonl"
-    weights = tmp_path / "pop.csv"
-    code = main(
-        [
-            "generate",
-            "--size", "300",
-            "--out-degree", "10",
-            "--overlap", "0.8",
-            "--seed", "5",
-            "--related-out", str(related),
-            "--popularity-out", str(weights),
-        ]
-    )
-    assert code == 0
+    related, weights = _generate(tmp_path, 300, 10, 0.8, 5)
     assert load_dataset(str(related), str(weights)) == generate_synthetic(300, 10, 0.8, 5)
 
 
@@ -191,6 +154,19 @@ def test_recommend_csv(dataset, tmp_path):
     assert lines[2] == "2,f,true"
     assert lines[3] == "3,a,false"
     assert len(lines) == 7
+
+
+def test_recommend_reads_a_cache_file_saved_with_a_byte_order_mark(dataset, tmp_path, capsys):
+    related, _ = dataset
+    outputs = []
+    for encoding in ("utf-8", "utf-8-sig"):
+        cache = tmp_path / f"{encoding}.txt"
+        cache.write_text("d\nf\n", encoding=encoding)
+        argv = ["recommend", "--related-file", str(related), "--seed-id", "s", "-N", "3",
+                "--depth", "1", "--width", "12", "--cache-file", str(cache)]
+        assert main(argv) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[1] == outputs[0] == "rank,id,cached\n1,d,true\n2,f,true\n3,a,false\n"
 
 
 def test_recommend_zero_count_reports_error(dataset, tmp_path, capsys):
@@ -280,15 +256,14 @@ def test_unknown_seed_id_reports_error(dataset, capsys):
 
 
 def test_optimize_writes_manifest_and_trajectory(tmp_path):
+    related, weights = _generate(tmp_path, 300, 10, 0.8, 5)
     manifest = tmp_path / "cache.txt"
     trajectory = tmp_path / "traj.csv"
     code = main(
         [
             "optimize",
-            "--synthetic-size", "300",
-            "--synthetic-out-degree", "10",
-            "--synthetic-overlap", "0.8",
-            "--catalog-seed", "5",
+            "--related-file", str(related),
+            "--popularity-file", str(weights),
             "--method", "greedy",
             "--capacity", "4",
             "-N", "5",
@@ -340,13 +315,13 @@ def test_optimize_refuses_a_manifest_that_reads_back_changed(tmp_path, capsys):
 
 
 def test_eval_iv_outputs(tmp_path, capsys):
+    related, weights = _generate(tmp_path, 1000, 50, 0.9, 7)
+    capsys.readouterr()
     code = main(
         [
             "eval-iv",
-            "--synthetic-size", "1000",
-            "--synthetic-out-degree", "50",
-            "--synthetic-overlap", "0.9",
-            "--catalog-seed", "7",
+            "--related-file", str(related),
+            "--popularity-file", str(weights),
             "--width", "50",
             "--top", "50",
             "--per-seed-out", str(tmp_path / "seeds.csv"),
@@ -392,10 +367,36 @@ def test_run_subcommand(tmp_path, capsys):
     assert json.loads((out_dir / "config.json").read_text())["seed"] == 11
 
 
+# Each command's own required options, besides the catalog files.
+CATALOG_COMMANDS = {
+    "explore": ["--seed-id", "x", "--depth", "1", "--width", "1"],
+    "recommend": ["--seed-id", "x", "-N", "1", "--depth", "1", "--width", "1",
+                  "--cache-file", "c.txt"],
+    "optimize": ["--method", "top", "--capacity", "1", "--manifest-out", "m.txt"],
+    "eval-iv": ["--width", "1"],
+}
+
+
+@pytest.mark.parametrize("command", CATALOG_COMMANDS)
+def test_catalog_commands_read_files_only(capsys, command):
+    argv = [command, *CATALOG_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exit_info:
+        main(argv)
+    assert exit_info.value.code == 2
+    assert "the following arguments are required: --related-file" in capsys.readouterr().err
+    for option in ("--synthetic-size", "--synthetic-out-degree", "--synthetic-overlap",
+                   "--catalog-seed"):
+        with pytest.raises(SystemExit) as exit_info:
+            main([*argv, "--related-file", "rel.jsonl", option, "1"])
+        assert exit_info.value.code == 2
+        assert f"unrecognized arguments: {option} 1" in capsys.readouterr().err
+
+
 def test_missing_catalog_source_errors(capsys):
-    code = main(["explore", "--seed-id", "x", "--depth", "1", "--width", "1"])
-    assert code == 1
-    assert "related-file" in capsys.readouterr().err
+    with pytest.raises(SystemExit) as exit_info:
+        main(["explore", "--seed-id", "x", "--depth", "1", "--width", "1"])
+    assert exit_info.value.code == 2
+    assert "--related-file" in capsys.readouterr().err
 
 
 NOT_UTF8 = b'{"id":"s","related":["\xff"]}\n'

@@ -3,6 +3,7 @@ from __future__ import annotations
 import csv
 import dataclasses
 import functools
+import gc
 import hashlib
 import importlib.util
 import json
@@ -13,11 +14,13 @@ import subprocess
 import sys
 import tempfile
 import types
+import weakref
 from pathlib import Path
+from unittest.mock import patch
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import cabaret_sim.demand as demand_module
 import cabaret_sim.recommend as recommend_module
@@ -84,6 +87,18 @@ def bench_workloads() -> types.ModuleType:
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     return workloads
+
+
+@functools.lru_cache(maxsize=None)
+def bench_run() -> types.ModuleType:
+    """``bench/run.py``: its ``build_reference`` and the independent ``reference`` it imports."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "run.py"
+    spec = importlib.util.spec_from_file_location("bench_run", path)
+    run = importlib.util.module_from_spec(spec)
+    # run.py puts bench/ on sys.path to import its siblings; keep that local.
+    with patch.object(sys, "path", list(sys.path)):
+        spec.loader.exec_module(run)
+    return run
 
 
 @functools.lru_cache(maxsize=None)
@@ -1242,6 +1257,86 @@ class TestRunExperiment:
         assert len(lines) == 1 + 24
         config_echo = json.loads((tmp_path / "config.json").read_text())
         assert config_echo["seed"] == 42
+
+
+@st.composite
+def reference_configs(draw):
+    """Small synthetic exact configs on which ``reference.check_rows`` is valid.
+
+    The cells are exact and ``w_max`` is the default, the reference's
+    ``W_MAX``.  Width and out-degree are at least ``N``: only there do
+    the provider and cabaret lists all hold ``N`` entries, so that the
+    check's chain ``baseline <= reordered <= cabaret`` holds.  Every draw runs ``K = 2``,
+    which the chain and the ``hit_rate_k2`` check read.
+    """
+    n = draw(st.integers(1, 10))
+    out_degree = draw(st.integers(n, 12))
+    return {
+        "seed": draw(st.integers(0, 2**32 - 1)),
+        "catalog_kind": "synthetic",
+        "catalog_size": draw(st.integers(out_degree + 1, 400)),
+        "catalog_out_degree": out_degree,
+        "catalog_overlap": draw(st.floats(0.0, 1.0)),
+        "front_page_size": draw(st.integers(1, 20)),
+        "recommender": ["baseline", "reordered", "cabaret"],
+        "bfs_depth": draw(st.integers(1, 3)),
+        "bfs_width": draw(st.integers(n, 12)),
+        "list_size": n,
+        "cache_policy": draw(st.sampled_from(["top", "greedy"])),
+        "cache_capacity": draw(st.lists(st.integers(1, 60), min_size=1, max_size=3, unique=True)),
+        "demand": draw(st.lists(
+            st.sampled_from(["uniform", "zipf:0.5", "zipf:1"]), min_size=1, max_size=2, unique=True
+        )),
+        "session_length": sorted({2, draw(st.integers(2, 5))}),
+        "evaluator": "exact",
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(mapping=reference_configs())
+# A small draw whose K = 3 rates change if the top-up is taken from the tail
+# of the exploration instead of its head.
+@example(mapping={
+    "seed": 0, "catalog_kind": "synthetic", "catalog_size": 4, "catalog_out_degree": 2,
+    "catalog_overlap": 0.0, "front_page_size": 1,
+    "recommender": ["baseline", "reordered", "cabaret"], "bfs_depth": 1, "bfs_width": 2,
+    "list_size": 1, "cache_policy": "top", "cache_capacity": [1], "demand": ["uniform"],
+    "session_length": [2, 3], "evaluator": "exact",
+})
+def test_exact_results_equal_the_independent_reference(mapping):
+    # bench/reference.py recomputes every cell and imports nothing from the
+    # program; bench/run.py gives it the run's catalog and caches.
+    run = bench_run()
+    with tempfile.TemporaryDirectory() as out:
+        result = run_experiment(config_from_mapping(mapping), out_dir=out)
+        rows = run.read_rows(Path(out) / "results.csv")
+    assert result.failures == []
+    with patch.object(sys, "path", list(sys.path)):
+        ref, caches = run.build_reference(mapping, None)
+    assert run.reference.check_rows(rows, ref, caches, 1) == ({}, [])
+
+
+def test_a_finished_run_frees_itself(tiny_config, monkeypatch):
+    # With the cycle collector off, only reference counts free the runner:
+    # a cycle through it would keep every table of the run alive.
+    runners = []
+
+    class Watched(experiment._Runner):
+        def __init__(self, config):
+            super().__init__(config)
+            runners.append(weakref.ref(self))
+
+    monkeypatch.setattr(experiment, "_Runner", Watched)
+    config = dataclasses.replace(tiny_config, cache_policy="greedy")
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        result = run_experiment(config)
+        assert result.failures == [] and len(runners) == 1
+        assert runners[0]() is None
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def test_bench_tracer_finds_every_name_it_rebinds():

@@ -59,7 +59,12 @@ class TestCacheManifest:
         assert again.ids == manifest.ids
         assert again.ordered == ("b", "a")
 
-    @pytest.mark.parametrize("bad", [" a", "b\n", "c ", "d\re", "\t", ""])
+    def test_a_byte_order_mark_does_not_lead_the_first_id(self, tmp_path):
+        path = tmp_path / "cache.txt"
+        path.write_bytes("\ufeffb\na\n".encode("utf-8"))
+        assert CacheManifest.from_file(str(path)).ordered == ("b", "a")
+
+    @pytest.mark.parametrize("bad", [" a", "b\n", "c ", "d\re", "\t", "", "\ufeffe"])
     def test_an_id_that_reads_back_changed_is_not_written(self, tmp_path, bad):
         path = tmp_path / "cache.txt"
         with pytest.raises(ParameterError, match=f"^cache id {re.escape(repr(bad))} cannot"):
