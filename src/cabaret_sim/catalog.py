@@ -3,7 +3,8 @@
 A catalog maps every content id to an ordered list of related content ids
 (the provider's recommendation order) and to a non-negative popularity
 weight.  Catalogs are immutable after construction and safe to share across
-threads.
+threads.  A :class:`RelationOracle` query returns at most :data:`W_MAX`
+entries of a list, the provider API's page size.
 
 ``Catalog(related, popularity)`` builds a catalog from mappings and
 checks every rule.  ``Catalog.from_arrays(ids, lists, weights)`` builds one
@@ -63,8 +64,8 @@ from .errors import (
 
 ContentId = str
 
-#: Per-query cap on related-list length mirroring the provider API limit.
-DEFAULT_W_MAX = 50
+#: Entries one related-list query returns at most: the provider API's page size.
+W_MAX = 50
 
 # Rows that ``Catalog.from_arrays`` checks and converts at a time.
 _BLOCK = 256
@@ -291,21 +292,18 @@ class PopularityRegion:
 class RelationOracle:
     """Read-only query surface over a catalog's ordered related lists.
 
-    Every query returns a prefix of the stored list, capped at ``w_max``
-    entries per query (the provider API limit).  Identical queries always
-    return identical lists.
+    Every query returns a prefix of the stored list, capped at
+    :data:`W_MAX` entries (the provider API's page size).  Identical
+    queries always return identical lists.
     """
 
-    __slots__ = ("catalog", "w_max")
+    __slots__ = ("catalog",)
 
-    def __init__(self, catalog: Catalog, w_max: int = DEFAULT_W_MAX):
-        if w_max < 1:
-            raise ParameterError(f"w_max must be >= 1, got {w_max}")
+    def __init__(self, catalog: Catalog):
         self.catalog = catalog
-        self.w_max = w_max
 
     def related(self, content_id: ContentId, width: int) -> tuple[ContentId, ...]:
-        """First ``min(width, w_max, len)`` related ids of ``content_id``.
+        """First ``min(width, W_MAX, len)`` related ids of ``content_id``.
 
         Raises:
             UnknownContentError: if the id is not in the catalog.
@@ -313,7 +311,7 @@ class RelationOracle:
         """
         if width < 1:
             raise ParameterError(f"width must be >= 1, got {width}")
-        return self.catalog.related_list(content_id)[: min(width, self.w_max)]
+        return self.catalog.related_list(content_id)[: min(width, W_MAX)]
 
 
 def top_popular(catalog: Catalog, count: int) -> PopularityRegion:

@@ -41,9 +41,6 @@ def _add_catalog_options(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("catalog source")
     group.add_argument("--related-file", required=True, help="JSON-lines related-lists file")
     group.add_argument("--popularity-file", help="id,weight CSV file")
-    group.add_argument(
-        "--w-max", type=int, default=_DEFAULT["w_max"], help="per-query related-list cap"
-    )
 
 
 def _emit(
@@ -65,7 +62,7 @@ def _cmd_generate(args: argparse.Namespace) -> int:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    oracle = RelationOracle(load_dataset(args.related_file, args.popularity_file), args.w_max)
+    oracle = RelationOracle(load_dataset(args.related_file, args.popularity_file))
     result = bfs(args.seed_id, BfsParams(args.depth, args.width), oracle)
     rows = enumerate(zip(result.entries, result.depths), start=1)
     _emit(args.out, ("rank", "id", "depth"), ((rank, *entry) for rank, entry in rows))
@@ -73,7 +70,7 @@ def _cmd_explore(args: argparse.Namespace) -> int:
 
 
 def _cmd_recommend(args: argparse.Namespace) -> int:
-    oracle = RelationOracle(load_dataset(args.related_file, args.popularity_file), args.w_max)
+    oracle = RelationOracle(load_dataset(args.related_file, args.popularity_file))
     cache = CacheManifest.from_file(args.cache_file)
     # The runner's row builder, whose union of caches is this one cache.
     states = StateNumbers()
@@ -94,7 +91,7 @@ def _cmd_recommend(args: argparse.Namespace) -> int:
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
     catalog = load_dataset(args.related_file, args.popularity_file)
-    oracle = RelationOracle(catalog, args.w_max)
+    oracle = RelationOracle(catalog)
     front = top_popular(catalog, args.front_page)
     dist = position_probs(*parse_demand(args.demand), args.count)
     spec = ObjectiveSpec.build(
@@ -120,7 +117,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_eval_iv(args: argparse.Namespace) -> int:
     catalog = load_dataset(args.related_file, args.popularity_file)
-    oracle = RelationOracle(catalog, args.w_max)
+    oracle = RelationOracle(catalog)
     seeds = top_popular(catalog, args.top)
     report = eval_iv(seeds, args.width, oracle)
     _emit(args.out, ("metric", "value"), report.summary_rows())

@@ -57,6 +57,7 @@ byte-identical ``results.csv``.
 
 from __future__ import annotations
 
+import copy
 import csv
 import hashlib
 import json
@@ -68,9 +69,7 @@ from typing import Any, Callable, Iterable, Mapping
 
 import numpy as np
 
-from .catalog import (
-    DEFAULT_W_MAX, Catalog, PopularityRegion, RelationOracle, load_dataset, top_popular,
-)
+from .catalog import Catalog, PopularityRegion, RelationOracle, load_dataset, top_popular
 from .csvio import write_csv
 from .demand import (
     TransitionTable,
@@ -219,7 +218,6 @@ class ExperimentConfig:
     catalog_popularity_file: str | None = _key(
         str, None, "id,weight CSV path", check=_is_file, catalog="files"
     )
-    w_max: int = _key(int, DEFAULT_W_MAX, "per-query related-list cap", low=1)
     front_page_size: int = _key(int, 50, "entry-page size", low=1)
     recommenders: tuple[str, ...] = _key(
         str, REQUIRED, "recommenders to compare",
@@ -280,7 +278,11 @@ def _parse_key(key: ConfigKey, raw: Mapping[str, Any], catalog: str | None) -> A
     values = value if isinstance(value, list) else [value]
     if not values:
         raise ConfigError(f"sweep {key.name!r} must be non-empty")
-    return tuple(key.validate(v) for v in values)
+    swept = tuple(key.validate(v) for v in values)
+    for i, v in enumerate(swept):
+        if v in swept[:i]:
+            raise ConfigError(f"sweep {key.name!r} repeats {v!r}")
+    return swept
 
 
 def config_from_mapping(raw: Mapping[str, Any]) -> ExperimentConfig:
@@ -391,7 +393,7 @@ class _Runner:
     def __init__(self, config: ExperimentConfig):
         self.config = config
         self.catalog = build_catalog(config)
-        self.oracle = RelationOracle(self.catalog, config.w_max)
+        self.oracle = RelationOracle(self.catalog)
         self.params = BfsParams(config.bfs_depth, config.bfs_width)
         # One popularity ranking serves the front page and every top placement.
         ranked = config.front_page_size
@@ -421,7 +423,8 @@ class _Runner:
         # largest capacity, and exact once per capacity and demand.  Every
         # order is solved before the first cell, so that the candidate store
         # indexes every cache.  A solve that raises keeps its exception, and
-        # each cell that needs the order raises it again.  The first solve
+        # each cell that needs the order raises a copy of it: a kept
+        # traceback would hold the runner's frames.  The first solve
         # builds the front page's objective spec, every solve re-prices it
         # under its demand, and it is dropped once every order is solved.
         self._orders: dict[tuple[int, str], tuple[str, ...] | Exception] = {}
@@ -465,13 +468,13 @@ class _Runner:
             solve = greedy_placement if policy == "greedy" else exact_placement
             return solve(self._spec.under(dist), capacity).chosen
         except Exception as exc:
-            return exc
+            return exc.with_traceback(None)
 
     def placement(self, capacity: int, demand: str) -> CacheManifest:
         """The first ``capacity`` contents of ``demand``'s selection order."""
         order = self._orders[self._solved_at(capacity), demand]
         if isinstance(order, Exception):
-            raise order
+            raise copy.copy(order)
         return CacheManifest.from_ids(order[:capacity], capacity)
 
     def table(self, kind: str, capacity: int, demand: str) -> TransitionTable:

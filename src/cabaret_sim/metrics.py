@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .catalog import ContentId, PopularityRegion, RelationOracle
+from .catalog import W_MAX, ContentId, PopularityRegion, RelationOracle
 from .demand import Session, ordered_sum
 from .errors import ParameterError, UndefinedMetricError
 
@@ -63,7 +63,8 @@ def eval_iv(
     list; the two-hop set is the union of the raw width-limited related
     lists of those neighbors; the overlap is the fraction of direct
     neighbors contained in the two-hop set (0 when there are no direct
-    neighbors).
+    neighbors).  The report's width is the one each query reads,
+    ``min(width, W_MAX)``.
     """
     if not seeds.ids:
         raise ParameterError("no seeds given")
@@ -83,7 +84,7 @@ def eval_iv(
         per_seed=tuple(per_seed),
         median=_lower_median(values),
         mean=ordered_sum(values) / len(values),
-        width=width,
+        width=min(width, W_MAX),
         seed_count=len(per_seed),
     )
 

@@ -63,8 +63,8 @@ class CountingOracle(RelationOracle):
 
     __slots__ = ("queries",)
 
-    def __init__(self, catalog, w_max=50):
-        super().__init__(catalog, w_max)
+    def __init__(self, catalog):
+        super().__init__(catalog)
         self.queries = 0
 
     def related(self, content_id, width):

@@ -362,7 +362,7 @@ class TestRelatedQueries:
 
     def test_queries_are_prefix_consistent(self, rng):
         cat = random_catalog(rng, 30, 8)
-        oracle = RelationOracle(cat, w_max=6)
+        oracle = RelationOracle(cat)
         for cid in cat.ids():
             for w1 in range(1, 9):
                 for w2 in range(w1, 9):

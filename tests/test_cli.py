@@ -54,9 +54,9 @@ def test_option_defaults_are_the_config_defaults():
         ["optimize", "--related-file", "rel.jsonl", "--method", "top", "--capacity", "1",
          "--manifest-out", "m.txt"]
     )
-    assert (args.w_max, args.count, args.depth, args.width, args.front_page) == (
-        default["w_max"], default["list_size"], default["bfs_depth"],
-        default["bfs_width"], default["front_page_size"],
+    assert (args.count, args.depth, args.width, args.front_page) == (
+        default["list_size"], default["bfs_depth"], default["bfs_width"],
+        default["front_page_size"],
     )
 
 
@@ -337,6 +337,20 @@ def test_eval_iv_outputs(tmp_path, capsys):
     assert len(seed_lines) == 51
 
 
+def test_eval_iv_reports_the_width_it_read(tmp_path, capsys):
+    # A query reads at most W_MAX = 50 entries: --width 60 reads, and now
+    # reports, what --width 50 does.
+    related, weights = _generate(tmp_path, 1000, 60, 0.8, 5)
+    outputs = []
+    for width in ("60", "50"):
+        capsys.readouterr()
+        assert main(["eval-iv", "--related-file", str(related), "--popularity-file",
+                     str(weights), "--width", width, "--top", "10"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1]
+    assert "width,50" in outputs[0].splitlines()
+
+
 def test_run_subcommand(tmp_path, capsys):
     config = {
         "seed": 11,
@@ -385,7 +399,7 @@ def test_catalog_commands_read_files_only(capsys, command):
     assert exit_info.value.code == 2
     assert "the following arguments are required: --related-file" in capsys.readouterr().err
     for option in ("--synthetic-size", "--synthetic-out-degree", "--synthetic-overlap",
-                   "--catalog-seed"):
+                   "--catalog-seed", "--w-max"):
         with pytest.raises(SystemExit) as exit_info:
             main([*argv, "--related-file", "rel.jsonl", option, "1"])
         assert exit_info.value.code == 2

@@ -188,7 +188,7 @@ def valid(key):
     else:
         # The free-form strings are paths, which must name a file.
         one = st.just(__file__)
-    return (one | st.lists(one, min_size=1, max_size=3)) if key.sweep else one
+    return (one | st.lists(one, min_size=1, max_size=3, unique=True)) if key.sweep else one
 
 
 @st.composite
@@ -237,10 +237,10 @@ class TestConfigValidation:
 
     def test_defaults_fill_unset_keys(self):
         mapping = tiny_mapping()
-        for name in ("w_max", "bfs_depth", "list_size", "sessions", "evaluator"):
+        for name in ("bfs_depth", "list_size", "sessions", "evaluator"):
             mapping.pop(name, None)
         config = config_from_mapping(mapping)
-        assert (config.w_max, config.bfs_depth, config.list_size) == (50, 2, 20)
+        assert (config.bfs_depth, config.list_size) == (2, 20)
         assert (config.sessions, config.evaluator) == (1000, "auto")
         assert "catalog_seed" not in config.to_mapping()
 
@@ -257,7 +257,6 @@ class TestConfigValidation:
             ("list_size", 0),
             ("bfs_depth", 0),
             ("bfs_width", -1),
-            ("w_max", 0),
             ("seed", True),
             ("cache_capacity", [True]),
             ("sessions", True),
@@ -292,9 +291,25 @@ class TestConfigValidation:
         with pytest.raises(ConfigError):
             config_from_mapping(mapping)
 
+    @pytest.mark.parametrize("key, values", [
+        ("recommender", ["cabaret", "baseline", "cabaret"]),
+        ("cache_capacity", [5, 5]),
+        ("demand", ["zipf:1", "uniform", "zipf:1"]),
+        ("session_length", [2, 3, 2]),
+    ])
+    def test_repeated_sweep_value_names_the_key_and_the_value(self, key, values):
+        # A repeat would run the same cells again and write their rows twice.
+        with pytest.raises(ConfigError, match=re.escape(f"sweep {key!r} repeats {values[0]!r}")):
+            config_from_mapping(tiny_mapping(**{key: values}))
+
+    def test_demand_labels_that_differ_as_strings_are_distinct(self):
+        config = config_from_mapping(tiny_mapping(demand=["zipf:1", "zipf:1.0"]))
+        assert config.demands == ("zipf:1", "zipf:1.0")
+
     def test_unknown_key(self):
-        # ``workers`` went with the removed thread pool.
-        for key in ("bogus", "workers"):
+        # ``workers`` went with the removed thread pool, ``w_max`` with the
+        # per-query cap that is now the constant ``catalog.W_MAX``.
+        for key in ("bogus", "workers", "w_max"):
             with pytest.raises(ConfigError, match=key):
                 config_from_mapping(tiny_mapping(**{key: 1}))
 
@@ -622,8 +637,7 @@ class TestRunExperiment:
     def test_provider_rows_equal_the_lists_built_for_each_cache(self, data):
         # Every row a baseline or reordered table derives from the provider's
         # rows against the list built for that cache alone.  Drawn catalogs
-        # hold empty related lists and lists shorter than N, and w_max may
-        # cut the provider's list below N.
+        # hold empty related lists and lists shorter than N.
         size = data.draw(st.integers(2, 12), label="size")
         ids = [f"c{i:02d}" for i in range(size)]
         related = {
@@ -645,7 +659,6 @@ class TestRunExperiment:
                 front_page_size=data.draw(st.integers(1, 4), label="front"),
                 bfs_width=data.draw(st.integers(1, 4), label="width"),
                 list_size=data.draw(st.integers(1, 8), label="N"),
-                w_max=data.draw(st.integers(1, 8), label="w_max"),
                 cache_policy=policy, cache_capacity=capacities,
             ))
             runner = experiment._Runner(config)
@@ -668,9 +681,9 @@ class TestRunExperiment:
     def test_cabaret_rows_equal_the_lists_built_for_each_cache(self, data):
         # Every row a cabaret table derives from the run's candidate store
         # against reference_recommend() for that cache alone.  Drawn
-        # catalogs hold empty related lists and lists shorter than N, w_max
-        # may cut a query below N, and N may exceed the exploration, so that
-        # rows fall back on the last level's uncached entries.
+        # catalogs hold empty related lists and lists shorter than N or the
+        # width, and N may exceed the exploration, so that rows fall back on
+        # the last level's uncached entries.
         size = data.draw(st.integers(2, 12), label="size")
         ids = [f"c{i:02d}" for i in range(size)]
         related = {
@@ -693,7 +706,6 @@ class TestRunExperiment:
                 bfs_depth=data.draw(st.integers(1, 3), label="depth"),
                 bfs_width=data.draw(st.integers(1, 4), label="width"),
                 list_size=data.draw(st.integers(1, 8), label="N"),
-                w_max=data.draw(st.integers(1, 8), label="w_max"),
                 cache_policy=policy, cache_capacity=capacities,
             ))
             runner = experiment._Runner(config)
@@ -1111,10 +1123,11 @@ class TestRunExperiment:
             recommender=["baseline", "reordered", "cabaret"],
             bfs_depth=data.draw(st.integers(1, 3)),
             bfs_width=data.draw(st.integers(1, 8)),
-            w_max=data.draw(st.integers(1, 8)),
             list_size=data.draw(st.integers(1, 6)),
             cache_policy=data.draw(st.sampled_from(["top", "greedy"])),
-            cache_capacity=data.draw(st.lists(st.integers(1, 45), min_size=1, max_size=2)),
+            cache_capacity=data.draw(
+                st.lists(st.integers(1, 45), min_size=1, max_size=2, unique=True)
+            ),
             demand=data.draw(st.sampled_from(["uniform", "zipf:0.5", "zipf:2"])),
             session_length=data.draw(st.integers(2, 4)),
             sessions=data.draw(st.integers(1, 20)),
@@ -1263,11 +1276,10 @@ class TestRunExperiment:
 def reference_configs(draw):
     """Small synthetic exact configs on which ``reference.check_rows`` is valid.
 
-    The cells are exact and ``w_max`` is the default, the reference's
-    ``W_MAX``.  Width and out-degree are at least ``N``: only there do
-    the provider and cabaret lists all hold ``N`` entries, so that the
-    check's chain ``baseline <= reordered <= cabaret`` holds.  Every draw runs ``K = 2``,
-    which the chain and the ``hit_rate_k2`` check read.
+    The cells are exact.  Width and out-degree are at least ``N``: only
+    there do the provider and cabaret lists all hold ``N`` entries, so that
+    the check's chain ``baseline <= reordered <= cabaret`` holds.  Every
+    draw runs ``K = 2``, which the chain and the ``hit_rate_k2`` check read.
     """
     n = draw(st.integers(1, 10))
     out_degree = draw(st.integers(n, 12))
@@ -1316,7 +1328,14 @@ def test_exact_results_equal_the_independent_reference(mapping):
     assert run.reference.check_rows(rows, ref, caches, 1) == ({}, [])
 
 
-def test_a_finished_run_frees_itself(tiny_config, monkeypatch):
+@pytest.mark.parametrize("over, failed", [
+    (dict(cache_policy="greedy"), set()),
+    # Capacity 3 exceeds the brute-force guard.  The runner keeps the
+    # solve's error, and a traceback kept with it would hold the runner.
+    (dict(cache_policy="exact", catalog_size=2000, catalog_out_degree=50,
+          catalog_overlap=0.9, front_page_size=30, cache_capacity=[1, 3]), {3}),
+], ids=["greedy", "failing-exact-solve"])
+def test_a_finished_run_frees_itself(monkeypatch, over, failed):
     # With the cycle collector off, only reference counts free the runner:
     # a cycle through it would keep every table of the run alive.
     runners = []
@@ -1327,13 +1346,16 @@ def test_a_finished_run_frees_itself(tiny_config, monkeypatch):
             runners.append(weakref.ref(self))
 
     monkeypatch.setattr(experiment, "_Runner", Watched)
-    config = dataclasses.replace(tiny_config, cache_policy="greedy")
+    config = config_from_mapping(tiny_mapping(**over))
     enabled = gc.isenabled()
     gc.disable()
     try:
         result = run_experiment(config)
-        assert result.failures == [] and len(runners) == 1
-        assert runners[0]() is None
+        assert len(runners) == 1 and runners[0]() is None
+        assert {f["cache_capacity"] for f in result.failures} == failed
+        for failure in result.failures:
+            assert failure["error"] == "InstanceTooLargeError"
+            assert "exceed the brute-force guard" in failure["message"]
     finally:
         if enabled:
             gc.enable()

@@ -169,7 +169,7 @@ class TestCabaretList:
     def test_equals_selection_over_full_exploration(self, data):
         cat = data.draw(small_catalogs())
         ids = cat.ids()
-        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        oracle = RelationOracle(cat)
         cached = data.draw(st.one_of(
             st.just([]), st.just(ids), st.lists(st.sampled_from(ids), unique=True)
         ))
@@ -198,7 +198,7 @@ class TestCabaretList:
         # index, discovery and top-up candidates they share.
         cat = data.draw(small_catalogs())
         ids = cat.ids()
-        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        oracle = RelationOracle(cat)
         # Two ids outside the catalog let a cache miss every exploration.
         order = data.draw(st.permutations(ids + ["x0", "x1"]))
         sizes = data.draw(st.lists(st.integers(0, len(order)), min_size=1, max_size=4))
@@ -230,7 +230,7 @@ class TestCabaretList:
         # exploration, at depths 1 to 3.
         cat = data.draw(small_catalogs())
         ids = sorted(cat.ids())
-        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        oracle = RelationOracle(cat)
         # Two ids outside the catalog let a cache miss every exploration.
         order = tuple(data.draw(st.permutations(ids + ["x0", "x1"])))
         sizes = data.draw(st.lists(st.integers(1, len(order)), min_size=1, max_size=4))
@@ -329,7 +329,7 @@ class TestCabaretList:
         # selection over the full exploration, at depths 1 to 3.
         cat = data.draw(small_catalogs())
         ids = sorted(cat.ids())
-        oracle = RelationOracle(cat, w_max=data.draw(st.integers(1, 8)))
+        oracle = RelationOracle(cat)
         params = BfsParams(data.draw(st.integers(1, 3)), data.draw(st.integers(1, 8)))
         n = data.draw(st.integers(1, 14))
         head = lambda v: head_of(v, params, oracle)  # noqa: E731
